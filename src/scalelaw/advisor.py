@@ -175,8 +175,8 @@ def advise_compute(
     exactly self-consistent.  The loss forecast uses the frontier loss law,
     cross-checked against the parametric law when one is supplied.
     """
-    if C <= 0:
-        raise ValidationError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValidationError(f"C must be finite and positive, got {C}")
     presets = presets or Presets()
     n = frontier.N_opt(C)
     d = C / (FLOPS_PER_PARAM_TOKEN * n)
@@ -240,8 +240,8 @@ def advise_data(
     The model size is whatever the caller brings (the data budget does not
     pin it); LR guidance needs one to anchor a preset.
     """
-    if D <= 0:
-        raise ValidationError("D must be positive")
+    if not (math.isfinite(D) and D > 0):
+        raise ValidationError(f"D must be finite and positive, got {D}")
     presets = presets or Presets()
     b = bopt.eval(D)
     s = D / b

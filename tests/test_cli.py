@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from scalelaw import (
     parse_runs,
     serialize_runs,
 )
+import scalelaw
+from scalelaw import lawfit
 from scalelaw.cli import main
 
 BASE_LR = 4.4e-4
@@ -177,6 +183,35 @@ def test_advise_requires_exactly_one_budget():
     with pytest.raises(SystemExit) as excinfo:
         main(["advise"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "budget", [("--compute", "nan"), ("--compute", "inf"), ("--data", "inf"), ("--data", "nan")]
+)
+def test_advise_rejects_non_finite_budget(capsys, budget):
+    assert main(["advise", *budget]) == 1
+    captured = capsys.readouterr()
+    assert "scalelaw: error: ValidationError" in captured.err
+    assert "finite and positive" in captured.err
+    assert captured.out == ""
+
+
+def test_advise_cold_start_skips_scipy_optimize():
+    script = (
+        "import sys, scalelaw, scalelaw.cli\n"
+        "code = scalelaw.cli.main(['advise', '--compute', '1e21'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(scalelaw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "model size N" in proc.stdout
 
 
 def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):
@@ -368,6 +403,27 @@ def test_fit_law_json_payload(five_model_runs, tmp_path, capsys):
     assert payload["params"]["E"] == pytest.approx(1.48, rel=2e-3)
     assert payload["params"]["beta"] == pytest.approx(0.286, abs=2e-3)
     assert payload["fit"]["n_points"] == 300
+    assert payload["fit"]["n_starts"] == 8
+    assert 1 <= payload["fit"]["n_converged"] <= 8
+    assert payload["fit"]["objective_spread"] >= 0.0
+    artifact = LawArtifact.load(laws)
+    for key in ("n_starts", "n_converged", "objective_spread"):
+        assert artifact.loss_fit[key] == payload["fit"][key]
+
+
+def test_fit_law_failure_payload_has_start_diagnostics(
+    five_model_runs, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(lawfit, "_MAX_ITER", 1)
+    laws = tmp_path / "laws.json"
+    code, payload = run_json(
+        capsys, "fit-law", "--runs", str(five_model_runs), "--laws", str(laws),
+        "--constrain", planted_constraint_spec(), "--raw",
+    )
+    assert code == 2
+    assert payload["error"] == "FitFailureError"
+    fit = payload["best_partial"]["fit"]
+    assert (fit["n_starts"], fit["n_converged"], fit["objective_spread"]) == (8, 0, None)
 
 
 def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from scalelaw import (
     ChinchillaLaw,
     DegenerateVarianceError,
+    FitFailureError,
     FrontierConstraint,
     InfeasibleTargetError,
     KaplanLaw,
@@ -16,6 +17,8 @@ from scalelaw import (
     huber,
     r_squared,
 )
+from scalelaw import lawfit
+from scalelaw.lawfit import default_init_grid
 
 CHINCHILLA_PUBLISHED = ChinchillaLaw(E=1.69, A=406.4, alpha=0.34, Bcoef=410.7, beta=0.28)
 
@@ -272,6 +275,82 @@ def test_fit_report_round_trips_to_dict(ref_law):
     assert block["n_points"] == 40
     assert block["constraint"]["a"] == 0.464
     assert 0 <= block["r_squared"] <= 1
+
+
+def test_fit_report_start_diagnostics(ref_law):
+    report = fit_loss_law(grid_samples(ref_law), constraint=CONSTRAINT)
+    assert report.n_starts == lawfit.POLISHED_STARTS == 8
+    assert 1 <= report.n_converged <= report.n_starts
+    # converged starts reach the same optimum on a noise-free grid
+    assert 0.0 <= report.objective_spread <= 1e-9 * report.objective_value + 1e-15
+    block = report.to_dict()
+    assert block["n_starts"] == report.n_starts
+    assert block["n_converged"] == report.n_converged
+    assert block["objective_spread"] == report.objective_spread
+
+    few = fit_loss_law(grid_samples(ref_law), init_grid=default_init_grid()[:3])
+    assert few.n_starts == 3
+
+
+def test_fit_failure_reports_start_diagnostics(ref_law, monkeypatch):
+    monkeypatch.setattr(lawfit, "_MAX_ITER", 1)
+    with pytest.raises(FitFailureError) as exc_info:
+        fit_loss_law(grid_samples(ref_law), constraint=CONSTRAINT)
+    block = exc_info.value.best_partial.to_dict()
+    assert block["n_starts"] == 8
+    assert block["n_converged"] == 0
+    assert block["objective_spread"] is None
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("constraint", [CONSTRAINT, None], ids=["constrained", "free"])
+def test_prescreen_matches_single_start_fits(ref_law, seed, constraint):
+    samples = grid_samples(ref_law, sigma=0.005, seed=seed)
+    best_single = math.inf
+    for start in default_init_grid()[::8]:
+        try:
+            single = fit_loss_law(samples, constraint=constraint, init_grid=[start])
+        except FitFailureError as exc:
+            single = exc.best_partial
+        best_single = min(best_single, single.objective_value)
+    report = fit_loss_law(samples, constraint=constraint)
+    assert report.objective_value <= (1.0 + 1e-9) * best_single
+
+
+def _central_diff(fun, theta, step=1e-6):
+    grad = np.empty_like(theta)
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = step
+        grad[j] = (fun(theta + e) - fun(theta - e)) / (2.0 * step)
+    return grad
+
+
+@pytest.mark.parametrize(
+    "constraint, params",
+    [
+        (CONSTRAINT, (1.5, 0.29, 460.0)),
+        (CONSTRAINT, (1.2, 0.35, 300.0)),
+        (CONSTRAINT, (2.0, 0.2, 1000.0)),
+        (None, (1.5, 314.0, 0.33, 460.0, 0.29)),
+        (None, (1.2, 200.0, 0.4, 300.0, 0.35)),
+        (None, (1.6, 500.0, 0.3, 800.0, 0.25)),
+    ],
+)
+def test_objective_gradient_matches_central_differences(ref_law, constraint, params):
+    n, d, obs = np.asarray(grid_samples(ref_law, sigma=0.005, seed=0)).T
+    theta = np.log(params)
+    E, A, alpha, bcoef, beta = lawfit._unpack(theta, constraint)
+    resid = np.log(E + A * n ** (-alpha) + bcoef * d ** (-beta)) - np.log(obs)
+    # a delta at the median |residual| puts samples on both Huber branches
+    delta = float(np.median(np.abs(resid)))
+    assert np.any(np.abs(resid) < delta) and np.any(np.abs(resid) > delta)
+    data = (np.log(n), np.log(d), np.log(obs), delta, constraint)
+
+    value, grad = lawfit._objective_and_grad(theta, *data)
+    assert value == pytest.approx(float(np.sum(huber(resid, delta))), rel=1e-12)
+    numeric = _central_diff(lambda th: lawfit._objective_and_grad(th, *data)[0], theta)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6)
 
 
 def test_fit_requires_span(ref_law):
