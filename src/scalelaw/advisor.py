@@ -82,8 +82,8 @@ class Presets:
 
     def lookup(self, n_params: float) -> PresetRow:
         """Nearest row by log model size; ties go to the larger model."""
-        if n_params <= 0:
-            raise ValidationError("n_params must be positive")
+        if not (math.isfinite(n_params) and n_params > 0):
+            raise ValidationError(f"n_params must be finite and positive, got {n_params}")
         return min(
             self.rows,
             key=lambda r: (abs(math.log(n_params) - math.log(r.n_params)), -r.n_params),
@@ -242,6 +242,8 @@ def advise_data(
     """
     if not (math.isfinite(D) and D > 0):
         raise ValidationError(f"D must be finite and positive, got {D}")
+    if n_params is not None and not (math.isfinite(n_params) and n_params > 0):
+        raise ValidationError(f"n_params must be finite and positive, got {n_params}")
     presets = presets or Presets()
     b = bopt.eval(D)
     s = D / b

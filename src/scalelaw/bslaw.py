@@ -30,9 +30,10 @@ from .runlog import (
     DEFAULT_HALF_LIFE_FRACTION,
     LrScheme,
     RunSet,
+    _running_min_arrays,
+    _tokens_at_running_min,
     has_divergence,
     smooth_run,
-    tokens_at_loss,
 )
 
 # Choose default loss levels inside the bulk of final losses.
@@ -192,12 +193,15 @@ def iso_loss_contour(
             f"need at least 3 distinct batch sizes, got {len(by_batch)}"
         )
 
-    smoothed = {
-        run.run_id: smooth_run(
-            run,
-            half_life_fraction=half_life_fraction,
-            discard_fraction=discard_fraction,
-        ).points
+    # each run is smoothed once; every level then costs one binary search
+    curves = {
+        run.run_id: _running_min_arrays(
+            smooth_run(
+                run,
+                half_life_fraction=half_life_fraction,
+                discard_fraction=discard_fraction,
+            ).points
+        )
         for run in eligible
     }
     contours: dict[float, list[ContourPoint]] = {}
@@ -209,7 +213,7 @@ def iso_loss_contour(
             best = math.inf
             for run in by_batch[b]:
                 try:
-                    d_req = tokens_at_loss(smoothed[run.run_id], level)
+                    d_req = _tokens_at_running_min(*curves[run.run_id], level)
                 except (PreRangeLossError, UnreachableLossError):
                     continue
                 best = min(best, d_req)

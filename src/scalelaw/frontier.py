@@ -167,6 +167,13 @@ def _run_curve_log(
     return log_c, loss
 
 
+def _run_curves(
+    runset: RunSet, smooth: bool, half_life_fraction: float
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every run's (log C, loss) arrays, keyed by run id; one smoothing per run."""
+    return {run.run_id: _run_curve_log(run, smooth, half_life_fraction) for run in runset}
+
+
 def _interp_on_grid(log_grid: np.ndarray, log_c: np.ndarray, loss: np.ndarray) -> np.ndarray:
     """Piecewise-linear loss in log C; NaN outside the curve's range."""
     if log_c.size == 0:
@@ -191,6 +198,36 @@ def default_grid(runset: RunSet) -> np.ndarray:
     return np.geomspace(c_lo, c_hi, n)
 
 
+def _envelope(
+    runset: RunSet,
+    grid: Sequence[float] | None,
+    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+) -> list[EnvelopeSample]:
+    """compute_envelope on the runs' precomputed curves."""
+    if len(runset) == 0:
+        raise InsufficientDataError("empty run set")
+    grid_arr = np.asarray(grid, dtype=float) if grid is not None else default_grid(runset)
+    if np.any(grid_arr <= 0):
+        raise ValidationError("grid values must be positive")
+    log_grid = np.log(grid_arr)
+    best = np.full(grid_arr.shape, np.inf)
+    winner = np.full(grid_arr.shape, -1, dtype=int)
+    run_ids = []
+    for idx, run in enumerate(runset):
+        run_ids.append(run.run_id)
+        vals = _interp_on_grid(log_grid, *curves[run.run_id])
+        better = vals < best  # NaN never wins
+        best[better] = vals[better]
+        winner[better] = idx
+    covered = winner >= 0
+    if not covered.any():
+        raise EmptyEnvelopeError("no run covers any grid point")
+    return [
+        EnvelopeSample(C=float(grid_arr[i]), loss=float(best[i]), run_id=run_ids[winner[i]])
+        for i in np.nonzero(covered)[0]
+    ]
+
+
 def compute_envelope(
     runset: RunSet,
     grid: Sequence[float] | None = None,
@@ -203,29 +240,7 @@ def compute_envelope(
     (log C, loss); grid points covered by no run are omitted.  Ties go to
     the run appearing first in the set.
     """
-    if len(runset) == 0:
-        raise InsufficientDataError("empty run set")
-    grid_arr = np.asarray(grid, dtype=float) if grid is not None else default_grid(runset)
-    if np.any(grid_arr <= 0):
-        raise ValidationError("grid values must be positive")
-    log_grid = np.log(grid_arr)
-    best = np.full(grid_arr.shape, np.inf)
-    winner = np.full(grid_arr.shape, -1, dtype=int)
-    run_ids = []
-    for idx, run in enumerate(runset):
-        run_ids.append(run.run_id)
-        log_c, loss = _run_curve_log(run, smooth, half_life_fraction)
-        vals = _interp_on_grid(log_grid, log_c, loss)
-        better = vals < best  # NaN never wins
-        best[better] = vals[better]
-        winner[better] = idx
-    covered = winner >= 0
-    if not covered.any():
-        raise EmptyEnvelopeError("no run covers any grid point")
-    return [
-        EnvelopeSample(C=float(grid_arr[i]), loss=float(best[i]), run_id=run_ids[winner[i]])
-        for i in np.nonzero(covered)[0]
-    ]
+    return _envelope(runset, grid, _run_curves(runset, smooth, half_life_fraction))
 
 
 def _longest_contiguous(indices: list[int]) -> list[int]:
@@ -243,48 +258,35 @@ def _longest_contiguous(indices: list[int]) -> list[int]:
     return list(range(best_start, best_start + best_len))
 
 
-def extract_frontier_points(
+def _frontier_points(
     envelope: Sequence[EnvelopeSample],
     runset: RunSet,
-    smooth: bool = True,
-    half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
+    curves: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> list[FrontierPoint]:
-    """One compute-optimal point per model size that wins somewhere.
-
-    A model's C* is the geometric mean of its winning interval's endpoints;
-    loss is read from the model's own curve (pointwise min across its runs,
-    smoothed the same way as the envelope) at C*, and B from the run
-    achieving that minimum.  Models that never win are skipped with a
-    warning.
-    """
-    if not envelope:
-        raise EmptyEnvelopeError("empty envelope")
+    """extract_frontier_points on a non-empty envelope and precomputed curves."""
     model_of_run = {run.run_id: run.model.n_params for run in runset}
     win_model = [model_of_run[s.run_id] for s in envelope]
 
     # per-model grid coverage, to tell competitive losses from absent data
     log_grid = np.log([s.C for s in envelope])
     coverage: dict[float, np.ndarray] = {}
-    curves: dict[float, list] = {}
+    model_runs: dict[float, list] = {}
     for run in runset:
-        curves.setdefault(run.model.n_params, []).append(run)
-    for n_params, runs in curves.items():
+        model_runs.setdefault(run.model.n_params, []).append(run)
+    for n_params, runs in model_runs.items():
         cov = np.zeros(log_grid.shape, dtype=bool)
         for run in runs:
-            log_c, loss = _run_curve_log(run, smooth, half_life_fraction)
-            cov |= ~np.isnan(_interp_on_grid(log_grid, log_c, loss))
+            cov |= ~np.isnan(_interp_on_grid(log_grid, *curves[run.run_id]))
         coverage[n_params] = cov
 
     points = []
-    seen_models = []
-    for n_params in curves:
+    for n_params in model_runs:
         indices = [i for i, m in enumerate(win_model) if m == n_params]
         if not indices:
             warnings.warn(
                 f"model {n_params:.3g} never wins the envelope; excluded from the frontier"
             )
             continue
-        seen_models.append(n_params)
         interval = _longest_contiguous(indices)
         if len(interval) < len(indices):
             warnings.warn(
@@ -300,9 +302,8 @@ def extract_frontier_points(
         # model curve readout at C*: min across this model's runs
         best_loss = math.inf
         best_run = None
-        for run in curves[n_params]:
-            log_c, loss = _run_curve_log(run, smooth, half_life_fraction)
-            val = _interp_on_grid(np.asarray([math.log(c_star)]), log_c, loss)[0]
+        for run in model_runs[n_params]:
+            val = _interp_on_grid(np.asarray([math.log(c_star)]), *curves[run.run_id])[0]
             if not math.isnan(val) and val < best_loss:
                 best_loss = val
                 best_run = run
@@ -323,6 +324,25 @@ def extract_frontier_points(
             )
         )
     return points
+
+
+def extract_frontier_points(
+    envelope: Sequence[EnvelopeSample],
+    runset: RunSet,
+    smooth: bool = True,
+    half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
+) -> list[FrontierPoint]:
+    """One compute-optimal point per model size that wins somewhere.
+
+    A model's C* is the geometric mean of its winning interval's endpoints;
+    loss is read from the model's own curve (pointwise min across its runs,
+    smoothed the same way as the envelope) at C*, and B from the run
+    achieving that minimum.  Models that never win are skipped with a
+    warning.
+    """
+    if not envelope:
+        raise EmptyEnvelopeError("empty envelope")
+    return _frontier_points(envelope, runset, _run_curves(runset, smooth, half_life_fraction))
 
 
 def fit_power_law(x, y) -> PowerLaw:
@@ -408,9 +428,13 @@ def frontier_report(
     smooth: bool = True,
     half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
 ) -> FrontierReport:
-    """Full pipeline: envelope, per-model points, fitted laws."""
-    envelope = compute_envelope(runset, grid, smooth, half_life_fraction)
-    points = extract_frontier_points(envelope, runset, smooth, half_life_fraction)
+    """Full pipeline: envelope, per-model points, fitted laws.
+
+    Each run is smoothed once and its curve shared by both stages.
+    """
+    curves = _run_curves(runset, smooth, half_life_fraction)
+    envelope = _envelope(runset, grid, curves)
+    points = _frontier_points(envelope, runset, curves)
     present = {pt.N for pt in points}
     excluded = [m for m in runset.model_sizes() if m not in present]
     return frontier_laws(points, excluded=excluded)

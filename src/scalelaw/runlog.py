@@ -15,6 +15,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     ConflictError,
     InsufficientDataError,
@@ -92,6 +94,10 @@ class RunRecord:
             raise ValidationError(f"run {self.run_id}: batch_size_tokens must be positive")
         if not (self.lr_peak > 0 and math.isfinite(self.lr_peak)):
             raise ValidationError(f"run {self.run_id}: lr_peak must be positive")
+        if not (self.lr_scale > 0 and math.isfinite(self.lr_scale)):
+            raise ValidationError(
+                f"run {self.run_id}: lr_scale must be positive and finite, got {self.lr_scale}"
+            )
         if self.warmup_steps < 0 or self.decay_steps < 0:
             raise ValidationError(f"run {self.run_id}: step counts must be non-negative")
         if not self.points:
@@ -182,6 +188,17 @@ _REQUIRED_FIELDS = (
 )
 
 
+def _coerce(obj: dict, name: str, kind: type, line_no: int | None, default=None):
+    """obj[name] (or the default when absent) as kind; ParseError if it is no number."""
+    value = obj.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(
+            f"{name} must be a number, got {value!r}", line_no=line_no, field=name
+        ) from None
+
+
 def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     for name in _REQUIRED_FIELDS:
         if name not in obj:
@@ -196,32 +213,40 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     if not isinstance(raw_points, list) or not raw_points:
         raise ParseError("points must be a non-empty list", line_no=line_no, field="points")
     points = []
-    for entry in raw_points:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(
-                "each point must be a [step, tokens, loss] triple",
-                line_no=line_no,
-                field="points",
-            )
-        step, tokens, loss = entry
-        if isinstance(step, float) and not step.is_integer():
-            raise ParseError("step must be an integer", line_no=line_no, field="points")
-        points.append(CurvePoint(step=int(step), tokens=float(tokens), loss=float(loss)))
+    # one try around the whole loop keeps the per-point cost of the happy path
+    try:
+        for entry in raw_points:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ParseError(
+                    "each point must be a [step, tokens, loss] triple",
+                    line_no=line_no,
+                    field="points",
+                )
+            step, tokens, loss = entry
+            if isinstance(step, float) and not step.is_integer():
+                raise ParseError("step must be an integer", line_no=line_no, field="points")
+            points.append(CurvePoint(step=int(step), tokens=float(tokens), loss=float(loss)))
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(
+            f"point {len(points)} must hold numbers, got {raw_points[len(points)]!r}",
+            line_no=line_no,
+            field="points",
+        ) from None
     model = ModelSpec(
-        n_params=float(obj["n_params"]),
+        n_params=_coerce(obj, "n_params", float, line_no),
         label=str(obj.get("label", "")),
         seq_len=obj.get("seq_len"),
     )
     return RunRecord(
         run_id=str(obj["run_id"]),
         model=model,
-        batch_size_tokens=float(obj["batch_size_tokens"]),
-        lr_peak=float(obj["lr_peak"]),
+        batch_size_tokens=_coerce(obj, "batch_size_tokens", float, line_no),
+        lr_peak=_coerce(obj, "lr_peak", float, line_no),
         lr_scheme=scheme,
-        warmup_steps=int(obj["warmup_steps"]),
-        decay_steps=int(obj["decay_steps"]),
+        warmup_steps=_coerce(obj, "warmup_steps", int, line_no),
+        decay_steps=_coerce(obj, "decay_steps", int, line_no),
         points=tuple(points),
-        lr_scale=float(obj.get("lr_scale", 1.0)),
+        lr_scale=_coerce(obj, "lr_scale", float, line_no, default=1.0),
     )
 
 
@@ -289,12 +314,10 @@ def flops(n_params: float, tokens: float) -> float:
 
 def finite_prefix(points: Sequence[CurvePoint]) -> tuple[CurvePoint, ...]:
     """The leading span of a curve before the first non-finite loss."""
-    out = []
-    for p in points:
+    for i, p in enumerate(points):
         if not math.isfinite(p.loss):
-            break
-        out.append(p)
-    return tuple(out)
+            return tuple(points[:i])
+    return tuple(points)
 
 
 def has_divergence(points: Sequence[CurvePoint], blowup_ratio: float = 2.0) -> bool:
@@ -345,11 +368,14 @@ def smooth_curve(
     out = [kept[0]]
     weighted = kept[0].loss
     weight = 1.0
-    for prev, cur in zip(kept, kept[1:]):
-        decay = 0.5 ** ((cur.tokens - prev.tokens) / half_life_tokens)
+    prev_tokens = kept[0].tokens
+    for cur in kept[1:]:
+        tokens = cur.tokens
+        decay = 0.5 ** ((tokens - prev_tokens) / half_life_tokens)
         weighted = weighted * decay + cur.loss
         weight = weight * decay + 1.0
-        out.append(replace(cur, loss=weighted / weight))
+        out.append(CurvePoint(cur.step, tokens, weighted / weight))
+        prev_tokens = tokens
     return tuple(out)
 
 
@@ -375,14 +401,44 @@ def smooth_run(
     return replace(run, points=smoothed)
 
 
+def _running_min_arrays(points: Sequence[CurvePoint]) -> tuple[np.ndarray, np.ndarray]:
+    """(tokens, running minimum of the loss) of a curve, as float arrays."""
+    tokens = np.array([p.tokens for p in points], dtype=float)
+    best = np.fmin.accumulate(np.array([p.loss for p in points], dtype=float))
+    return tokens, best
+
+
 def monotone_envelope(points: Sequence[CurvePoint]) -> tuple[CurvePoint, ...]:
     """Running minimum of the loss curve (non-increasing in tokens)."""
-    out = []
-    best = math.inf
-    for p in points:
-        best = min(best, p.loss)
-        out.append(replace(p, loss=best))
-    return tuple(out)
+    _, best = _running_min_arrays(points)
+    return tuple(
+        CurvePoint(p.step, p.tokens, loss) for p, loss in zip(points, best.tolist())
+    )
+
+
+def _tokens_at_running_min(tokens: np.ndarray, best: np.ndarray, target_loss: float) -> float:
+    """tokens_at_loss on the arrays of _running_min_arrays."""
+    if tokens.size < 2:
+        raise InsufficientDataError("need at least 2 points to invert a curve")
+    if not (target_loss > 0 and math.isfinite(target_loss)):
+        raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
+    if target_loss > best[0]:
+        raise PreRangeLossError(
+            f"target {target_loss} above the first recorded loss {float(best[0])}"
+        )
+    if target_loss < best[-1]:
+        raise UnreachableLossError(
+            f"target {target_loss} below the best loss {float(best[-1])} reached by the curve"
+        )
+    # first checkpoint whose running minimum is at or below the target
+    i = int(np.searchsorted(-best, -target_loss, side="left"))
+    if i == 0:
+        return float(tokens[0])
+    prev_loss, cur_loss = float(best[i - 1]), float(best[i])
+    prev_tokens, cur_tokens = float(tokens[i - 1]), float(tokens[i])
+    frac = (prev_loss - target_loss) / (prev_loss - cur_loss)
+    log_tokens = math.log(prev_tokens) + frac * (math.log(cur_tokens) - math.log(prev_tokens))
+    return math.exp(log_tokens)
 
 
 def tokens_at_loss(points: Sequence[CurvePoint], target_loss: float) -> float:
@@ -393,28 +449,4 @@ def tokens_at_loss(points: Sequence[CurvePoint], target_loss: float) -> float:
     above the first recorded loss and UnreachableLossError when it sits
     below the best loss the curve ever attains.
     """
-    if len(points) < 2:
-        raise InsufficientDataError("need at least 2 points to invert a curve")
-    if not (target_loss > 0 and math.isfinite(target_loss)):
-        raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
-    env = monotone_envelope(points)
-    if target_loss > env[0].loss:
-        raise PreRangeLossError(
-            f"target {target_loss} above the first recorded loss {env[0].loss}"
-        )
-    if target_loss < env[-1].loss:
-        raise UnreachableLossError(
-            f"target {target_loss} below the best loss {env[-1].loss} reached by the curve"
-        )
-    for i, cur in enumerate(env):
-        if cur.loss > target_loss:
-            continue
-        if i == 0:
-            return cur.tokens
-        prev = env[i - 1]
-        frac = (prev.loss - target_loss) / (prev.loss - cur.loss)
-        log_tokens = math.log(prev.tokens) + frac * (
-            math.log(cur.tokens) - math.log(prev.tokens)
-        )
-        return math.exp(log_tokens)
-    raise UnreachableLossError(f"target {target_loss} not reached")  # pragma: no cover
+    return _tokens_at_running_min(*_running_min_arrays(points), target_loss)

@@ -16,6 +16,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 from .lawfit import ChinchillaLaw
 from .lrlaw import scale_lr
@@ -176,13 +178,11 @@ def d_required(gt: GroundTruth, n_params: float, target_loss: float, B: float) -
 
 
 def _loss_at_tokens(gt: GroundTruth, n_params: float, d_eff: float, B: float) -> float:
-    """Invert d_required in the loss: the planted loss after d_eff tokens."""
-    gamma = gt.noise.gamma_tradeoff
-    if gt.bcrit_mode == "constant":
-        e = solve_tradeoff(B / gt.bcrit_b0, gamma).e_ratio
-        return gt.law.eval(n_params, d_eff / e)
-    # loss-linked B_crit: d_required is no longer a fixed rescaling of the
-    # law, so bracket and bisect on log-loss
+    """Invert d_required in the loss: the planted loss after d_eff tokens.
+
+    Brackets and bisects on log-loss, which a loss-linked B_crit needs: there
+    d_required is no longer a fixed rescaling of the law.
+    """
     floor = gt.law.floor_at_n(n_params)
     lo = math.log(floor * (1.0 + 1e-12))
     hi = math.log(gt.law.eval(n_params, 1.0))
@@ -265,9 +265,16 @@ def simulate_curve(
             loss *= _noise_factor(gt.seed, run_id, step, sigma)
             curve.append(CurvePoint(step=step, tokens=step * B, loss=loss))
     else:
-        for step in _checkpoint_steps(total_steps, points):
-            d_eff = step * B * efficiency
-            loss = _loss_at_tokens(gt, n_params, d_eff, B)
+        steps = _checkpoint_steps(total_steps, points)
+        if gt.bcrit_mode == "constant":
+            # a fixed B_crit makes d_required one rescaling of the law's own
+            # token requirement, so one trade-off solve covers the whole run
+            e = solve_tradeoff(B / gt.bcrit_b0, gt.noise.gamma_tradeoff).e_ratio
+            d_eff = np.array(steps, dtype=float) * B * efficiency
+            losses = gt.law.eval(n_params, d_eff / e).tolist()
+        else:
+            losses = [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps]
+        for step, loss in zip(steps, losses):
             loss *= _noise_factor(gt.seed, run_id, step, sigma)
             curve.append(CurvePoint(step=step, tokens=step * B, loss=loss))
 

@@ -138,6 +138,12 @@ def test_data_validation(reference):
         advise_data(reference.bopt, -1e12)
 
 
+@pytest.mark.parametrize("n_params", [math.nan, math.inf, -math.inf, 0.0])
+def test_data_rejects_bad_model_size(reference, ref_law, n_params):
+    with pytest.raises(ValidationError, match="n_params must be finite and positive"):
+        advise_data(reference.bopt, 1e12, n_params=n_params, loss_law=ref_law)
+
+
 def test_recommendation_to_dict(reference):
     doc = advise_data(reference.bopt, 1e12, n_params=2.6e9).to_dict()
     for key in ("N", "D", "S", "B", "LR", "provenance", "flags"):
@@ -223,8 +229,9 @@ def test_preset_validation():
         Presets(rows=())
     with pytest.raises(ValidationError, match="positive"):
         PresetRow(1e8, "bad", -5e5, 6e-4, 715, 500000)
-    with pytest.raises(ValidationError):
-        preset_lookup(0.0)
+    for n_params in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            preset_lookup(n_params)
 
 
 def test_preset_dict_round_trip():

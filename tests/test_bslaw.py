@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from scalelaw import (
     iso_loss_contour,
     solve_tradeoff,
 )
+import scalelaw.bslaw
+from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
 
 GT0 = default_ground_truth(seed=1, observation_noise=0.0)
@@ -97,6 +100,32 @@ def test_contour_matches_tradeoff_closure():
         for pt in points:
             expected = d_min * (1.0 + pt.B / GT0.bcrit_b0)
             assert pt.D_required == pytest.approx(expected, rel=0.005)
+
+
+@pytest.mark.parametrize("policy, scheme", [("best_of_schemes", None), ("fixed_scheme", "sqrt")])
+def test_contour_smooths_each_run_once(monkeypatch, policy, scheme):
+    cfg = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8),),
+        batch_sizes=(5e5, 2e6, 8e6),
+        schemes=(LrScheme.ORIGIN, LrScheme.SQRT),
+        tokens_per_run=3e10,
+        points_per_run=100,
+    )
+    runset = simulate_grid(cfg, GT0)
+    calls = Counter()
+
+    def counting_smooth_run(run, *args, **kwargs):
+        calls[run.run_id] += 1
+        return smooth_run(run, *args, **kwargs)
+
+    monkeypatch.setattr(scalelaw.bslaw, "smooth_run", counting_smooth_run)
+    scheme = LrScheme(scheme) if scheme else None
+    contours = iso_loss_contour(
+        runset, [3.1, 3.3, 3.5, 3.7], lr_policy=policy, scheme=scheme
+    )
+    assert len(contours) == 4
+    eligible = [run.run_id for run in runset if scheme is None or run.lr_scheme == scheme]
+    assert calls == Counter(dict.fromkeys(eligible, 1))
 
 
 def test_contour_gap_is_warned_not_fatal():

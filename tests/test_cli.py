@@ -196,6 +196,22 @@ def test_advise_rejects_non_finite_budget(capsys, budget):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("size", ["nan", "inf", "0"])
+def test_advise_rejects_bad_model_size(capsys, size):
+    assert main(["advise", "--data", "1e12", "--model-size", size]) == 1
+    captured = capsys.readouterr()
+    assert "scalelaw: error: ValidationError: n_params must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+def test_tradeoff_rejects_bad_gamma(capsys, gamma):
+    assert main(["tradeoff", "--gamma", gamma]) == 1
+    captured = capsys.readouterr()
+    assert "scalelaw: error: ValidationError: b_ratio and gamma must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_advise_cold_start_skips_scipy_optimize():
     script = (
         "import sys, scalelaw, scalelaw.cli\n"
@@ -323,6 +339,25 @@ def test_ingest_lenient_collects_bad_lines(five_model_runs, tmp_path, capsys):
     assert payload["runs"] == 5
     assert len(payload["rejected"]) == 1
     assert payload["rejected"][0][0] == 6  # 1-based line number
+
+
+def test_ingest_lenient_rejects_bad_values(five_model_runs, tmp_path, capsys):
+    good = five_model_runs.read_text().splitlines()
+    bad_lines = []
+    for field, value in (("n_params", "abc"), ("lr_scale", 0), ("points", [[1, 5e5, None]])):
+        obj = json.loads(good[0])
+        obj["run_id"] = f"bad-{field}"
+        obj[field] = value
+        bad_lines.append(json.dumps(obj))
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(good + bad_lines) + "\n")
+    assert main(["ingest", "--runs", str(mixed)]) == 1
+    assert "scalelaw: error: ParseError" in capsys.readouterr().err
+
+    code, payload = run_json(capsys, "ingest", "--runs", str(mixed), "--lenient")
+    assert code == 0
+    assert payload["runs"] == 5
+    assert [line_no for line_no, _ in payload["rejected"]] == [6, 7, 8]
 
 
 def test_ingest_normalized_copy_is_stable(five_model_runs, tmp_path, capsys):

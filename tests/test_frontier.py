@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from scalelaw import (
     frontier_laws,
     frontier_report,
 )
+import scalelaw.frontier
+from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
 
 GRID_CELL = 10 ** (1 / 64)  # one step of the default envelope grid
@@ -459,3 +462,28 @@ def test_report_excludes_dominated_model():
         report = frontier_report(combined, smooth=False)
     assert report.excluded == (2.5e8,)
     assert len(report.points) == 5
+
+
+def test_report_smooths_each_run_once(monkeypatch):
+    cfg = SynthConfig(
+        models=tuple(ModelSpec(n_params=n) for n in (1.25e8, 3.5e8, 7.6e8, 1.3e9)),
+        batch_sizes=(5e5, 2e6),
+        schemes=(LrScheme.ORIGIN,),
+        points_per_run=100,
+    )
+    runs = simulate_grid(cfg, default_ground_truth(seed=2))
+    calls = Counter()
+
+    def counting_smooth_run(run, *args, **kwargs):
+        calls[run.run_id] += 1
+        return smooth_run(run, *args, **kwargs)
+
+    monkeypatch.setattr(scalelaw.frontier, "smooth_run", counting_smooth_run)
+    report = frontier_report(runs)
+    assert calls == Counter(dict.fromkeys(runs.runs, 1))
+
+    # the shared curves give what the public stages give one by one
+    envelope = compute_envelope(runs)
+    points = extract_frontier_points(envelope, runs)
+    excluded = [m for m in runs.model_sizes() if m not in {pt.N for pt in points}]
+    assert report == frontier_laws(points, excluded=excluded)

@@ -175,6 +175,21 @@ def test_tradeoff_rejects_bad_inputs():
         solve_tradeoff(1.0, gamma=-0.5)
 
 
+@pytest.mark.parametrize(
+    "b_ratio, gamma",
+    [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)],
+)
+def test_tradeoff_rejects_non_finite_inputs(b_ratio, gamma):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        solve_tradeoff(b_ratio, gamma=gamma)
+
+
+@pytest.mark.parametrize("b_ratio, gamma", [(1e200, 1.0), (0.5, 1e308), (1e-17, 0.5)])
+def test_tradeoff_out_of_float_range_is_a_typed_error(b_ratio, gamma):
+    with pytest.raises(ValidationError, match="float range"):
+        solve_tradeoff(b_ratio, gamma=gamma)
+
+
 # ---------------------------------------------------------------------------
 # the seven-column table
 

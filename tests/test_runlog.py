@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelaw import (
     ConflictError,
@@ -111,6 +113,48 @@ def test_parse_lenient_collects_rejects():
     assert [line_no for line_no, _ in runset.rejected] == [2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_params", "abc"),
+        ("n_params", None),
+        ("batch_size_tokens", [5e5]),
+        ("lr_peak", {}),
+        ("warmup_steps", "ten"),
+        ("decay_steps", math.inf),
+        ("lr_scale", None),
+    ],
+)
+def test_parse_bad_scalar_value_is_parse_error(field, value):
+    obj = json.loads(MINIMAL_LINE)
+    obj[field] = value
+    with pytest.raises(ParseError, match=f"line 1.*{field}"):
+        parse_runs([json.dumps(obj)])
+
+
+@pytest.mark.parametrize(
+    "point", [[2, 1e6, None], [2, "abc", 9.8], [None, 1e6, 9.8], [2, 1e6, [9.8]]]
+)
+def test_parse_bad_point_value_is_parse_error(point):
+    obj = json.loads(MINIMAL_LINE)
+    obj["points"] = [[1, 5e5, 10.2], point]
+    with pytest.raises(ParseError, match="point 1"):
+        parse_runs([json.dumps(obj)])
+    runset = parse_runs([json.dumps(obj), MINIMAL_LINE], strict=False)
+    assert list(runset.runs) == ["a"]
+    assert [line_no for line_no, _ in runset.rejected] == [1]
+
+
+@pytest.mark.parametrize("lr_scale", [0.0, -1.0, math.inf, math.nan])
+def test_validate_rejects_bad_lr_scale(lr_scale):
+    with pytest.raises(ValidationError, match="lr_scale"):
+        make_run(lr_scale=lr_scale).validate()
+    obj = json.loads(MINIMAL_LINE)
+    obj["lr_scale"] = lr_scale
+    runset = parse_runs([json.dumps(obj)], strict=False)
+    assert len(runset) == 0 and len(runset.rejected) == 1
+
+
 def test_parse_rejects_inconsistent_tokens():
     obj = json.loads(MINIMAL_LINE)
     obj["points"] = [[1, 5e5, 10.2], [2, 3e6, 9.8]]
@@ -216,6 +260,57 @@ def test_tokens_at_loss_monotone_in_target():
     targets = sorted(2.1 + 1.5 * rng.random() for _ in range(20))
     toks = [tokens_at_loss(curve, t) for t in targets]
     # harder (lower) targets always need at least as many tokens
+    assert all(a >= b for a, b in zip(toks, toks[1:]))
+
+
+def _scalar_tokens_at_loss(points, target):
+    """Reference: a plain scan of the running minimum, one checkpoint at a time."""
+    best = math.inf
+    prev = None
+    for p in points:
+        best = min(best, p.loss)
+        if best <= target:
+            if prev is None:
+                return p.tokens
+            frac = (prev[1] - target) / (prev[1] - best)
+            log_t = math.log(prev[0]) + frac * (math.log(p.tokens) - math.log(prev[0]))
+            return math.exp(log_t)
+        prev = (p.tokens, best)
+    return None
+
+
+# losses drawn from a small grid so plateaus and exact ties are common
+_curves = st.lists(
+    st.integers(min_value=0, max_value=40).map(lambda k: 1.5 + 0.05 * k),
+    min_size=2,
+    max_size=40,
+).map(lambda losses: tuple(CurvePoint(i + 1, (i + 1) * 1e6, lv) for i, lv in enumerate(losses)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(curve=_curves, data=st.data())
+def test_tokens_at_loss_matches_scalar_scan(curve, data):
+    losses = [p.loss for p in curve]
+    running_best = min(losses)
+    # targets: every checkpoint loss exactly, one below the best loss, and
+    # arbitrary values in range
+    targets = sorted(set(losses)) + [running_best - 0.01] + [
+        data.draw(st.floats(min_value=running_best, max_value=losses[0]))
+        for _ in range(3)
+    ]
+    for target in targets:
+        expect = _scalar_tokens_at_loss(curve, target)
+        if target > losses[0]:
+            with pytest.raises(PreRangeLossError):
+                tokens_at_loss(curve, target)
+        elif target < running_best:
+            with pytest.raises(UnreachableLossError):
+                tokens_at_loss(curve, target)
+        else:
+            assert tokens_at_loss(curve, target) == expect
+    reachable = sorted(t for t in targets if running_best <= t <= losses[0])
+    toks = [tokens_at_loss(curve, t) for t in reachable]
+    # a lower target never needs fewer tokens
     assert all(a >= b for a, b in zip(toks, toks[1:]))
 
 

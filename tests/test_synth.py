@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +15,9 @@ from scalelaw import (
     ValidationError,
     eta_opt_adam,
     fit_loss_law,
+    has_divergence,
     samples_from_runs,
+    serialize_runs,
 )
 from scalelaw.synth import (
     GroundTruth,
@@ -362,3 +366,56 @@ def test_noise_free_grid_recovers_planted_law():
     assert report.law.alpha == pytest.approx(LAW.alpha, abs=1e-3)
     assert report.law.beta == pytest.approx(LAW.beta, abs=1e-3)
     assert report.r_squared > 0.9999
+
+
+# ---------------------------------------------------------------------------
+# generator bytes: any change to the emitted curves shows up as a new digest.
+# The digests were recorded from the per-checkpoint scalar generator, so they
+# also pin the vectorised constant-B_crit path to the same float results.
+
+GOLDEN_SWEEP = SynthConfig(
+    models=(ModelSpec(n_params=1.25e8, label="125M"), ModelSpec(n_params=7.6e8, label="760M")),
+    batch_sizes=(5e5, 4e6, 3.2e7),
+    schemes=(LrScheme.ORIGIN, LrScheme.LINEAR),
+    lr_factors=(1.0, 2.5),
+    tokens_per_run=2e10,
+    points_per_run=60,
+)
+GOLDEN_LOSS_LINKED_SWEEP = SynthConfig(
+    models=(ModelSpec(n_params=1.25e8, label="125M"),),
+    batch_sizes=(5e5, 4e6, 3.2e7),
+    tokens_per_run=2e10,
+    points_per_run=20,
+)
+
+
+def _digest(runset) -> str:
+    return hashlib.sha256("\n".join(serialize_runs(runset)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, truth, digest",
+    [
+        (
+            GOLDEN_SWEEP,
+            default_ground_truth(seed=3),
+            "04cd0591f578ebf386db0c7920b0a7ae47f8af1e718728a0990b70596b42bfbd",
+        ),
+        (
+            GOLDEN_SWEEP,
+            default_ground_truth(seed=3, observation_noise=0.0),
+            "0556d52f9ee8f731bdab2e7bde2fc725776202f4f17090ce06a074f09ddc25f0",
+        ),
+        (
+            GOLDEN_LOSS_LINKED_SWEEP,
+            replace(default_ground_truth(seed=3), bcrit_mode="loss_linked"),
+            "1ab6cbd56c5afe49db03228ea3916fdddaff55d59574d1b4227881849c351e86",
+        ),
+    ],
+    ids=["noisy", "noise-free", "loss-linked"],
+)
+def test_grid_bytes_are_pinned(config, truth, digest):
+    runset = simulate_grid(config, truth)
+    # the sweep must keep exercising every generator branch it pins
+    assert any(has_divergence(run.points) for run in runset) == (config is GOLDEN_SWEEP)
+    assert _digest(runset) == digest
