@@ -2,8 +2,8 @@
 
 One document can bundle a parametric loss law with its fit diagnostics, the
 frontier power laws, the batch-size law, an LR law block, presets, and
-published comparison laws.  A reference artifact with well-known published
-constants ships with the package so advice queries work without any fitting
+published comparison laws.  reference_artifact() builds an artifact of
+well-known published constants, so advice queries work without any fitting
 step.
 """
 
@@ -13,18 +13,30 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .advisor import Presets
 from .bslaw import BoptLaw
 from .errors import ParseError
 from .frontier import FrontierReport, PowerLaw
-from .lawfit import ChinchillaLaw, KaplanLaw
+from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw, KaplanLaw
 from .lrlaw import LrLawFit
 
 FORMAT_TAG = "scalelaw-laws/1"
-_REFERENCE_RESOURCE = "reference_laws.json"
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path atomically: temp file in the same directory, then rename."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -35,27 +47,10 @@ class LawArtifact:
     loss_fit: dict | None = None
     frontier: FrontierReport | None = None
     bopt: BoptLaw | None = None
-    lr_law: dict | None = None
+    lr_law: LrLawFit | None = None
     presets: Presets | None = None
     comparisons: tuple[dict, ...] = ()
     provenance: str | None = None
-
-    def lr_fit(self) -> LrLawFit | None:
-        """The LR law block as a fit object, when present."""
-        if self.lr_law is None:
-            return None
-        return LrLawFit(
-            gamma=float(self.lr_law["gamma"]),
-            lr_ceiling=(
-                None if self.lr_law["lr_ceiling"] is None else float(self.lr_law["lr_ceiling"])
-            ),
-            plateau_onset_B=(
-                None
-                if self.lr_law["plateau_onset_B"] is None
-                else float(self.lr_law["plateau_onset_B"])
-            ),
-            n_fit=int(self.lr_law.get("n_fit", 0)),
-        )
 
     def comparison_law(self, label: str) -> ChinchillaLaw | KaplanLaw:
         """Look up a published comparison law by its label."""
@@ -81,7 +76,7 @@ class LawArtifact:
         if self.bopt is not None:
             doc["bopt"] = self.bopt.to_dict()
         if self.lr_law is not None:
-            doc["lr_law"] = dict(self.lr_law)
+            doc["lr_law"] = self.lr_law.to_dict()
         if self.presets is not None:
             doc["presets"] = self.presets.to_dict()
         if self.comparisons:
@@ -99,48 +94,21 @@ class LawArtifact:
                 f"unsupported law artifact format {doc.get('format')!r}; "
                 f"expected {FORMAT_TAG!r}"
             )
-        loss_law = None
-        loss_fit = None
-        if "loss_law" in doc:
-            block = doc["loss_law"]
-            if block.get("form") != "chinchilla":
-                raise ParseError(f"unsupported loss law form {block.get('form')!r}")
-            loss_law = ChinchillaLaw.from_dict(block["params"])
-            loss_fit = block.get("fit") or None
-        frontier = None
-        if "frontier" in doc:
-            block = doc["frontier"]
-            frontier = FrontierReport.from_laws(
-                L_opt=PowerLaw.from_dict(block["L_opt"]),
-                N_opt=PowerLaw.from_dict(block["N_opt"]),
-                D_opt=PowerLaw.from_dict(block["D_opt"]),
-                S_opt=PowerLaw.from_dict(block["S_opt"]),
-                B_opt=PowerLaw.from_dict(block["B_opt"]),
-            )
+        loss_law, loss_fit = _parse_block(doc, "loss_law", _loss_law_block) or (None, None)
         return cls(
             loss_law=loss_law,
             loss_fit=loss_fit,
-            frontier=frontier,
-            bopt=BoptLaw.from_dict(doc["bopt"]) if "bopt" in doc else None,
-            lr_law=dict(doc["lr_law"]) if "lr_law" in doc else None,
-            presets=Presets.from_dict(doc["presets"]) if "presets" in doc else None,
-            comparisons=tuple(doc.get("comparisons", ())),
+            frontier=_parse_block(doc, "frontier", _frontier_block),
+            bopt=_parse_block(doc, "bopt", BoptLaw.from_dict),
+            lr_law=_parse_block(doc, "lr_law", LrLawFit.from_dict),
+            presets=_parse_block(doc, "presets", Presets.from_dict),
+            comparisons=_parse_block(doc, "comparisons", tuple) or (),
             provenance=doc.get("provenance"),
         )
 
     def save(self, path: str | Path) -> None:
         """Write the document atomically (temp file, then rename)."""
-        path = Path(path)
-        payload = json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_text_atomic(path, json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "LawArtifact":
@@ -152,16 +120,32 @@ class LawArtifact:
         return cls.from_json_dict(doc)
 
 
+def _parse_block(doc: dict, name: str, parse):
+    """parse(doc[name]), or None without the block; a missing key or
+    wrong-typed value is a ParseError naming the block."""
+    if name not in doc:
+        return None
+    try:
+        return parse(doc[name])
+    except KeyError as exc:
+        raise ParseError(f"{name} block is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{name} block is malformed: {exc}") from None
+
+
+def _loss_law_block(block: dict) -> tuple[ChinchillaLaw, dict | None]:
+    if block.get("form") != "chinchilla":
+        raise ParseError(f"unsupported loss law form {block.get('form')!r}")
+    return ChinchillaLaw.from_dict(block["params"]), block.get("fit") or None
+
+
+def _frontier_block(block: dict) -> FrontierReport:
+    names = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
+    return FrontierReport.from_laws(**{name: PowerLaw.from_dict(block[name]) for name in names})
+
+
 def reference_artifact() -> LawArtifact:
-    """The packaged artifact of published reference constants."""
-    payload = resources.files(__package__).joinpath(
-        f"data/{_REFERENCE_RESOURCE}"
-    ).read_text()
-    return LawArtifact.from_json_dict(json.loads(payload))
-
-
-def build_reference_artifact() -> LawArtifact:
-    """Construct the reference constants programmatically.
+    """The artifact of published reference constants.
 
     Source: a published batch-size scaling study of LLM training (models
     125M to 2.6B parameters, up to 300B tokens), plus two widely cited
@@ -194,16 +178,16 @@ def build_reference_artifact() -> LawArtifact:
     gamma = 0.875
     base_lr, base_b = 3.0e-4, 5e5
     lr_ceiling = 2.4e-3
-    lr_law = {
-        "gamma": gamma,
-        "lr_ceiling": lr_ceiling,
-        "plateau_onset_B": base_b * (lr_ceiling / base_lr) ** (1.0 / gamma),
-        "base_lr": base_lr,
-        "base_B": base_b,
-        "n_fit": 0,
-    }
+    lr_law = LrLawFit(
+        gamma=gamma,
+        lr_ceiling=lr_ceiling,
+        plateau_onset_B=base_b * (lr_ceiling / base_lr) ** (1.0 / gamma),
+        n_fit=0,
+        base_lr=base_lr,
+        base_B=base_b,
+    )
     return LawArtifact(
-        loss_law=ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286),
+        loss_law=REFERENCE_LOSS_LAW,
         loss_fit={
             "r_squared": 0.962,
             "delta": 1e-3,

@@ -138,6 +138,8 @@ def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> lis
     contour can use, so the window spans only losses that some run actually
     sustained.
     """
+    if n_levels < 1:
+        raise ValidationError(f"n_levels must be at least 1, got {n_levels}")
     finals = []
     for run in runset:
         if has_divergence(run.points):

@@ -17,14 +17,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .advisor import Presets, advise_compute, advise_data
-from .artifact import LawArtifact, reference_artifact
-from .bslaw import bopt_law_from_runs, default_loss_levels, iso_loss_contour
+from .artifact import LawArtifact, reference_artifact, write_text_atomic
+from .bslaw import DEFAULT_N_LEVELS, bopt_law_from_runs, default_loss_levels, iso_loss_contour
 from .errors import (
     EmptyContourError,
     FitFailureError,
@@ -58,26 +57,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Atomic write: temp file in the destination directory, then rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 def _read_runs(path: str, strict: bool = True):
@@ -166,7 +151,7 @@ def _fmt(value, precision: int = 6) -> str:
 def _cmd_ingest(args) -> None:
     runset = _read_runs(args.runs, strict=not args.lenient)
     if args.out:
-        _write_text(args.out, "\n".join(serialize_runs(runset)) + "\n")
+        write_text_atomic(args.out, "\n".join(serialize_runs(runset)) + "\n")
     models = runset.model_sizes()
     batches = sorted({run.batch_size_tokens for run in runset})
     n_points = sum(len(run.points) for run in runset)
@@ -234,7 +219,7 @@ def _cmd_simulate(args) -> None:
     if seed != truth.seed:
         truth = dataclasses.replace(truth, seed=seed)
     runset = simulate_grid(sweep, truth)
-    _write_text(args.out, "\n".join(serialize_runs(runset)) + "\n")
+    write_text_atomic(args.out, "\n".join(serialize_runs(runset)) + "\n")
     _emit(args, [f"simulated {len(runset)} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
         "runs": len(runset),
@@ -322,12 +307,8 @@ def _cmd_frontier(args) -> None:
     _emit(args, lines, {"verb": "frontier", **report.to_dict(), "laws": args.laws})
 
 
-def _bopt_levels(args, runset) -> list[float] | None:
-    if args.levels is not None:
-        return list(args.levels)
-    if args.n_levels is not None:
-        return default_loss_levels(runset, args.n_levels)
-    return None
+def _contour_levels(args, runset) -> list[float]:
+    return args.levels if args.levels is not None else default_loss_levels(runset, args.n_levels)
 
 
 def _cmd_fit_bopt(args) -> None:
@@ -335,7 +316,7 @@ def _cmd_fit_bopt(args) -> None:
     scheme = LrScheme(args.scheme) if args.scheme else None
     law, vertices = bopt_law_from_runs(
         runset,
-        loss_levels=_bopt_levels(args, runset),
+        loss_levels=_contour_levels(args, runset),
         lr_policy=args.policy,
         scheme=scheme,
         s_floor_hint=args.s_floor,
@@ -372,12 +353,12 @@ def _cmd_fit_lr(args) -> None:
     runset = _filtered_runs(args)
     surface = build_surface(runset, args.checkpoint_tokens)
     samples = extract_lr_opt(surface, refinement=args.refinement)
-    fit = fit_gamma(samples, plateau_tolerance=args.plateau_tol)
-    block = fit.to_dict() | {
-        "base_lr": surface.base_lr,
-        "d_checkpoint": args.checkpoint_tokens,
-    }
-    _update_laws(args.laws, lr_law=block)
+    fit = dataclasses.replace(
+        fit_gamma(samples, plateau_tolerance=args.plateau_tol),
+        base_lr=surface.base_lr,
+        d_checkpoint=args.checkpoint_tokens,
+    )
+    _update_laws(args.laws, lr_law=fit)
     lines = [f"LR_opt(B) ~ B^{fit.gamma:.4g} over {fit.n_fit} batch sizes"]
     if fit.lr_ceiling is not None:
         lines.append(
@@ -388,7 +369,7 @@ def _cmd_fit_lr(args) -> None:
     lines.append(f"updated {args.laws}")
     _emit(args, lines, {
         "verb": "fit-lr",
-        "lr_law": block,
+        "lr_law": fit.to_dict(),
         "samples": [
             {"B": s.B, "lr_opt": s.lr_opt, "loss": s.loss_at_opt, "boundary": s.boundary}
             for s in samples
@@ -420,7 +401,6 @@ def _cmd_tradeoff(args) -> None:
 
 def _cmd_advise(args) -> None:
     artifact = _load_laws(args.laws)
-    lr_fit = artifact.lr_fit()
     if args.compute is not None:
         if args.model_size is not None:
             raise ValidationError(
@@ -435,7 +415,7 @@ def _cmd_advise(args) -> None:
             args.compute,
             loss_law=artifact.loss_law,
             presets=artifact.presets,
-            lr_law=lr_fit,
+            lr_law=artifact.lr_law,
             lr_scheme=args.scheme,
         )
     else:
@@ -449,7 +429,7 @@ def _cmd_advise(args) -> None:
             n_params=args.model_size,
             loss_law=artifact.loss_law,
             presets=artifact.presets,
-            lr_law=lr_fit,
+            lr_law=artifact.lr_law,
             lr_scheme=args.scheme,
         )
     lines = []
@@ -480,7 +460,7 @@ def _cmd_export_plot(args) -> None:
         header = ["flops", "loss", "run_id"]
         rows = [[s.C, s.loss, s.run_id] for s in envelope]
     elif args.kind == "contour":
-        levels = args.levels or default_loss_levels(runset, args.n_levels or 8)
+        levels = _contour_levels(args, runset)
         scheme = LrScheme(args.scheme) if args.scheme else None
         contours = iso_loss_contour(runset, levels, lr_policy=args.policy, scheme=scheme)
         header = ["loss_level", "batch_size_tokens", "tokens_required"]
@@ -525,6 +505,27 @@ def _add_filter_flags(parser) -> None:
         "--only-scheme",
         choices=[s.value for s in LrScheme],
         help="keep only runs trained under this LR scheme",
+    )
+
+
+def _add_contour_flags(parser) -> None:
+    parser.add_argument(
+        "--levels", type=_csv_floats, help="comma-separated iso-loss levels"
+    )
+    parser.add_argument(
+        "--n-levels", type=int, default=DEFAULT_N_LEVELS,
+        help=f"number of automatic loss levels without --levels (default {DEFAULT_N_LEVELS})",
+    )
+    parser.add_argument(
+        "--policy",
+        choices=["best_of_schemes", "fixed_scheme"],
+        default="best_of_schemes",
+        help="which LR variants feed each contour",
+    )
+    parser.add_argument(
+        "--scheme",
+        choices=[s.value for s in LrScheme],
+        help="LR scheme to hold fixed (with --policy fixed_scheme)",
     )
 
 
@@ -613,23 +614,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--laws", required=True, help="law artifact to update (created if absent)"
     )
-    p.add_argument(
-        "--levels", type=_csv_floats, help="comma-separated iso-loss levels"
-    )
-    p.add_argument(
-        "--n-levels", type=int, help="number of automatic loss levels (default 8)"
-    )
-    p.add_argument(
-        "--policy",
-        choices=["best_of_schemes", "fixed_scheme"],
-        default="best_of_schemes",
-        help="which LR variants feed each contour",
-    )
-    p.add_argument(
-        "--scheme",
-        choices=[s.value for s in LrScheme],
-        help="LR scheme to hold fixed (with --policy fixed_scheme)",
-    )
+    _add_contour_flags(p)
     p.add_argument(
         "--s-floor", type=float, help="known minimum useful step count, if any"
     )
@@ -691,7 +676,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--laws",
         default="reference",
-        help="law artifact path, or 'reference' for the packaged constants",
+        help="law artifact path, or 'reference' for the built-in published constants",
     )
     p.add_argument(
         "--scheme",
@@ -712,23 +697,7 @@ def _build_parser() -> _Parser:
         "batch/token contours; curves: per-run loss curves",
     )
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument(
-        "--levels", type=_csv_floats, help="contour: comma-separated loss levels"
-    )
-    p.add_argument(
-        "--n-levels", type=int, help="contour: number of automatic levels (default 8)"
-    )
-    p.add_argument(
-        "--policy",
-        choices=["best_of_schemes", "fixed_scheme"],
-        default="best_of_schemes",
-        help="contour: which LR variants feed each contour",
-    )
-    p.add_argument(
-        "--scheme",
-        choices=[s.value for s in LrScheme],
-        help="contour: LR scheme to hold fixed (with --policy fixed_scheme)",
-    )
+    _add_contour_flags(p)
     p.add_argument(
         "--raw", action="store_true", help="curves: export unsmoothed points"
     )

@@ -138,6 +138,11 @@ class ChinchillaLaw:
         )
 
 
+# Published fit of the 125M-2.6B batch-size study: the reference artifact's
+# loss law and the synthetic generator's planted truth.
+REFERENCE_LOSS_LAW = ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
+
+
 @dataclass(frozen=True)
 class KaplanLaw:
     """Power-form loss law [(Nc/N)^(alpha_N/alpha_D) + Dc/D]^alpha_D."""
@@ -185,14 +190,19 @@ class KaplanLaw:
         )
 
 
+def _check_delta(delta: float) -> None:
+    # NaN passes a plain "<= 0" test and would poison every objective
+    if not 0 < delta < math.inf:
+        raise ValidationError(f"delta must be positive and finite, got {delta!r}")
+
+
 def huber(residual, delta: float):
     """Huber penalty: quadratic inside |r| <= delta, linear outside.
 
     Broadcasts over arrays; returns 0.5*r^2 on the quadratic branch and
     delta*(|r| - delta/2) on the linear one, which agree at |r| = delta.
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _check_delta(delta)
     r = np.asarray(residual, dtype=float)
     a = np.abs(r)
     out = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
@@ -430,8 +440,7 @@ def fit_loss_law(
         raise ValidationError("samples must be finite and positive")
     n, d, obs = arr.T
     _check_span(n, d)
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _check_delta(delta)
     grid = list(init_grid) if init_grid is not None else default_init_grid()
     if not grid:
         raise ValidationError("init_grid must be non-empty")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,22 +114,40 @@ class LrSample:
     boundary: bool = False
 
 
+# Optional LrLawFit fields naming where the law was anchored.
+_LR_ANCHOR_KEYS = ("base_lr", "base_B", "d_checkpoint")
+
+
 @dataclass(frozen=True)
 class LrLawFit:
-    """Fitted LR-vs-batch exponent with its ceiling plateau, if any."""
+    """Fitted LR-vs-batch exponent with its ceiling plateau, if any, and
+    optionally where it was anchored (base LR and batch, checkpoint tokens)."""
 
     gamma: float
     lr_ceiling: float | None
     plateau_onset_B: float | None
     n_fit: int
+    base_lr: float | None = None
+    base_B: float | None = None
+    d_checkpoint: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "lr_ceiling": self.lr_ceiling,
-            "plateau_onset_B": self.plateau_onset_B,
-            "n_fit": self.n_fit,
-        }
+        """Every field, except anchor fields that are unset."""
+        return {k: v for k, v in asdict(self).items() if v is not None or k not in _LR_ANCHOR_KEYS}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LrLawFit":
+        return cls(
+            gamma=float(d["gamma"]),
+            lr_ceiling=_optional_float(d["lr_ceiling"]),
+            plateau_onset_B=_optional_float(d["plateau_onset_B"]),
+            n_fit=int(d.get("n_fit", 0)),
+            **{key: _optional_float(d.get(key)) for key in _LR_ANCHOR_KEYS},
+        )
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
 
 
 def _loss_at_checkpoint(run, d_checkpoint: float) -> float:

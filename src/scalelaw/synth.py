@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .lawfit import ChinchillaLaw
+from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
 from .lrlaw import scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
 from .runlog import CurvePoint, LrScheme, ModelSpec, RunRecord, RunSet
@@ -123,10 +123,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if not self.models or not self.batch_sizes:
             raise ValidationError("models and batch_sizes must be non-empty")
-        if min(self.batch_sizes) <= 0 or min(self.lr_factors, default=1.0) <= 0:
-            raise ValidationError("sweep values must be positive")
-        if self.base_batch <= 0 or self.base_lr <= 0 or self.tokens_per_run <= 0:
-            raise ValidationError("base and budget values must be positive")
+        # "not 0 < v < inf" also rejects NaN, which fails every comparison
+        if not all(0 < v < math.inf for v in (*self.batch_sizes, *self.lr_factors)):
+            raise ValidationError("sweep values must be positive and finite")
+        if not all(0 < v < math.inf for v in (self.base_batch, self.base_lr, self.tokens_per_run)):
+            raise ValidationError("base and budget values must be positive and finite")
         if self.points_per_run < 1:
             raise ValidationError("points_per_run must be at least 1")
 
@@ -329,7 +330,7 @@ def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
 def default_ground_truth(seed: int = 1, observation_noise: float = 0.005) -> GroundTruth:
     """Planted truth used by the end-to-end oracle tests."""
     return GroundTruth(
-        law=ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286),
+        law=REFERENCE_LOSS_LAW,
         noise=NoiseParams(eta_max=1e-3, B_noise=4e6, dL_max=1.0, gamma_tradeoff=1.0),
         bcrit_mode="constant",
         bcrit_b0=4e6,

@@ -5,9 +5,9 @@ import pytest
 from scalelaw import (
     GroundTruth,
     RunSet,
-    build_reference_artifact,
     default_ground_truth,
     default_sweep_config,
+    reference_artifact,
     serialize_runs,
     simulate_grid,
 )
@@ -15,7 +15,7 @@ from scalelaw import (
 
 @pytest.fixture(scope="session")
 def reference():
-    return build_reference_artifact()
+    return reference_artifact()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,11 +7,16 @@ from scalelaw import (
     ChinchillaLaw,
     KaplanLaw,
     LawArtifact,
+    LrLawFit,
     ParseError,
-    build_reference_artifact,
+    ValidationError,
     reference_artifact,
 )
 from scalelaw.artifact import FORMAT_TAG
+
+# sha256 of the saved reference artifact: every published constant, the
+# presets and the JSON layout feed these bytes
+REFERENCE_SHA256 = "3e62554e63903ea6e5493a84e401dadf87718bd0650aa7038aa8d2b040e09cd7"
 
 
 def test_save_load_round_trip(tmp_path, reference):
@@ -34,8 +40,10 @@ def test_save_is_deterministic_and_atomic(tmp_path, reference):
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
-def test_packaged_reference_matches_builder():
-    assert reference_artifact().to_json_dict() == build_reference_artifact().to_json_dict()
+def test_reference_artifact_bytes_are_pinned(tmp_path):
+    path = tmp_path / "reference.json"
+    reference_artifact().save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_SHA256
 
 
 def test_reference_constants_are_self_consistent(reference):
@@ -49,16 +57,23 @@ def test_reference_constants_are_self_consistent(reference):
 
 
 def test_lr_fit_extraction(reference):
-    fit = reference.lr_fit()
+    fit = reference.lr_law
+    assert isinstance(fit, LrLawFit)
     assert fit.gamma == 0.875
     assert fit.lr_ceiling == 2.4e-3
     assert fit.plateau_onset_B == pytest.approx(5e5 * 8.0 ** (1 / 0.875), rel=1e-12)
-    assert LawArtifact().lr_fit() is None
-    uncapped = LawArtifact(
-        lr_law={"gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None}
-    ).lr_fit()
+    assert (fit.base_lr, fit.base_B, fit.d_checkpoint) == (3e-4, 5e5, None)
+    assert LawArtifact().lr_law is None
+    uncapped = LawArtifact.from_json_dict({
+        "format": FORMAT_TAG,
+        "lr_law": {"gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None},
+    }).lr_law
     assert uncapped.lr_ceiling is None
     assert uncapped.n_fit == 0
+    # unset anchor fields stay out of the written block
+    assert uncapped.to_dict() == {
+        "gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None, "n_fit": 0
+    }
 
 
 def test_partial_artifact_round_trip(tmp_path, ref_law):
@@ -108,3 +123,38 @@ def test_comparison_law_lookup(reference):
     )
     with pytest.raises(ParseError, match="unknown law form"):
         mystery.comparison_law("x")
+
+
+_BOPT = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
+         "d_min": 1e9, "d_max": 1e12}
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({"bopt": {"k": 1}}, "bopt block is missing field 'p'"),
+        ({"bopt": dict(_BOPT, k="abc")}, "bopt block is malformed"),
+        ({"bopt": None}, "bopt block is malformed"),
+        ({"frontier": {"N_opt": "x"}}, "frontier block is missing field 'L_opt'"),
+        (
+            {"frontier": dict.fromkeys(("L_opt", "N_opt", "D_opt", "S_opt", "B_opt"), "x")},
+            "frontier block is malformed",
+        ),
+        ({"bopt": _BOPT, "lr_law": {"gamma": 0.5}}, "lr_law block is missing field 'lr_ceiling'"),
+        ({"loss_law": []}, "loss_law block is malformed"),
+        ({"loss_law": {"form": "chinchilla"}}, "loss_law block is missing field 'params'"),
+        ({"presets": {"rows": [{"n_params": 1e8}]}}, "presets block is missing field 'label'"),
+        ({"comparisons": 5}, "comparisons block is malformed"),
+    ],
+)
+def test_malformed_blocks_are_parse_errors(blocks, message):
+    with pytest.raises(ParseError, match=message):
+        LawArtifact.from_json_dict({"format": FORMAT_TAG, **blocks})
+
+
+def test_out_of_range_block_values_stay_validation_errors():
+    params = {"E": 1.5, "A": -1.0, "alpha": 0.3, "Bcoef": 400.0, "beta": 0.3}
+    with pytest.raises(ValidationError):
+        LawArtifact.from_json_dict(
+            {"format": FORMAT_TAG, "loss_law": {"form": "chinchilla", "params": params}}
+        )

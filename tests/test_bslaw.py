@@ -195,6 +195,9 @@ def test_default_loss_levels_span_final_loss_percentiles(master_runs):
     assert default_loss_levels(master_runs, n_levels=4)[0] == pytest.approx(levels[0])
     with pytest.raises(InsufficientDataError):
         default_loss_levels(RunSet())
+    for n_levels in (0, -1):
+        with pytest.raises(ValidationError, match="n_levels must be at least 1"):
+            default_loss_levels(master_runs, n_levels=n_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_tradeoff_csv_round_trips(capsys):
 
 
 # ---------------------------------------------------------------------------
-# advise on the packaged reference laws
+# advise on the built-in reference laws
 
 
 def test_advise_compute_matches_published_row(capsys):
@@ -239,6 +239,28 @@ def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):
     assert "no frontier block" in capsys.readouterr().err
 
 
+_BOPT_BLOCK = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
+               "d_min": 1e9, "d_max": 1e12}
+_DATA_QUERY = ["--data", "1e10", "--model-size", "3.5e8"]
+
+
+@pytest.mark.parametrize(
+    "blocks, query, block",
+    [
+        ({"bopt": {"k": 1}}, _DATA_QUERY, "bopt"),
+        ({"frontier": {"N_opt": "x"}}, ["--compute", "1e21"], "frontier"),
+        ({"bopt": _BOPT_BLOCK, "lr_law": {"gamma": 0.5}}, _DATA_QUERY, "lr_law"),
+    ],
+)
+def test_advise_malformed_laws_file_is_parse_error(tmp_path, capsys, blocks, query, block):
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps({"format": "scalelaw-laws/1", **blocks}))
+    assert main(["advise", *query, "--laws", str(laws)]) == 1
+    captured = capsys.readouterr()
+    assert f"scalelaw: error: ParseError: {block} block" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate: seeds and determinism
 
@@ -305,6 +327,16 @@ def test_simulate_seed_precedence(tmp_path, capsys, monkeypatch):
 
     assert env_wins.read_bytes() == plain5.read_bytes()
     assert env_wins.read_bytes() != flagged.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
+    out = tmp_path / "runs.jsonl"
+    assert main(["simulate", "--out", str(out), "--tokens-per-run", value]) == 1
+    assert "ValidationError: base and budget values must be positive and finite" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_simulate_rejects_bad_env_seed(tmp_path, capsys, monkeypatch):
@@ -418,9 +450,9 @@ def test_fit_verbs_build_one_artifact(five_model_runs, batch_sweep_runs, tmp_pat
     assert main(["fit-lr", "--runs", str(sweep), "--laws", str(laws),
                  "--checkpoint-tokens", "2e7"]) == 0
     artifact = LawArtifact.load(laws)
-    assert artifact.lr_law["gamma"] == pytest.approx(0.3, abs=1e-6)
-    assert artifact.lr_law["base_lr"] == pytest.approx(BASE_LR, rel=1e-9)
-    assert artifact.lr_law["d_checkpoint"] == 2e7
+    assert artifact.lr_law.gamma == pytest.approx(0.3, abs=1e-6)
+    assert artifact.lr_law.base_lr == pytest.approx(BASE_LR, rel=1e-9)
+    assert artifact.lr_law.d_checkpoint == 2e7
 
     assert main(["advise", "--data", "1e10", "--model-size", "3.5e8",
                  "--laws", str(laws)]) == 0
@@ -469,6 +501,15 @@ def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys):
     assert main(["fit-law", "--runs", str(five_model_runs), "--laws", str(laws),
                  "--constrain", "frontier"]) == 1
     assert "run the frontier verb first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+def test_fit_law_rejects_bad_delta(five_model_runs, tmp_path, capsys, delta):
+    laws = tmp_path / "laws.json"
+    assert main(["fit-law", "--runs", str(five_model_runs), "--laws", str(laws),
+                 "--delta", delta]) == 1
+    assert "ValidationError: delta must be positive and finite" in capsys.readouterr().err
+    assert not laws.exists()
 
 
 def test_fit_lr_all_plateau_is_numerical_failure(tmp_path, capsys):
@@ -560,6 +601,22 @@ def test_fit_bopt_default_levels_never_traceback(batch_sweep_runs, tmp_path, cap
     assert code in (0, 1, 2)
     if code != 0:
         assert "scalelaw: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_levels", ["-1", "0"])
+@pytest.mark.parametrize("verb", ["fit-bopt", "export-plot"])
+def test_contour_verbs_reject_non_positive_n_levels(
+    batch_sweep_runs, tmp_path, capsys, verb, n_levels
+):
+    out = tmp_path / "out"
+    target = (
+        ["--laws", str(out)] if verb == "fit-bopt"
+        else ["--kind", "contour", "--out", str(out)]
+    )
+    assert main([verb, "--runs", str(batch_sweep_runs), *target,
+                 "--n-levels", n_levels]) == 1
+    assert "ValidationError: n_levels must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

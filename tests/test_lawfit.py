@@ -120,8 +120,9 @@ def test_huber_even_and_monotone():
 
 
 def test_huber_rejects_bad_delta():
-    with pytest.raises(ValidationError):
-        huber(0.1, 0.0)
+    for delta in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="delta must be positive and finite"):
+            huber(0.1, delta)
 
 
 # ---------------------------------------------------------------------------

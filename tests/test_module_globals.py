@@ -1,4 +1,5 @@
-"""Every global name a function body reads must exist on its module.
+"""Every global name a function body reads must exist on its module, and
+every name the package exports must resolve.
 
 A name missing from an import list only fails when the function runs, so a
 rarely taken path can hide it; this walks each module's symbol table and
@@ -34,3 +35,10 @@ def test_function_globals_resolve():
             if not hasattr(module, name) and not hasattr(builtins, name):
                 missing.append((info.name, func, name))
     assert missing == []
+
+
+def test_public_exports_resolve():
+    assert [name for name in scalelaw.__all__ if not hasattr(scalelaw, name)] == []
+    namespace: dict = {}
+    exec("from scalelaw import *", namespace)
+    assert set(scalelaw.__all__) <= namespace.keys()

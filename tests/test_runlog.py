@@ -314,6 +314,44 @@ def test_tokens_at_loss_matches_scalar_scan(curve, data):
     assert all(a >= b for a, b in zip(toks, toks[1:]))
 
 
+_positive = st.floats(min_value=1e-6, max_value=1e15)
+
+
+@st.composite
+def _runsets(draw):
+    runset = RunSet()
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        batch = draw(st.floats(min_value=1.0, max_value=1e8))
+        steps = sorted(draw(st.sets(st.integers(min_value=1, max_value=10**6),
+                                    min_size=1, max_size=8)))
+        # an infinite loss is how a diverged checkpoint is logged
+        losses = draw(st.lists(st.floats(min_value=1e-3, max_value=20.0) | st.just(math.inf),
+                               min_size=len(steps), max_size=len(steps)))
+        runset.add(RunRecord(
+            run_id=f"{draw(st.text(max_size=6))}-{i}",
+            model=ModelSpec(
+                n_params=draw(_positive),
+                label=draw(st.text(max_size=6)),
+                seq_len=draw(st.none() | st.integers(min_value=1, max_value=8192)),
+            ),
+            batch_size_tokens=batch,
+            lr_peak=draw(_positive),
+            lr_scheme=draw(st.sampled_from(LrScheme)),
+            warmup_steps=draw(st.integers(min_value=0, max_value=10**6)),
+            decay_steps=draw(st.integers(min_value=0, max_value=10**6)),
+            points=tuple(CurvePoint(s, s * batch, loss) for s, loss in zip(steps, losses)),
+            lr_scale=draw(_positive),
+        ))
+    return runset
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(runset=_runsets())
+def test_serialize_parse_round_trip(runset):
+    lines = serialize_runs(runset)
+    assert serialize_runs(parse_runs(lines)) == lines
+
+
 # ---------------------------------------------------------------------------
 # smoothing
 

@@ -265,6 +265,12 @@ def test_sweep_config_validation():
         SynthConfig(
             models=(ModelSpec(n_params=1e8),), batch_sizes=(1e6,), points_per_run=0
         )
+    # NaN fails every comparison, so it must be rejected explicitly
+    for bad in ({"batch_sizes": (math.nan,)}, {"batch_sizes": (math.inf,)},
+                {"lr_factors": (1.0, math.nan)}, {"base_batch": math.nan},
+                {"base_lr": math.inf}, {"tokens_per_run": math.nan}):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            SynthConfig(**{"models": (ModelSpec(n_params=1e8),), "batch_sizes": (1e6,), **bad})
 
 
 # ---------------------------------------------------------------------------
