@@ -11,7 +11,7 @@ rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bslaw import BoptLaw
 from .errors import ValidationError
@@ -123,19 +123,7 @@ class Recommendation:
     flags: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "D": self.D,
-            "S": self.S,
-            "B": self.B,
-            "C": self.C,
-            "LR": self.LR,
-            "lr_anchor": self.lr_anchor,
-            "predicted_loss": self.predicted_loss,
-            "loss_crosscheck": self.loss_crosscheck,
-            "provenance": dict(self.provenance),
-            "flags": dict(self.flags),
-        }
+        return asdict(self)
 
 
 def _anchor_lr(

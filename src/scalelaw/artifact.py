@@ -98,7 +98,7 @@ class LawArtifact:
         return cls(
             loss_law=loss_law,
             loss_fit=loss_fit,
-            frontier=_parse_block(doc, "frontier", _frontier_block),
+            frontier=_parse_block(doc, "frontier", FrontierReport.from_dict),
             bopt=_parse_block(doc, "bopt", BoptLaw.from_dict),
             lr_law=_parse_block(doc, "lr_law", LrLawFit.from_dict),
             presets=_parse_block(doc, "presets", Presets.from_dict),
@@ -139,11 +139,6 @@ def _loss_law_block(block: dict) -> tuple[ChinchillaLaw, dict | None]:
     return ChinchillaLaw.from_dict(block["params"]), block.get("fit") or None
 
 
-def _frontier_block(block: dict) -> FrontierReport:
-    names = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
-    return FrontierReport.from_laws(**{name: PowerLaw.from_dict(block[name]) for name in names})
-
-
 def reference_artifact() -> LawArtifact:
     """The artifact of published reference constants.
 
@@ -157,12 +152,14 @@ def reference_artifact() -> LawArtifact:
     b_opt_k, b_opt_p = 6.42e3, 0.102
     # the batch law is only supported above the smallest swept batch (0.5M)
     b_floor_c = (5e5 / b_opt_k) ** (1.0 / b_opt_p)
-    frontier = FrontierReport.from_laws(
+    frontier = FrontierReport(
+        points=(),
         L_opt=PowerLaw(k=23.00, p=-0.050, x_min=c_lo, x_max=c_hi),
         N_opt=PowerLaw(k=0.297, p=0.464, x_min=c_lo, x_max=c_hi),
         D_opt=PowerLaw(k=0.561, p=0.536, x_min=c_lo, x_max=c_hi),
         S_opt=PowerLaw(k=8.74e-5, p=0.434, x_min=c_lo, x_max=c_hi),
         B_opt=PowerLaw(k=b_opt_k, p=b_opt_p, x_min=b_floor_c, x_max=c_hi),
+        consistency_residuals={},
     )
     bopt_k, bopt_p, s_floor = 3.24e3, 0.264, 4000.0
     bopt = BoptLaw(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -30,10 +30,9 @@ from .runlog import (
     DEFAULT_HALF_LIFE_FRACTION,
     LrScheme,
     RunSet,
-    _running_min_arrays,
-    _tokens_at_running_min,
     has_divergence,
     smooth_run,
+    tokens_at_loss,
 )
 
 # Choose default loss levels inside the bulk of final losses.
@@ -108,15 +107,7 @@ class BoptLaw:
         return d < self.d_min or d > self.d_max
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "s_floor": self.s_floor,
-            "crossover_D": self.crossover_D,
-            "d_min": self.d_min,
-            "d_max": self.d_max,
-            "power_fitted": self.power_fitted,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoptLaw":
@@ -145,7 +136,7 @@ def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> lis
         if has_divergence(run.points):
             continue
         smoothed = smooth_run(run)
-        finals.append(smoothed.points[-1].loss)
+        finals.append(float(smoothed.points.loss[-1]))
     if not finals:
         raise InsufficientDataError("no converged runs to pick loss levels from")
     lo, hi = np.percentile(finals, LEVEL_PERCENTILES)
@@ -195,15 +186,11 @@ def iso_loss_contour(
             f"need at least 3 distinct batch sizes, got {len(by_batch)}"
         )
 
-    # each run is smoothed once; every level then costs one binary search
+    # each run is smoothed once; every level then costs one curve inversion
     curves = {
-        run.run_id: _running_min_arrays(
-            smooth_run(
-                run,
-                half_life_fraction=half_life_fraction,
-                discard_fraction=discard_fraction,
-            ).points
-        )
+        run.run_id: smooth_run(
+            run, half_life_fraction=half_life_fraction, discard_fraction=discard_fraction
+        ).points
         for run in eligible
     }
     contours: dict[float, list[ContourPoint]] = {}
@@ -215,7 +202,7 @@ def iso_loss_contour(
             best = math.inf
             for run in by_batch[b]:
                 try:
-                    d_req = _tokens_at_running_min(*curves[run.run_id], level)
+                    d_req = tokens_at_loss(curves[run.run_id], level)
                 except (PreRangeLossError, UnreachableLossError):
                     continue
                 best = min(best, d_req)

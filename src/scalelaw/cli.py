@@ -304,7 +304,10 @@ def _cmd_frontier(args) -> None:
             "excluded model sizes: " + ", ".join(f"{m:g}" for m in report.excluded)
         )
     lines.append(f"updated {args.laws}")
-    _emit(args, lines, {"verb": "frontier", **report.to_dict(), "laws": args.laws})
+    summary = report.to_dict()
+    # the laws file keeps the frontier points; the summary reports only their count
+    summary.pop("points", None)
+    _emit(args, lines, {"verb": "frontier", **summary, "laws": args.laws})
 
 
 def _contour_levels(args, runset) -> list[float]:
@@ -473,8 +476,11 @@ def _cmd_export_plot(args) -> None:
         header = ["run_id", "step", "tokens", "loss"]
         rows = []
         for run in runset:
-            curve = run if args.raw else smooth_run(run)
-            rows.extend([run.run_id, p.step, p.tokens, p.loss] for p in curve.points)
+            curve = (run if args.raw else smooth_run(run)).points
+            rows.extend(
+                (run.run_id, *row)
+                for row in zip(curve.step.tolist(), curve.tokens.tolist(), curve.loss.tolist())
+            )
     _write_csv(args.out, header, rows)
     _emit(args, [f"wrote {len(rows)} rows to {args.out}"], {
         "verb": "export-plot",
@@ -492,6 +498,11 @@ def _add_json_flag(parser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="print a JSON summary instead of text"
     )
+
+
+def _add_fit_io_flags(parser, runs_help: str = "input run log (JSONL)") -> None:
+    parser.add_argument("--runs", required=True, help=runs_help)
+    parser.add_argument("--laws", required=True, help="law artifact to update (created if absent)")
 
 
 def _add_filter_flags(parser) -> None:
@@ -577,10 +588,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "fit-law", help="fit the parametric loss law L(N, D) to a run log"
     )
-    p.add_argument("--runs", required=True, help="input run log (JSONL)")
-    p.add_argument(
-        "--laws", required=True, help="law artifact to update (created if absent)"
-    )
+    _add_fit_io_flags(p)
     p.add_argument(
         "--constrain",
         help="'frontier' to tie (A, alpha) to the artifact's frontier block, "
@@ -599,10 +607,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "frontier", help="extract the compute frontier and fit its power laws"
     )
-    p.add_argument("--runs", required=True, help="input run log (JSONL)")
-    p.add_argument(
-        "--laws", required=True, help="law artifact to update (created if absent)"
-    )
+    _add_fit_io_flags(p)
     _add_filter_flags(p)
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_frontier)
@@ -610,10 +615,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "fit-bopt", help="fit the two-regime batch-size law B_opt(D) for one model size"
     )
-    p.add_argument("--runs", required=True, help="input run log (JSONL, one model size)")
-    p.add_argument(
-        "--laws", required=True, help="law artifact to update (created if absent)"
-    )
+    _add_fit_io_flags(p, runs_help="input run log (JSONL, one model size)")
     _add_contour_flags(p)
     p.add_argument(
         "--s-floor", type=float, help="known minimum useful step count, if any"
@@ -625,10 +627,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "fit-lr", help="extract LR_opt(B) from an LR sweep and fit its exponent"
     )
-    p.add_argument("--runs", required=True, help="input run log (JSONL, one model size)")
-    p.add_argument(
-        "--laws", required=True, help="law artifact to update (created if absent)"
-    )
+    _add_fit_io_flags(p, runs_help="input run log (JSONL, one model size)")
     p.add_argument(
         "--checkpoint-tokens",
         type=float,

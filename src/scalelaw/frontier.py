@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +102,9 @@ class FrontierPoint:
             raise ValidationError("D must equal S*B within one batch")
 
 
+_LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
+
+
 @dataclass(frozen=True)
 class FrontierReport:
     """Frontier points and the five fitted/derived power laws of compute."""
@@ -116,35 +119,26 @@ class FrontierReport:
     excluded: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "L_opt": self.L_opt.to_dict(),
-            "N_opt": self.N_opt.to_dict(),
-            "D_opt": self.D_opt.to_dict(),
-            "S_opt": self.S_opt.to_dict(),
-            "B_opt": self.B_opt.to_dict(),
-            "consistency_residuals": dict(self.consistency_residuals),
-            "n_points": len(self.points),
-            "excluded_model_sizes": list(self.excluded),
-        }
+        """Every field; the points only when the report has any."""
+        doc = {name: getattr(self, name).to_dict() for name in _LAW_NAMES}
+        doc.update(
+            consistency_residuals=dict(self.consistency_residuals),
+            n_points=len(self.points),
+            excluded_model_sizes=list(self.excluded),
+        )
+        if self.points:
+            doc["points"] = [asdict(pt) for pt in self.points]
+        return doc
 
     @classmethod
-    def from_laws(
-        cls,
-        L_opt: PowerLaw,
-        N_opt: PowerLaw,
-        D_opt: PowerLaw,
-        S_opt: PowerLaw,
-        B_opt: PowerLaw,
-    ) -> "FrontierReport":
-        """Assemble a report from externally supplied laws (no points)."""
+    def from_dict(cls, d: dict) -> "FrontierReport":
         return cls(
-            points=(),
-            L_opt=L_opt,
-            N_opt=N_opt,
-            D_opt=D_opt,
-            S_opt=S_opt,
-            B_opt=B_opt,
-            consistency_residuals={},
+            points=tuple(FrontierPoint(**pt) for pt in d.get("points", ())),
+            **{name: PowerLaw.from_dict(d[name]) for name in _LAW_NAMES},
+            consistency_residuals={
+                key: float(value) for key, value in d.get("consistency_residuals", {}).items()
+            },
+            excluded=tuple(float(m) for m in d.get("excluded_model_sizes", ())),
         )
 
 
@@ -157,14 +151,12 @@ def _run_curve_log(
             run = smooth_run(run, half_life_fraction=half_life_fraction)
         except InsufficientDataError:
             return np.empty(0), np.empty(0)
-    pts = [p for p in run.points if math.isfinite(p.loss)]
-    if len(pts) < 2:
+    curve = run.points
+    finite = np.isfinite(curve.loss)
+    if np.count_nonzero(finite) < 2:
         return np.empty(0), np.empty(0)
-    log_c = np.log(
-        [FLOPS_PER_PARAM_TOKEN * run.model.n_params * p.tokens for p in pts]
-    )
-    loss = np.array([p.loss for p in pts])
-    return log_c, loss
+    log_c = np.log(FLOPS_PER_PARAM_TOKEN * run.model.n_params * curve.tokens[finite])
+    return log_c, curve.loss[finite]
 
 
 def _run_curves(
@@ -244,18 +236,9 @@ def compute_envelope(
 
 
 def _longest_contiguous(indices: list[int]) -> list[int]:
-    best_start = indices[0]
-    best_len = 1
-    start = indices[0]
-    length = 1
-    for prev, cur in zip(indices, indices[1:]):
-        if cur == prev + 1:
-            length += 1
-        else:
-            start, length = cur, 1
-        if length > best_len:
-            best_start, best_len = start, length
-    return list(range(best_start, best_start + best_len))
+    """The longest stretch of consecutive indices; the first one on ties."""
+    stretches = np.split(indices, np.flatnonzero(np.diff(indices) > 1) + 1)
+    return max(stretches, key=len).tolist()
 
 
 def _frontier_points(

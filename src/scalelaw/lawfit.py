@@ -523,12 +523,13 @@ def samples_from_runs(runset: RunSet, smooth: bool = True) -> np.ndarray:
     Diverged tails are dropped by the smoothing step; with smooth=False the
     raw finite points are used as-is.
     """
-    rows = []
+    blocks = [np.empty((0, 3))]
     for run in runset:
-        record = smooth_run(run) if smooth else run
-        for pt in record.points:
-            if math.isfinite(pt.loss):
-                rows.append((run.model.n_params, pt.tokens, pt.loss))
-    if not rows:
+        curve = (smooth_run(run) if smooth else run).points
+        finite = np.isfinite(curve.loss)
+        n_params = np.full(np.count_nonzero(finite), float(run.model.n_params))
+        blocks.append(np.column_stack((n_params, curve.tokens[finite], curve.loss[finite])))
+    samples = np.concatenate(blocks)
+    if not len(samples):
         raise InsufficientDataError("no finite samples in the run set")
-    return np.asarray(rows, dtype=float)
+    return samples

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientGridError,
     ValidationError,
 )
-from .runlog import LrScheme, RunSet, finite_prefix, has_divergence, smooth_run
+from .runlog import LrScheme, RunSet, has_divergence, smooth_run
 
 DEFAULT_PLATEAU_TOLERANCE = 0.05
 # A flat suffix only counts as the ceiling plateau if it spans enough of the
@@ -154,16 +154,15 @@ def _loss_at_checkpoint(run, d_checkpoint: float) -> float:
     """Smoothed loss at d_checkpoint tokens; NaN for diverged/short runs."""
     if has_divergence(run.points):
         return math.nan
-    pts = finite_prefix(run.points)
-    if len(pts) < 2 or pts[-1].tokens < d_checkpoint or pts[0].tokens > d_checkpoint:
+    tokens = run.points.tokens
+    if tokens.size < 2 or tokens[-1] < d_checkpoint or tokens[0] > d_checkpoint:
         return math.nan
     smoothed = smooth_run(run).points
-    log_t = np.log([p.tokens for p in smoothed])
-    losses = [p.loss for p in smoothed]
+    log_t = np.log(smoothed.tokens)
     target = math.log(d_checkpoint)
     if target < log_t[0]:
         return math.nan
-    return float(np.interp(target, log_t, losses))
+    return float(np.interp(target, log_t, smoothed.loss))
 
 
 def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:

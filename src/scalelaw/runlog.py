@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,13 +64,31 @@ class ModelSpec:
             raise ValidationError(f"n_params must be positive and finite, got {self.n_params}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One checkpoint: optimizer step, cumulative tokens, observed loss."""
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """A loss curve: optimizer steps, cumulative tokens and observed losses.
 
-    step: int
-    tokens: float
-    loss: float
+    The three columns are equal-length 1-D read-only arrays (int64 steps,
+    float64 tokens and losses), one entry per checkpoint.
+    """
+
+    step: np.ndarray
+    tokens: np.ndarray
+    loss: np.ndarray
+
+    def __post_init__(self) -> None:
+        given_steps = self.step
+        for name, dtype in (("step", np.int64), ("tokens", np.float64), ("loss", np.float64)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.step.ndim != 1 or not self.step.shape == self.tokens.shape == self.loss.shape:
+            raise ValidationError("curve columns must be 1-D arrays of equal length")
+        if not np.array_equal(self.step, given_steps):
+            raise ValidationError("curve steps must be whole numbers")
+
+    def __len__(self) -> int:
+        return self.loss.size
 
 
 @dataclass
@@ -84,7 +102,7 @@ class RunRecord:
     lr_scheme: LrScheme
     warmup_steps: int
     decay_steps: int
-    points: tuple[CurvePoint, ...]
+    points: Curve
     lr_scale: float = 1.0
 
     def validate(self) -> None:
@@ -100,39 +118,39 @@ class RunRecord:
             )
         if self.warmup_steps < 0 or self.decay_steps < 0:
             raise ValidationError(f"run {self.run_id}: step counts must be non-negative")
-        if not self.points:
+        if not len(self.points):
             raise ValidationError(f"run {self.run_id}: empty loss curve")
-        b = self.batch_size_tokens
-        last = len(self.points) - 1
-        prev: CurvePoint | None = None
-        for i, pt in enumerate(self.points):
-            if pt.step < 1:
-                raise ValidationError(f"run {self.run_id}: step must be >= 1, got {pt.step}")
-            if not pt.tokens > 0:
-                raise ValidationError(f"run {self.run_id}: tokens must be positive")
-            if math.isnan(pt.loss) or pt.loss <= 0:
-                raise ValidationError(f"run {self.run_id}: loss must be positive, got {pt.loss}")
-            if prev is not None and (pt.step <= prev.step or pt.tokens <= prev.tokens):
-                raise ValidationError(
-                    f"run {self.run_id}: points must be strictly increasing in step and tokens"
-                )
-            # tokens track step * batch exactly; the final checkpoint may sit
-            # on a partial batch.
-            expected = pt.step * b
-            slack = b if i == last else max(1e-6 * expected, 1e-9)
-            if abs(pt.tokens - expected) > slack:
-                raise ValidationError(
-                    f"run {self.run_id}: tokens {pt.tokens} inconsistent with "
-                    f"step {pt.step} x batch {b}"
-                )
-            prev = pt
-
-    @property
-    def total_tokens(self) -> float:
-        return self.points[-1].tokens
-
-    def losses(self) -> list[float]:
-        return [p.loss for p in self.points]
+        step, tokens, loss = self.points.step, self.points.tokens, self.points.loss
+        bad = step < 1
+        if bad.any():
+            raise ValidationError(
+                f"run {self.run_id}: step must be >= 1, got {step[bad.argmax()]}"
+            )
+        if not np.all(tokens > 0):
+            raise ValidationError(f"run {self.run_id}: tokens must be positive")
+        bad = np.isnan(loss) | (loss <= 0)
+        if bad.any():
+            raise ValidationError(
+                f"run {self.run_id}: loss must be positive, got {loss[bad.argmax()]}"
+            )
+        if np.any(step[1:] <= step[:-1]) or np.any(tokens[1:] <= tokens[:-1]):
+            raise ValidationError(
+                f"run {self.run_id}: points must be strictly increasing in step and tokens"
+            )
+        # tokens track step * batch exactly; the final checkpoint may sit
+        # on a partial batch.
+        b = float(self.batch_size_tokens)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = step * b
+            slack = np.maximum(1e-6 * expected, 1e-9)
+            slack[-1] = b
+            bad = np.abs(tokens - expected) > slack
+        if bad.any():
+            i = bad.argmax()
+            raise ValidationError(
+                f"run {self.run_id}: tokens {tokens[i]} inconsistent with "
+                f"step {step[i]} x batch {b}"
+            )
 
 
 @dataclass
@@ -199,6 +217,51 @@ def _coerce(obj: dict, name: str, kind: type, line_no: int | None, default=None)
         ) from None
 
 
+def _curve_from_rows(rows: list, line_no: int | None) -> Curve:
+    """The [step, tokens, loss] rows of a record as a Curve.
+
+    Rows of plain numbers take one array conversion.  Anything else
+    (strings, nulls, nested lists, non-integral steps, steps a float cannot
+    hold exactly) goes through _scan_rows, which names the first bad point.
+    """
+    try:
+        table = np.array(rows)
+        plain = table.dtype.kind in "bif" and table.shape == (len(rows), 3)
+    except (TypeError, ValueError, OverflowError):
+        plain = False
+    if plain and table.dtype.kind == "f":
+        step = table[:, 0]
+        plain = bool(np.all((np.floor(step) == step) & (np.abs(step) < 2.0**53)))
+    return Curve(*table.T) if plain else _scan_rows(rows, line_no)
+
+
+def _scan_rows(rows: list, line_no: int | None) -> Curve:
+    """_curve_from_rows one point at a time, with Python's int() and float()."""
+    parsed = []
+    try:
+        for entry in rows:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ParseError(
+                    "each point must be a [step, tokens, loss] triple",
+                    line_no=line_no,
+                    field="points",
+                )
+            step, tokens, loss = entry
+            if isinstance(step, float) and not step.is_integer():
+                raise ParseError("step must be an integer", line_no=line_no, field="points")
+            parsed.append((int(step), float(tokens), float(loss)))
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(
+            f"point {len(parsed)} must hold numbers, got {rows[len(parsed)]!r}",
+            line_no=line_no,
+            field="points",
+        ) from None
+    try:
+        return Curve(*zip(*parsed))
+    except OverflowError:
+        raise ParseError("step must fit in 64 bits", line_no=line_no, field="points") from None
+
+
 def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     for name in _REQUIRED_FIELDS:
         if name not in obj:
@@ -212,26 +275,7 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     raw_points = obj["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise ParseError("points must be a non-empty list", line_no=line_no, field="points")
-    points = []
-    # one try around the whole loop keeps the per-point cost of the happy path
-    try:
-        for entry in raw_points:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise ParseError(
-                    "each point must be a [step, tokens, loss] triple",
-                    line_no=line_no,
-                    field="points",
-                )
-            step, tokens, loss = entry
-            if isinstance(step, float) and not step.is_integer():
-                raise ParseError("step must be an integer", line_no=line_no, field="points")
-            points.append(CurvePoint(step=int(step), tokens=float(tokens), loss=float(loss)))
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(
-            f"point {len(points)} must hold numbers, got {raw_points[len(points)]!r}",
-            line_no=line_no,
-            field="points",
-        ) from None
+    points = _curve_from_rows(raw_points, line_no)
     model = ModelSpec(
         n_params=_coerce(obj, "n_params", float, line_no),
         label=str(obj.get("label", "")),
@@ -245,7 +289,7 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
         lr_scheme=scheme,
         warmup_steps=_coerce(obj, "warmup_steps", int, line_no),
         decay_steps=_coerce(obj, "decay_steps", int, line_no),
-        points=tuple(points),
+        points=points,
         lr_scale=_coerce(obj, "lr_scale", float, line_no, default=1.0),
     )
 
@@ -286,6 +330,7 @@ def serialize_runs(runset: RunSet) -> list[str]:
     """Emit one canonical JSON line per run; inverse of parse_runs."""
     lines = []
     for run in runset:
+        pts = run.points
         obj = {
             "run_id": run.run_id,
             "n_params": run.model.n_params,
@@ -295,7 +340,7 @@ def serialize_runs(runset: RunSet) -> list[str]:
             "lr_scale": run.lr_scale,
             "warmup_steps": run.warmup_steps,
             "decay_steps": run.decay_steps,
-            "points": [[p.step, p.tokens, p.loss] for p in run.points],
+            "points": list(zip(pts.step.tolist(), pts.tokens.tolist(), pts.loss.tolist())),
         }
         if run.model.label:
             obj["label"] = run.model.label
@@ -312,41 +357,46 @@ def flops(n_params: float, tokens: float) -> float:
     return FLOPS_PER_PARAM_TOKEN * n_params * tokens
 
 
-def finite_prefix(points: Sequence[CurvePoint]) -> tuple[CurvePoint, ...]:
+def _take(curve: Curve, index) -> Curve:
+    """The checkpoints of a curve picked by a slice or mask."""
+    return Curve(curve.step[index], curve.tokens[index], curve.loss[index])
+
+
+def finite_prefix(curve: Curve) -> Curve:
     """The leading span of a curve before the first non-finite loss."""
-    for i, p in enumerate(points):
-        if not math.isfinite(p.loss):
-            return tuple(points[:i])
-    return tuple(points)
+    bad = ~np.isfinite(curve.loss)
+    return _take(curve, slice(bad.argmax())) if bad.any() else curve
 
 
-def has_divergence(points: Sequence[CurvePoint], blowup_ratio: float = 2.0) -> bool:
+def has_divergence(curve: Curve, blowup_ratio: float = 2.0) -> bool:
     """True when the curve has a non-finite loss or ends above blowup_ratio x its start."""
-    if any(not math.isfinite(p.loss) for p in points):
-        return True
-    return points[-1].loss > blowup_ratio * points[0].loss
+    if not len(curve):
+        raise InsufficientDataError("an empty curve can neither converge nor diverge")
+    loss = curve.loss
+    return bool(not np.isfinite(loss).all() or loss[-1] > blowup_ratio * loss[0])
 
 
 def smooth_curve(
-    points: Sequence[CurvePoint],
+    curve: Curve,
     half_life_tokens: float,
     discard_fraction: float = 0.0,
-) -> tuple[CurvePoint, ...]:
+) -> Curve:
     """Discard the leading transient and smooth the rest with a token-weighted EMA.
 
     Points with tokens below ``discard_fraction`` of the final token count are
     dropped.  The remaining losses are replaced by a bias-corrected
     exponential moving average whose weight halves every ``half_life_tokens``
     tokens, so with a half-life much longer than the curve the result tends
-    to the running mean.  Steps and token counts are left untouched.
+    to the running mean.  Steps and token counts are left untouched.  The
+    recurrence runs on Python floats, one checkpoint at a time.
 
     Args:
-        points: strictly increasing checkpoint sequence with finite losses.
+        curve: strictly increasing checkpoints with finite losses.
         half_life_tokens: token distance at which a sample's weight halves.
         discard_fraction: leading fraction of total tokens to drop.
 
     Returns:
-        A new tuple of CurvePoints with smoothed losses.
+        A new Curve holding the kept steps and tokens and the smoothed losses.
 
     Raises:
         InsufficientDataError: fewer than two points survive the discard.
@@ -356,27 +406,26 @@ def smooth_curve(
         raise ValidationError("half_life_tokens must be positive")
     if not 0 <= discard_fraction < 1:
         raise ValidationError("discard_fraction must be in [0, 1)")
-    if any(not math.isfinite(p.loss) for p in points):
+    if not np.isfinite(curve.loss).all():
         raise ValidationError("smooth_curve requires finite losses; trim with finite_prefix")
-    cutoff = discard_fraction * points[-1].tokens
-    kept = [p for p in points if p.tokens >= cutoff]
-    if len(kept) < 2:
+    if len(curve):
+        curve = _take(curve, curve.tokens >= discard_fraction * curve.tokens[-1])
+    if len(curve) < 2:
         raise InsufficientDataError(
-            f"only {len(kept)} points remain after discarding the first "
+            f"only {len(curve)} points remain after discarding the first "
             f"{discard_fraction:.0%} of tokens; need at least 2"
         )
-    out = [kept[0]]
-    weighted = kept[0].loss
+    tokens = curve.tokens.tolist()
+    losses = curve.loss.tolist()
+    out = [losses[0]]
+    weighted = losses[0]
     weight = 1.0
-    prev_tokens = kept[0].tokens
-    for cur in kept[1:]:
-        tokens = cur.tokens
-        decay = 0.5 ** ((tokens - prev_tokens) / half_life_tokens)
-        weighted = weighted * decay + cur.loss
+    for prev_tokens, cur_tokens, loss in zip(tokens, tokens[1:], losses[1:]):
+        decay = 0.5 ** ((cur_tokens - prev_tokens) / half_life_tokens)
+        weighted = weighted * decay + loss
         weight = weight * decay + 1.0
-        out.append(CurvePoint(cur.step, tokens, weighted / weight))
-        prev_tokens = tokens
-    return tuple(out)
+        out.append(weighted / weight)
+    return Curve(curve.step, curve.tokens, out)
 
 
 def smooth_run(
@@ -393,7 +442,7 @@ def smooth_run(
     points = finite_prefix(run.points)
     if len(points) < 2:
         raise InsufficientDataError(f"run {run.run_id}: fewer than 2 finite points")
-    total = points[-1].tokens
+    total = float(points.tokens[-1])
     if discard_fraction is None:
         warm_span = run.warmup_steps * run.batch_size_tokens / total
         discard_fraction = min(0.9, max(DEFAULT_DISCARD_FRACTION, warm_span))
@@ -401,27 +450,26 @@ def smooth_run(
     return replace(run, points=smoothed)
 
 
-def _running_min_arrays(points: Sequence[CurvePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """(tokens, running minimum of the loss) of a curve, as float arrays."""
-    tokens = np.array([p.tokens for p in points], dtype=float)
-    best = np.fmin.accumulate(np.array([p.loss for p in points], dtype=float))
-    return tokens, best
-
-
-def monotone_envelope(points: Sequence[CurvePoint]) -> tuple[CurvePoint, ...]:
+def monotone_envelope(curve: Curve) -> Curve:
     """Running minimum of the loss curve (non-increasing in tokens)."""
-    _, best = _running_min_arrays(points)
-    return tuple(
-        CurvePoint(p.step, p.tokens, loss) for p, loss in zip(points, best.tolist())
-    )
+    return Curve(curve.step, curve.tokens, np.fmin.accumulate(curve.loss))
 
 
-def _tokens_at_running_min(tokens: np.ndarray, best: np.ndarray, target_loss: float) -> float:
-    """tokens_at_loss on the arrays of _running_min_arrays."""
-    if tokens.size < 2:
+def tokens_at_loss(curve: Curve, target_loss: float) -> float:
+    """Tokens at which the curve's running minimum first reaches target_loss.
+
+    Interpolates piecewise-linearly in (log tokens, loss) on the monotone
+    envelope of ``curve.loss`` against ``curve.tokens``.  Raises
+    PreRangeLossError when the target sits above the first recorded loss and
+    UnreachableLossError when it sits below the best loss the curve ever
+    attains.
+    """
+    if len(curve) < 2:
         raise InsufficientDataError("need at least 2 points to invert a curve")
     if not (target_loss > 0 and math.isfinite(target_loss)):
         raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
+    tokens = curve.tokens
+    best = np.fmin.accumulate(curve.loss)
     if target_loss > best[0]:
         raise PreRangeLossError(
             f"target {target_loss} above the first recorded loss {float(best[0])}"
@@ -438,15 +486,6 @@ def _tokens_at_running_min(tokens: np.ndarray, best: np.ndarray, target_loss: fl
     prev_tokens, cur_tokens = float(tokens[i - 1]), float(tokens[i])
     frac = (prev_loss - target_loss) / (prev_loss - cur_loss)
     log_tokens = math.log(prev_tokens) + frac * (math.log(cur_tokens) - math.log(prev_tokens))
-    return math.exp(log_tokens)
-
-
-def tokens_at_loss(points: Sequence[CurvePoint], target_loss: float) -> float:
-    """Tokens at which the curve's running minimum first reaches target_loss.
-
-    Interpolates piecewise-linearly in (log tokens, loss) on the monotone
-    envelope of the curve.  Raises PreRangeLossError when the target sits
-    above the first recorded loss and UnreachableLossError when it sits
-    below the best loss the curve ever attains.
-    """
-    return _tokens_at_running_min(*_running_min_arrays(points), target_loss)
+    # exp(log(t)) can round past t; the answer stays inside its bracket so
+    # that a lower target never needs fewer tokens
+    return min(max(math.exp(log_tokens), prev_tokens), cur_tokens)

@@ -22,7 +22,7 @@ from .errors import ParseError, ValidationError
 from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
 from .lrlaw import scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import CurvePoint, LrScheme, ModelSpec, RunRecord, RunSet
+from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -255,16 +255,16 @@ def simulate_curve(
     efficiency = (2.0 * rho - rho * rho) if gt.lr_efficiency else 1.0
     sigma = gt.observation_noise
 
-    curve = []
     if efficiency <= 0.0:
         start = gt.law.eval(n_params, B)
+        steps, losses = [], []
         for i, step in enumerate(_checkpoint_steps(total_steps, points)):
             loss = start * _DIVERGENCE_GROWTH**i
+            steps.append(step)
             if loss > _DIVERGENCE_CAP * start:
-                curve.append(CurvePoint(step=step, tokens=step * B, loss=math.inf))
+                losses.append(math.inf)
                 break
-            loss *= _noise_factor(gt.seed, run_id, step, sigma)
-            curve.append(CurvePoint(step=step, tokens=step * B, loss=loss))
+            losses.append(loss * _noise_factor(gt.seed, run_id, step, sigma))
     else:
         steps = _checkpoint_steps(total_steps, points)
         if gt.bcrit_mode == "constant":
@@ -272,12 +272,12 @@ def simulate_curve(
             # token requirement, so one trade-off solve covers the whole run
             e = solve_tradeoff(B / gt.bcrit_b0, gt.noise.gamma_tradeoff).e_ratio
             d_eff = np.array(steps, dtype=float) * B * efficiency
-            losses = gt.law.eval(n_params, d_eff / e).tolist()
+            clean = gt.law.eval(n_params, d_eff / e).tolist()
         else:
-            losses = [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps]
-        for step, loss in zip(steps, losses):
-            loss *= _noise_factor(gt.seed, run_id, step, sigma)
-            curve.append(CurvePoint(step=step, tokens=step * B, loss=loss))
+            clean = [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps]
+        losses = [
+            loss * _noise_factor(gt.seed, run_id, step, sigma) for step, loss in zip(steps, clean)
+        ]
 
     return RunRecord(
         run_id=run_id,
@@ -287,7 +287,7 @@ def simulate_curve(
         lr_scheme=scheme,
         warmup_steps=0,
         decay_steps=0,
-        points=tuple(curve),
+        points=Curve(steps, np.array(steps) * B, losses),
         lr_scale=lr_scale,
     )
 

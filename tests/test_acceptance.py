@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scalelaw import (
-    CurvePoint,
+    Curve,
     FrontierConstraint,
     LossSurface,
     LrScheme,
@@ -275,9 +275,8 @@ def _write_lr_sweep(path):
                     lr_scheme=LrScheme.ORIGIN,
                     warmup_steps=0,
                     decay_steps=0,
-                    points=tuple(
-                        CurvePoint(step=k + 1, tokens=(k + 1) * batch, loss=loss)
-                        for k in range(20)
+                    points=Curve(
+                        np.arange(1, 21), np.arange(1, 21) * batch, np.full(20, loss)
                     ),
                     lr_scale=scale,
                 )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from scalelaw import (
-    CurvePoint,
+    Curve,
     LawArtifact,
     LrScheme,
     ModelSpec,
@@ -98,9 +98,8 @@ def lr_sweep_file(path, vertex_of_b):
     for i, b in enumerate((1e6, 2e6, 4e6, 8e6, 1.6e7)):
         for scale in (0.25, 0.5, 1.0, 2.0):
             loss = 1.0 + (math.log(scale) - math.log(vertex_of_b(b))) ** 2
-            points = tuple(
-                CurvePoint(step=k + 1, tokens=(k + 1) * b, loss=loss) for k in range(20)
-            )
+            steps = np.arange(1, 21)
+            points = Curve(steps, steps * b, np.full(20, loss))
             runset.add(
                 RunRecord(
                     run_id=f"r{i}-x{scale:g}",
@@ -457,6 +456,30 @@ def test_fit_verbs_build_one_artifact(five_model_runs, batch_sweep_runs, tmp_pat
     assert main(["advise", "--data", "1e10", "--model-size", "3.5e8",
                  "--laws", str(laws)]) == 0
     assert main(["advise", "--compute", "1e20", "--laws", str(laws)]) == 0
+    capsys.readouterr()
+
+
+def test_fit_verbs_write_lossless_artifacts(five_model_runs, batch_sweep_runs, tmp_path, capsys):
+    laws, copy = tmp_path / "laws.json", tmp_path / "copy.json"
+    levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
+    sweep = lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3)
+    verbs = [
+        ["frontier", "--runs", str(five_model_runs)],
+        ["fit-law", "--runs", str(five_model_runs), "--constrain", "frontier", "--raw"],
+        ["fit-bopt", "--runs", str(batch_sweep_runs), "--levels", levels, "--s-floor", "1500"],
+        ["fit-lr", "--runs", str(sweep), "--checkpoint-tokens", "2e7"],
+    ]
+    for argv in verbs:
+        assert main([*argv, "--laws", str(laws)]) == 0
+        LawArtifact.load(laws).save(copy)
+        assert copy.read_bytes() == laws.read_bytes()
+        frontier = json.loads(laws.read_text())["frontier"]
+        if argv[0] == "frontier":
+            written = frontier
+            assert written["n_points"] == len(written["points"]) == 5
+            assert set(written["consistency_residuals"]) == {"B_opt", "D_opt"}
+        # later verbs rewrite the file but keep the frontier block whole
+        assert frontier == written
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from scalelaw import (
-    CurvePoint,
+    Curve,
     EmptyEnvelopeError,
     FrontierPoint,
     FrontierReport,
@@ -46,12 +47,8 @@ def loglinear_run(run_id, n_params, intercept, slope, c_lo, c_hi, batch=4e6, n_p
     s_lo = c_lo / (6.0 * n_params * batch)
     s_hi = c_hi / (6.0 * n_params * batch)
     steps = np.unique(np.geomspace(max(1, s_lo), s_hi, n_pts).astype(int))
-    points = []
-    for s in steps:
-        tokens = float(s) * batch
-        c = 6.0 * n_params * tokens
-        loss = intercept - slope * math.log10(c / 1e18)
-        points.append(CurvePoint(step=int(s), tokens=tokens, loss=loss))
+    tokens = steps * batch
+    losses = [intercept - slope * math.log10(6.0 * n_params * t / 1e18) for t in tokens.tolist()]
     return RunRecord(
         run_id=run_id,
         model=ModelSpec(n_params=n_params),
@@ -60,7 +57,7 @@ def loglinear_run(run_id, n_params, intercept, slope, c_lo, c_hi, batch=4e6, n_p
         lr_scheme=LrScheme.ORIGIN,
         warmup_steps=0,
         decay_steps=0,
-        points=tuple(points),
+        points=Curve(steps, tokens, losses),
     )
 
 
@@ -167,12 +164,12 @@ def test_fit_rejects_degenerate_input():
 def test_envelope_single_run_is_own_curve():
     run = loglinear_run("solo", 1e8, 4.0, 0.2, 1e17, 1e22)
     runset = RunSet(runs={run.run_id: run})
-    grid = [6.0 * 1e8 * p.tokens for p in run.points[5:40]]
+    grid = [6.0 * 1e8 * t for t in run.points.tokens[5:40].tolist()]
     env = compute_envelope(runset, grid=grid, smooth=False)
     assert len(env) == len(grid)
-    for sample, pt in zip(env, run.points[5:40]):
+    for sample, loss in zip(env, run.points.loss[5:40]):
         assert sample.run_id == "solo"
-        assert sample.loss == pytest.approx(pt.loss, rel=1e-12)
+        assert sample.loss == pytest.approx(loss, rel=1e-12)
 
 
 def test_envelope_dominated_run_never_wins():
@@ -224,8 +221,8 @@ def test_default_grid_covers_all_runs():
     b = loglinear_run("b", 1e9, 7.0, 0.81, 1e19, 1e24)
     runset = RunSet(runs={r.run_id: r for r in (a, b)})
     grid = default_grid(runset)
-    c_lo = 6.0 * 1e8 * a.points[0].tokens
-    c_hi = 6.0 * 1e9 * b.points[-1].tokens
+    c_lo = 6.0 * 1e8 * a.points.tokens[0]
+    c_hi = 6.0 * 1e9 * b.points.tokens[-1]
     assert grid[0] == pytest.approx(c_lo, rel=1e-9)
     assert grid[-1] == pytest.approx(c_hi, rel=1e-9)
     decades = math.log10(c_hi / c_lo)
@@ -290,9 +287,9 @@ def test_extract_matches_dense_scan_on_clean_sweep():
 
     curves = {}
     for run in runs:
-        pts = [p for p in run.points if math.isfinite(p.loss)]
-        log_c = np.log([6.0 * run.model.n_params * p.tokens for p in pts])
-        curves[run.model.n_params] = (log_c, np.array([p.loss for p in pts]))
+        finite = np.isfinite(run.points.loss)
+        log_c = np.log(6.0 * run.model.n_params * run.points.tokens[finite])
+        curves[run.model.n_params] = (log_c, run.points.loss[finite])
     lo = min(lc[0] for lc, _ in curves.values())
     hi = max(lc[-1] for lc, _ in curves.values())
     dense = np.linspace(lo, hi, int((hi - lo) / math.log(10) * 2048) + 1)
@@ -422,18 +419,29 @@ def test_frontier_point_validation():
         FrontierPoint(C=6e20, loss=-2.0, N=1e9, D=1e11, S=1e4, B=1e7)
 
 
-def test_report_from_laws_and_to_dict():
+def test_report_from_dict_and_to_dict():
     laws = {
-        name: PowerLaw(k=k, p=p, x_min=1e18, x_max=1e23)
+        f"{name}_opt": PowerLaw(k=k, p=p, x_min=1e18, x_max=1e23)
         for name, (k, p) in PUBLISHED.items()
     }
-    report = FrontierReport.from_laws(
-        L_opt=laws["L"], N_opt=laws["N"], D_opt=laws["D"], S_opt=laws["S"], B_opt=laws["B"]
-    )
+    report = FrontierReport(points=(), consistency_residuals={}, **laws)
     d = report.to_dict()
     assert d["n_points"] == 0
     assert d["N_opt"]["p"] == 0.464
     assert d["excluded_model_sizes"] == []
+    assert "points" not in d
+    assert FrontierReport.from_dict(d).to_dict() == d
+
+
+def test_report_dict_keeps_points_residuals_and_exclusions():
+    report = frontier_laws(published_points(np.geomspace(1e19, 1e22, 4)), excluded=[7.6e8])
+    d = report.to_dict()
+    assert d["n_points"] == 4 and len(d["points"]) == 4
+    back = FrontierReport.from_dict(json.loads(json.dumps(d)))
+    assert back.points == report.points
+    assert back.consistency_residuals == report.consistency_residuals
+    assert back.excluded == (7.6e8,)
+    assert back.to_dict() == d
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scalelaw import (
-    CurvePoint,
+    Curve,
     GammaUndefinedError,
     InsufficientDataError,
     InsufficientGridError,
@@ -73,9 +73,8 @@ def test_scale_lr_validation():
 
 
 def constant_run(run_id, b, scale, loss, n_points=20, n_params=3.5e8):
-    points = tuple(
-        CurvePoint(step=i + 1, tokens=(i + 1) * b, loss=loss) for i in range(n_points)
-    )
+    steps = np.arange(1, n_points + 1)
+    points = Curve(steps, steps * b, np.full(n_points, loss))
     return RunRecord(
         run_id=run_id,
         model=ModelSpec(n_params=n_params),
@@ -96,10 +95,9 @@ def separable_sweep(value, diverge_cells=()):
         for j, scale in enumerate((0.5, 1.0, 2.0)):
             run = constant_run(f"r{i}{j}", b, scale, value(i, j))
             if (i, j) in diverge_cells:
-                pts = list(run.points)
-                pts[-1] = CurvePoint(
-                    step=pts[-1].step, tokens=pts[-1].tokens, loss=math.inf
-                )
+                losses = run.points.loss.copy()
+                losses[-1] = math.inf
+                pts = Curve(run.points.step, run.points.tokens, losses)
                 run = RunRecord(
                     run_id=run.run_id,
                     model=run.model,
@@ -108,7 +106,7 @@ def separable_sweep(value, diverge_cells=()):
                     lr_scheme=run.lr_scheme,
                     warmup_steps=0,
                     decay_steps=0,
-                    points=tuple(pts),
+                    points=pts,
                     lr_scale=run.lr_scale,
                 )
             runs[run.run_id] = run

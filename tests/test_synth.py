@@ -90,6 +90,12 @@ def test_d_required_infeasible_target_reports_floor():
 # simulate_curve
 
 
+def rows(run):
+    """(step, tokens, loss) per checkpoint, as Python numbers."""
+    pts = run.points
+    return list(zip(pts.step.tolist(), pts.tokens.tolist(), pts.loss.tolist()))
+
+
 def test_curve_small_batch_optimal_lr_reduces_to_law():
     gt = quiet_truth(bcrit_b0=1e13)
     lr = eta_opt_adam(1e6, gt.noise)
@@ -98,9 +104,9 @@ def test_curve_small_batch_optimal_lr_reduces_to_law():
         run_id="tiny-b",
     )
     assert len(run.points) == 50
-    for pt in run.points:
-        assert pt.tokens == pt.step * 1e6
-        assert pt.loss == pytest.approx(LAW.eval(3.5e8, pt.tokens), rel=1e-6)
+    for step, tokens, loss in rows(run):
+        assert tokens == step * 1e6
+        assert loss == pytest.approx(LAW.eval(3.5e8, tokens), rel=1e-6)
 
 
 def test_curve_at_critical_batch_halves_effective_tokens():
@@ -109,8 +115,8 @@ def test_curve_at_critical_batch_halves_effective_tokens():
         gt, n_params=3.5e8, B=4e6, lr_peak=1e-3, total_tokens=4e10, points=40,
         run_id="crit-b",
     )
-    for pt in run.points:
-        assert pt.loss == pytest.approx(LAW.eval(3.5e8, pt.tokens / 2.0), rel=1e-9)
+    for _, tokens, loss in rows(run):
+        assert loss == pytest.approx(LAW.eval(3.5e8, tokens / 2.0), rel=1e-9)
 
 
 def test_curve_satisfies_generator_closure():
@@ -122,10 +128,8 @@ def test_curve_satisfies_generator_closure():
             gt, n_params=3.5e8, B=2e6, lr_peak=lr, total_tokens=2e10, points=20,
             run_id=f"closure-{mode}",
         )
-        for pt in run.points[::5]:
-            assert d_required(gt, 3.5e8, pt.loss, 2e6) == pytest.approx(
-                pt.tokens, rel=1e-8
-            )
+        for _, tokens, loss in rows(run)[::5]:
+            assert d_required(gt, 3.5e8, loss, 2e6) == pytest.approx(tokens, rel=1e-8)
 
 
 def test_curve_loss_monotone_in_tokens():
@@ -134,7 +138,7 @@ def test_curve_loss_monotone_in_tokens():
         gt, n_params=1.25e8, B=4e6, lr_peak=8e-4, total_tokens=1e11, points=200,
         run_id="mono",
     )
-    losses = [pt.loss for pt in run.points]
+    losses = run.points.loss.tolist()
     assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -149,11 +153,11 @@ def test_curve_larger_batch_needs_more_tokens_fewer_steps():
         total_tokens=2e10, points=100, run_id="b8",
     )
     # same token budget: the smaller batch ends lower
-    assert small.points[-1].loss < large.points[-1].loss
+    assert small.points.loss[-1] < large.points.loss[-1]
     # same step count: the larger batch ends lower
-    assert large.points[-1].step < small.points[-1].step
-    step_matched = [p for p in small.points if p.step >= large.points[-1].step]
-    assert step_matched[0].loss > large.points[-1].loss
+    assert large.points.step[-1] < small.points.step[-1]
+    step_matched = [loss for step, _, loss in rows(small) if step >= large.points.step[-1]]
+    assert step_matched[0] > large.points.loss[-1]
 
 
 def test_curve_double_lr_plants_divergence():
@@ -162,7 +166,7 @@ def test_curve_double_lr_plants_divergence():
         gt, n_params=3.5e8, B=4e6, lr_peak=2e-3, total_tokens=1e11, points=20,
         run_id="diverged",
     )
-    losses = [pt.loss for pt in run.points]
+    losses = run.points.loss.tolist()
     assert math.isinf(losses[-1])
     finite = losses[:-1]
     # geometric growth from the at-initialization loss until the cap
@@ -178,8 +182,8 @@ def test_curve_just_below_double_lr_converges():
         gt, n_params=3.5e8, B=4e6, lr_peak=1.95e-3, total_tokens=1e10, points=20,
         run_id="barely",
     )
-    assert all(math.isfinite(pt.loss) for pt in run.points)
-    losses = [pt.loss for pt in run.points]
+    assert all(math.isfinite(loss) for loss in run.points.loss)
+    losses = run.points.loss.tolist()
     assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
@@ -189,11 +193,11 @@ def test_curve_checkpoint_cadence():
         gt, 3.5e8, B=1e6, lr_peak=6e-4, total_tokens=2e9, points=100, run_id="cad"
     )
     assert len(run.points) == 100
-    assert run.points[-1].tokens == 2e9
+    assert run.points.tokens[-1] == 2e9
     short = simulate_curve(
         gt, 3.5e8, B=1e6, lr_peak=6e-4, total_tokens=5e6, points=100, run_id="short"
     )
-    assert [pt.step for pt in short.points] == [1, 2, 3, 4, 5]
+    assert short.points.step.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_curve_input_validation():
@@ -224,8 +228,8 @@ def test_lr_efficiency_flag_disables_dilution():
     run = simulate_curve(
         gt, 3.5e8, B=4e6, lr_peak=5e-3, total_tokens=4e10, points=10, run_id="flat-lr"
     )
-    for pt in run.points:
-        assert pt.loss == pytest.approx(LAW.eval(3.5e8, pt.tokens / 2.0), rel=1e-9)
+    for _, tokens, loss in rows(run):
+        assert loss == pytest.approx(LAW.eval(3.5e8, tokens / 2.0), rel=1e-9)
 
 
 def test_ground_truth_validation():
@@ -311,7 +315,8 @@ def test_grid_is_deterministic():
     second = simulate_grid(cfg, gt)
     assert list(first.runs) == list(second.runs)
     for run_id in first.runs:
-        assert first[run_id] == second[run_id]
+        assert replace(first[run_id], points=None) == replace(second[run_id], points=None)
+        assert rows(first[run_id]) == rows(second[run_id])
 
 
 def test_grid_seed_changes_losses_not_grids():
@@ -323,9 +328,9 @@ def test_grid_seed_changes_losses_not_grids():
     )
     run_a = next(iter(simulate_grid(cfg, default_ground_truth(seed=1))))
     run_b = next(iter(simulate_grid(cfg, default_ground_truth(seed=2))))
-    assert [p.step for p in run_a.points] == [p.step for p in run_b.points]
-    assert [p.tokens for p in run_a.points] == [p.tokens for p in run_b.points]
-    assert any(a.loss != b.loss for a, b in zip(run_a.points, run_b.points))
+    assert run_a.points.step.tolist() == run_b.points.step.tolist()
+    assert run_a.points.tokens.tolist() == run_b.points.tokens.tolist()
+    assert any(a != b for a, b in zip(run_a.points.loss, run_b.points.loss))
 
 
 def test_grid_scheme_sets_peak_lr():
