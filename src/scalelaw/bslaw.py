@@ -10,13 +10,13 @@ k * D^p.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     EmptyContourError,
     InsufficientDataError,
@@ -94,6 +94,12 @@ class BoptLaw:
 
     def eval(self, d):
         """Optimal batch size in tokens at data budget d."""
+        if type(d) in (float, int):
+            with contextlib.suppress(OverflowError):  # numpy returns inf instead
+                d = float(d)
+                if d <= 0:
+                    raise ValidationError("d must be positive")
+                return min(d / self.s_floor, self.k * d**self.p)
         d_arr = np.asarray(d, dtype=float)
         if np.any(d_arr <= 0):
             raise ValidationError("d must be positive")

@@ -8,13 +8,13 @@ identities C = 6*N*D and D = S*B hold exactly in the reported law set.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     EmptyEnvelopeError,
     InsufficientDataError,
@@ -46,6 +46,11 @@ class PowerLaw:
             raise ValidationError("need 0 < x_min <= x_max")
 
     def __call__(self, x):
+        # plain floats skip numpy; non-positive x and overflow take the
+        # numpy path, which returns nan or inf where Python would raise
+        if type(x) in (float, int) and x > 0:
+            with contextlib.suppress(OverflowError):
+                return self.k * float(x) ** self.p
         x_arr = np.asarray(x, dtype=float)
         out = self.k * x_arr**self.p
         return out.item() if out.ndim == 0 else out

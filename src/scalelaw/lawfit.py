@@ -16,13 +16,13 @@ the package starts without it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DegenerateVarianceError,
     FitFailureError,
@@ -75,6 +75,12 @@ class ChinchillaLaw:
 
     def eval(self, n, d):
         """Loss at n parameters and d tokens; broadcasts over arrays."""
+        if type(n) in (float, int) and type(d) in (float, int):
+            with contextlib.suppress(OverflowError):  # numpy returns inf instead
+                n, d = float(n), float(d)
+                if n <= 0 or d <= 0:
+                    raise ValidationError("n and d must be positive")
+                return self.E + self.A * n ** (-self.alpha) + self.Bcoef * d ** (-self.beta)
         n_arr = np.asarray(n, dtype=float)
         d_arr = np.asarray(d, dtype=float)
         if np.any(n_arr <= 0) or np.any(d_arr <= 0):

@@ -13,8 +13,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     GammaUndefinedError,
     InsufficientDataError,

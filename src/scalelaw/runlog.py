@@ -15,8 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     ConflictError,
     InsufficientDataError,

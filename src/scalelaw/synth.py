@@ -16,8 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ParseError, ValidationError
 from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
 from .lrlaw import scale_lr
@@ -186,7 +185,9 @@ def _loss_at_tokens(gt: GroundTruth, n_params: float, d_eff: float, B: float) ->
     """
     floor = gt.law.floor_at_n(n_params)
     lo = math.log(floor * (1.0 + 1e-12))
-    hi = math.log(gt.law.eval(n_params, 1.0))
+    # an array argument keeps numpy's power, whose last bit can differ
+    # from Python's: the generated curves depend on it
+    hi = math.log(gt.law.eval(np.asarray(n_params), 1.0))
     while d_required(gt, n_params, math.exp(hi), B) > d_eff:
         hi += math.log(4.0)
         if hi > 50:
@@ -256,7 +257,7 @@ def simulate_curve(
     sigma = gt.observation_noise
 
     if efficiency <= 0.0:
-        start = gt.law.eval(n_params, B)
+        start = gt.law.eval(np.asarray(n_params), B)  # numpy's power, as above
         steps, losses = [], []
         for i, step in enumerate(_checkpoint_steps(total_steps, points)):
             loss = start * _DIVERGENCE_GROWTH**i

@@ -1,17 +1,29 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelaw import (
+    BoptLaw,
+    ChinchillaLaw,
+    LawArtifact,
     LrLawFit,
+    LrScheme,
+    PowerLaw,
     PresetRow,
     Presets,
     ValidationError,
     advise_compute,
     advise_data,
+    bopt_law_from_runs,
     compress_query,
+    frontier_report,
     preset_lookup,
+    reference_artifact,
     scale_lr,
 )
 
@@ -152,6 +164,62 @@ def test_recommendation_to_dict(reference):
 
 
 # ---------------------------------------------------------------------------
+# budget identities of every finite positive budget
+
+# every normal float: below that the advised batch loses precision as a
+# subnormal, and a budget of a few ulps divides by a batch of zero
+BUDGETS = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)
+BAD_BUDGETS = st.sampled_from([math.nan, math.inf]) | st.floats(max_value=0.0)
+
+
+@pytest.fixture(scope="module")
+def law_sets(reference, master_runs, tmp_path_factory):
+    """The reference laws, and laws fitted from the simulated sweep and read
+    back from a laws file."""
+    base_runs = master_runs.subset(
+        f"{label}-0.5M-origin-x1" for label in ("125M", "350M", "760M", "1.3B", "2.6B")
+    )
+    linear_runs = master_runs.subset(
+        f"125M-{batch / 1e6:g}M-linear-x1" for batch in (0.5e6, 1e6, 2e6, 4e6, 8e6, 1.6e7, 3.2e7)
+    )
+    with pytest.warns(UserWarning):
+        frontier = frontier_report(base_runs, smooth=False)
+        bopt, _ = bopt_law_from_runs(
+            linear_runs,
+            loss_levels=np.linspace(2.56, 3.40, 16),
+            lr_policy="fixed_scheme",
+            scheme=LrScheme.LINEAR,
+            s_floor_hint=1500.0,
+            discard_fraction=0.0,
+        )
+    path = tmp_path_factory.mktemp("fitted") / "laws.json"
+    LawArtifact(frontier=frontier, bopt=bopt, presets=Presets()).save(path)
+    return {"reference": reference, "fitted": LawArtifact.load(path)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(laws=st.sampled_from(["reference", "fitted"]), budget=BUDGETS)
+def test_advise_identities_hold_for_every_budget(law_sets, laws, budget):
+    artifact = law_sets[laws]
+    rec = advise_compute(artifact.frontier, budget, loss_law=artifact.loss_law)
+    # ratios first, so that the products cannot overflow near the float maximum
+    assert 6.0 * rec.N * (rec.D / budget) == pytest.approx(1.0, rel=1e-12)
+    assert rec.S * (rec.B / rec.D) == pytest.approx(1.0, rel=1e-12)
+    rec = advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
+    assert rec.S * (rec.B / budget) == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(laws=st.sampled_from(["reference", "fitted"]), budget=BAD_BUDGETS)
+def test_advise_rejects_non_finite_and_non_positive_budgets(law_sets, laws, budget):
+    artifact = law_sets[laws]
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        advise_compute(artifact.frontier, budget)
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        advise_data(artifact.bopt, budget)
+
+
+# ---------------------------------------------------------------------------
 # iso-loss compression
 
 
@@ -237,3 +305,84 @@ def test_preset_validation():
 def test_preset_dict_round_trip():
     presets = Presets()
     assert Presets.from_dict(presets.to_dict()) == presets
+
+
+# ---------------------------------------------------------------------------
+# scalar laws: plain floats skip numpy and agree with the array path
+
+_REF = reference_artifact()
+_BOPT = _REF.bopt
+POSITIVE = BUDGETS | st.integers(min_value=1, max_value=10**30)
+NON_POSITIVE = st.floats(max_value=0.0) | st.integers(min_value=-(10**30), max_value=0)
+
+# name -> (law call, strategy of its argument tuples)
+SCALAR_LAWS = {
+    "power_law_rising": (_REF.frontier.N_opt, st.tuples(POSITIVE)),
+    "power_law_falling": (_REF.frontier.L_opt, st.tuples(POSITIVE)),
+    "bopt_linear_regime": (
+        _BOPT.eval,
+        st.tuples(st.floats(min_value=sys.float_info.min, max_value=_BOPT.crossover_D)),
+    ),
+    "bopt_power_regime": (
+        _BOPT.eval,
+        st.tuples(st.floats(min_value=_BOPT.crossover_D, max_value=sys.float_info.max)),
+    ),
+    "chinchilla": (_REF.loss_law.eval, st.tuples(POSITIVE, POSITIVE)),
+}
+
+
+def _outcome(call, args):
+    """What a law call gives: its value as a float, or its exception class
+    and message."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            return float(np.ravel(call(*args))[0])
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def _as_arrays(args):
+    return [np.array([arg], dtype=float) for arg in args]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_law_matches_array_path(name, data):
+    call, arguments = SCALAR_LAWS[name]
+    args = data.draw(arguments)
+    scalar = call(*args)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(call(*_as_arrays(args))[0], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_law_fails_like_array_path_on_non_positive_input(name, data):
+    call, arguments = SCALAR_LAWS[name]
+    args = list(data.draw(arguments))
+    args[data.draw(st.integers(0, len(args) - 1))] = data.draw(NON_POSITIVE)
+    scalar, array = _outcome(call, args), _outcome(call, _as_arrays(args))
+    # a power law raises nothing there: both paths return the same nan, inf or 0
+    assert repr(scalar) == repr(array)
+    if not name.startswith("power_law"):
+        assert scalar[0] is ValidationError
+
+
+_TOO_BIG = (OverflowError, "int too large to convert to float")
+
+
+@pytest.mark.parametrize(
+    "call, args, expected",
+    [
+        (PowerLaw(1.0, 2.0, 1.0, 10.0), [1e300], math.inf),
+        (PowerLaw(1.0, 2.0, 1.0, 10.0), [10**400], _TOO_BIG),
+        (BoptLaw(1.0, 2.0, 1.0, 1.0, 1.0, 10.0).eval, [1e300], 1e300),
+        (ChinchillaLaw(1.0, 1.0, 0.99, 1.0, 0.5).eval, [5e-324, 1e10], math.inf),
+        (_REF.loss_law.eval, [10**400, 1e10], _TOO_BIG),
+    ],
+    ids=["power-inf", "power-huge-int", "bopt-linear", "chinchilla-inf", "chinchilla-huge-int"],
+)
+def test_scalar_overflow_falls_back_to_array_path(call, args, expected):
+    assert _outcome(call, args) == _outcome(call, [np.array([a]) for a in args]) == expected

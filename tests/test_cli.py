@@ -229,6 +229,35 @@ def test_advise_cold_start_skips_scipy_optimize():
     assert "model size N" in proc.stdout
 
 
+def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
+    laws = tmp_path / "laws.json"
+    reference.save(laws)
+    queries = [
+        ["advise", "--compute", "8.16e21"],
+        ["advise", "--data", "1e12", "--model-size", "2.6e9", "--laws", str(laws), "--json"],
+        ["tradeoff", "--gamma", "1"],
+    ]
+    # `import numpy` may bind the lazy module; any numpy.* submodule means it ran
+    script = (
+        "import sys\n"
+        "from scalelaw.cli import main\n"
+        f"for argv in {queries!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "    assert not loaded, (argv, loaded[:3])\n"
+    )
+    src = str(Path(scalelaw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("batch size B") == 1 and '"B": ' in proc.stdout
+    assert "B/B_crit" in proc.stdout
+
+
 def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):
     partial = tmp_path / "partial.json"
     LawArtifact(loss_law=ref_law).save(partial)

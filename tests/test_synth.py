@@ -430,3 +430,14 @@ def test_grid_bytes_are_pinned(config, truth, digest):
     # the sweep must keep exercising every generator branch it pins
     assert any(has_divergence(run.points) for run in runset) == (config is GOLDEN_SWEEP)
     assert _digest(runset) == digest
+
+
+def test_default_sweep_bytes_are_pinned():
+    """The `simulate --seed 7` sweep: 105 runs of 400 checkpoints, diverged
+    runs cut short.  A diverged curve starts from the loss law at its
+    (N, B); a last-bit change there shows in this sweep's digest while the
+    smaller pins above can miss it."""
+    runset = simulate_grid(default_sweep_config(), default_ground_truth(seed=7))
+    assert len(runset) == 105
+    assert max(len(run.points) for run in runset) == 400
+    assert _digest(runset) == "7818307aa99b5dd8893806fb5065ebcabbe3ea213dcc34ea5790b663735172b8"
