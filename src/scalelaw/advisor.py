@@ -11,6 +11,7 @@ rounded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 from .bslaw import BoptLaw
@@ -37,14 +38,7 @@ class PresetRow:
             raise ValidationError("preset sizes and rates must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "n_params": self.n_params,
-            "label": self.label,
-            "batch_size": self.batch_size,
-            "max_lr": self.max_lr,
-            "warmup_steps": self.warmup_steps,
-            "decay_steps": self.decay_steps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PresetRow":
@@ -234,6 +228,8 @@ def advise_data(
         raise ValidationError(f"n_params must be finite and positive, got {n_params}")
     presets = presets or Presets()
     b = bopt.eval(D)
+    if b < sys.float_info.min:
+        raise ValidationError(f"D = {D:g} is too small: the advised batch size {b:g} underflows")
     s = D / b
     provenance = {
         "B": f"B_opt(D) {bopt.regime(D)} regime",

@@ -129,7 +129,7 @@ def _parse_block(doc: dict, name: str, parse):
         return parse(doc[name])
     except KeyError as exc:
         raise ParseError(f"{name} block is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{name} block is malformed: {exc}") from None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
 from ._numpy import np
@@ -118,12 +118,7 @@ class BoptLaw:
     @classmethod
     def from_dict(cls, d: dict) -> "BoptLaw":
         return cls(
-            k=float(d["k"]),
-            p=float(d["p"]),
-            s_floor=float(d["s_floor"]),
-            crossover_D=float(d["crossover_D"]),
-            d_min=float(d["d_min"]),
-            d_max=float(d["d_max"]),
+            **{f.name: float(d[f.name]) for f in fields(cls) if f.name != "power_fitted"},
             power_fitted=bool(d.get("power_fitted", True)),
         )
 

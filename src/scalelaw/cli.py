@@ -67,7 +67,7 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
 
 def _read_runs(path: str, strict: bool = True):
     with open(path) as handle:
-        return parse_runs(handle, source=path, strict=strict)
+        return parse_runs(handle, strict=strict)
 
 
 def _load_laws(spec: str) -> LawArtifact:
@@ -339,15 +339,7 @@ def _cmd_fit_bopt(args) -> None:
     _emit(args, lines, {
         "verb": "fit-bopt",
         "bopt": law.to_dict(),
-        "vertices": [
-            {
-                "loss_level": v.loss_level,
-                "B_star": v.B_star,
-                "D_star": v.D_star,
-                "extrapolated": v.extrapolated,
-            }
-            for v in vertices
-        ],
+        "vertices": [dataclasses.asdict(v) for v in vertices],
         "laws": args.laws,
     })
 
@@ -395,10 +387,7 @@ def _cmd_tradeoff(args) -> None:
     _emit(args, lines, {
         "verb": "tradeoff",
         "gamma": args.gamma,
-        "rows": [
-            {"b_ratio": r.b_ratio, "e_ratio": r.e_ratio, "s_ratio": r.s_ratio}
-            for r in rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rows],
     })
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from ._numpy import np
@@ -65,11 +65,11 @@ class PowerLaw:
         return x < self.x_min or x > self.x_max
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "p": self.p, "x_min": self.x_min, "x_max": self.x_max}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PowerLaw":
-        return cls(k=float(d["k"]), p=float(d["p"]), x_min=float(d["x_min"]), x_max=float(d["x_max"]))
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,11 @@ class FrontierReport:
         )
 
 
-def _run_curve_log(
-    run, smooth: bool = False, half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_curve_log(run, smooth: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(log C, loss) arrays of a run's finite points, optionally smoothed."""
     if smooth:
         try:
-            run = smooth_run(run, half_life_fraction=half_life_fraction)
+            run = smooth_run(run, half_life_fraction=ENVELOPE_HALF_LIFE_FRACTION)
         except InsufficientDataError:
             return np.empty(0), np.empty(0)
     curve = run.points
@@ -164,11 +162,9 @@ def _run_curve_log(
     return log_c, curve.loss[finite]
 
 
-def _run_curves(
-    runset: RunSet, smooth: bool, half_life_fraction: float
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _run_curves(runset: RunSet, smooth: bool) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every run's (log C, loss) arrays, keyed by run id; one smoothing per run."""
-    return {run.run_id: _run_curve_log(run, smooth, half_life_fraction) for run in runset}
+    return {run.run_id: _run_curve_log(run, smooth) for run in runset}
 
 
 def _interp_on_grid(log_grid: np.ndarray, log_c: np.ndarray, loss: np.ndarray) -> np.ndarray:
@@ -226,10 +222,7 @@ def _envelope(
 
 
 def compute_envelope(
-    runset: RunSet,
-    grid: Sequence[float] | None = None,
-    smooth: bool = True,
-    half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
+    runset: RunSet, grid: Sequence[float] | None = None, smooth: bool = True
 ) -> list[EnvelopeSample]:
     """Pointwise minimum of all per-run loss curves on a log-C grid.
 
@@ -237,7 +230,7 @@ def compute_envelope(
     (log C, loss); grid points covered by no run are omitted.  Ties go to
     the run appearing first in the set.
     """
-    return _envelope(runset, grid, _run_curves(runset, smooth, half_life_fraction))
+    return _envelope(runset, grid, _run_curves(runset, smooth))
 
 
 def _longest_contiguous(indices: list[int]) -> list[int]:
@@ -315,10 +308,7 @@ def _frontier_points(
 
 
 def extract_frontier_points(
-    envelope: Sequence[EnvelopeSample],
-    runset: RunSet,
-    smooth: bool = True,
-    half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
+    envelope: Sequence[EnvelopeSample], runset: RunSet, smooth: bool = True
 ) -> list[FrontierPoint]:
     """One compute-optimal point per model size that wins somewhere.
 
@@ -330,7 +320,7 @@ def extract_frontier_points(
     """
     if not envelope:
         raise EmptyEnvelopeError("empty envelope")
-    return _frontier_points(envelope, runset, _run_curves(runset, smooth, half_life_fraction))
+    return _frontier_points(envelope, runset, _run_curves(runset, smooth))
 
 
 def fit_power_law(x, y) -> PowerLaw:
@@ -411,16 +401,13 @@ def frontier_laws(
 
 
 def frontier_report(
-    runset: RunSet,
-    grid: Sequence[float] | None = None,
-    smooth: bool = True,
-    half_life_fraction: float = ENVELOPE_HALF_LIFE_FRACTION,
+    runset: RunSet, grid: Sequence[float] | None = None, smooth: bool = True
 ) -> FrontierReport:
     """Full pipeline: envelope, per-model points, fitted laws.
 
     Each run is smoothed once and its curve shared by both stages.
     """
-    curves = _run_curves(runset, smooth, half_life_fraction)
+    curves = _run_curves(runset, smooth)
     envelope = _envelope(runset, grid, curves)
     points = _frontier_points(envelope, runset, curves)
     present = {pt.N for pt in points}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from ._numpy import np
@@ -125,23 +125,11 @@ class ChinchillaLaw:
         return (self.Bcoef / remainder) ** (1.0 / self.beta)
 
     def to_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "A": self.A,
-            "alpha": self.alpha,
-            "Bcoef": self.Bcoef,
-            "beta": self.beta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, params: dict) -> "ChinchillaLaw":
-        return cls(
-            E=float(params["E"]),
-            A=float(params["A"]),
-            alpha=float(params["alpha"]),
-            Bcoef=float(params["Bcoef"]),
-            beta=float(params["beta"]),
-        )
+        return cls(**{f.name: float(params[f.name]) for f in fields(cls)})
 
 
 # Published fit of the 125M-2.6B batch-size study: the reference artifact's
@@ -184,16 +172,11 @@ class KaplanLaw:
         return (self.Nc / n) ** self.alpha_N
 
     def to_dict(self) -> dict:
-        return {"Nc": self.Nc, "Dc": self.Dc, "alpha_N": self.alpha_N, "alpha_D": self.alpha_D}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, params: dict) -> "KaplanLaw":
-        return cls(
-            Nc=float(params["Nc"]),
-            Dc=float(params["Dc"]),
-            alpha_N=float(params["alpha_N"]),
-            alpha_D=float(params["alpha_D"]),
-        )
+        return cls(**{f.name: float(params[f.name]) for f in fields(cls)})
 
 
 def _check_delta(delta: float) -> None:
@@ -318,11 +301,11 @@ class FitReport:
         return fit
 
 
-def default_init_grid(points_per_axis: int = INIT_POINTS_PER_AXIS) -> list[tuple[float, float, float]]:
+def default_init_grid() -> list[tuple[float, float, float]]:
     """Log-spaced (E, beta, Bcoef) starting triples in deterministic order."""
-    es = np.geomspace(*INIT_E_RANGE, points_per_axis)
-    betas = np.geomspace(*INIT_BETA_RANGE, points_per_axis)
-    bcoefs = np.geomspace(*INIT_BCOEF_RANGE, points_per_axis)
+    es = np.geomspace(*INIT_E_RANGE, INIT_POINTS_PER_AXIS)
+    betas = np.geomspace(*INIT_BETA_RANGE, INIT_POINTS_PER_AXIS)
+    bcoefs = np.geomspace(*INIT_BCOEF_RANGE, INIT_POINTS_PER_AXIS)
     return [tuple(map(float, t)) for t in itertools.product(es, betas, bcoefs)]
 
 

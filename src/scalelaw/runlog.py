@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -47,15 +46,11 @@ class ModelSpec:
     """Architecture summary attached to a run.
 
     ``n_params`` is the non-embedding parameter count including the logits
-    head, and is trusted as given; no architecture arithmetic is re-derived
-    from the optional shape fields.
+    head, and is trusted as given.
     """
 
     n_params: float
     label: str = ""
-    layers: int | None = None
-    hidden: int | None = None
-    heads: int | None = None
     seq_len: int | None = None
 
     def __post_init__(self) -> None:
@@ -157,8 +152,6 @@ class RunSet:
     """An ordered collection of runs with unique ids."""
 
     runs: dict[str, RunRecord] = field(default_factory=dict)
-    source: str | None = None
-    ingested_at: str | None = None
     rejected: list[tuple[int, str]] = field(default_factory=list)
 
     def __iter__(self) -> Iterator[RunRecord]:
@@ -187,7 +180,7 @@ class RunSet:
         return seen
 
     def subset(self, run_ids: Iterable[str]) -> "RunSet":
-        out = RunSet(source=self.source, ingested_at=self.ingested_at)
+        out = RunSet()
         for rid in run_ids:
             out.add(self.runs[rid])
         return out
@@ -275,10 +268,18 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     if not isinstance(raw_points, list) or not raw_points:
         raise ParseError("points must be a non-empty list", line_no=line_no, field="points")
     points = _curve_from_rows(raw_points, line_no)
+    seq_len = obj.get("seq_len")
+    # bool is a subclass of int; JSON true is no sequence length
+    if seq_len is not None and not (type(seq_len) is int and seq_len > 0):
+        raise ParseError(
+            f"seq_len must be null or a positive integer, got {seq_len!r}",
+            line_no=line_no,
+            field="seq_len",
+        )
     model = ModelSpec(
         n_params=_coerce(obj, "n_params", float, line_no),
         label=str(obj.get("label", "")),
-        seq_len=obj.get("seq_len"),
+        seq_len=seq_len,
     )
     return RunRecord(
         run_id=str(obj["run_id"]),
@@ -293,7 +294,7 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     )
 
 
-def parse_runs(lines: Iterable[str], source: str | None = None, strict: bool = True) -> RunSet:
+def parse_runs(lines: Iterable[str], strict: bool = True) -> RunSet:
     """Parse JSONL run records into a validated RunSet.
 
     One JSON object per line; blank lines are skipped.  In strict mode the
@@ -301,7 +302,7 @@ def parse_runs(lines: Iterable[str], source: str | None = None, strict: bool = T
     lines are skipped and reported in ``RunSet.rejected`` as
     ``(line_no, reason)`` pairs.
     """
-    runset = RunSet(source=source, ingested_at=datetime.now(timezone.utc).isoformat())
+    runset = RunSet()
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -367,12 +368,12 @@ def finite_prefix(curve: Curve) -> Curve:
     return _take(curve, slice(bad.argmax())) if bad.any() else curve
 
 
-def has_divergence(curve: Curve, blowup_ratio: float = 2.0) -> bool:
-    """True when the curve has a non-finite loss or ends above blowup_ratio x its start."""
+def has_divergence(curve: Curve) -> bool:
+    """True when the curve has a non-finite loss or ends above twice its start."""
     if not len(curve):
         raise InsufficientDataError("an empty curve can neither converge nor diverge")
     loss = curve.loss
-    return bool(not np.isfinite(loss).all() or loss[-1] > blowup_ratio * loss[0])
+    return bool(not np.isfinite(loss).all() or loss[-1] > 2.0 * loss[0])
 
 
 def smooth_curve(

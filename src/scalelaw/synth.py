@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._numpy import np
 from .errors import ParseError, ValidationError
@@ -63,21 +63,7 @@ class GroundTruth:
         return self.bcrit_b0 * self.bcrit_loss_ref / loss
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law.to_dict(),
-            "noise": {
-                "eta_max": self.noise.eta_max,
-                "B_noise": self.noise.B_noise,
-                "dL_max": self.noise.dL_max,
-                "gamma_tradeoff": self.noise.gamma_tradeoff,
-            },
-            "bcrit_mode": self.bcrit_mode,
-            "bcrit_b0": self.bcrit_b0,
-            "bcrit_loss_ref": self.bcrit_loss_ref,
-            "lr_efficiency": self.lr_efficiency,
-            "observation_noise": self.observation_noise,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
@@ -99,6 +85,8 @@ class GroundTruth:
             )
         except KeyError as exc:
             raise ParseError(f"ground truth document missing field {exc.args[0]!r}")
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ParseError(f"ground truth document is malformed: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -160,6 +148,8 @@ class SynthConfig:
             )
         except KeyError as exc:
             raise ParseError(f"sweep config document missing field {exc.args[0]!r}")
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ParseError(f"sweep config document is malformed: {exc}") from None
 
 
 def d_required(gt: GroundTruth, n_params: float, target_loss: float, B: float) -> float:
@@ -293,24 +283,19 @@ def simulate_curve(
     )
 
 
-_SCHEME_RULE = {LrScheme.ORIGIN: "none", LrScheme.SQRT: "sqrt", LrScheme.LINEAR: "linear"}
-
-
 def _format_batch(b: float) -> str:
     return f"{b / 1e6:g}M"
 
 
 def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
     """All runs of the sweep, deterministic in content and order."""
-    runset = RunSet(source="synthetic")
+    runset = RunSet()
     for model in config.models:
         label = model.label or f"{model.n_params:.3g}"
         for b in config.batch_sizes:
             for scheme in config.schemes:
                 for factor in config.lr_factors:
-                    lr = factor * scale_lr(
-                        config.base_lr, config.base_batch, b, _SCHEME_RULE[scheme]
-                    )
+                    lr = factor * scale_lr(config.base_lr, config.base_batch, b, scheme)
                     run_id = f"{label}-{_format_batch(b)}-{scheme.value}-x{factor:g}"
                     run = simulate_curve(
                         gt,

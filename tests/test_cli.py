@@ -18,6 +18,7 @@ from scalelaw import (
     RunSet,
     default_ground_truth,
     default_loss_levels,
+    default_sweep_config,
     parse_runs,
     serialize_runs,
 )
@@ -195,6 +196,16 @@ def test_advise_rejects_non_finite_budget(capsys, budget):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--model-size", "1e8"]])
+def test_advise_rejects_budget_whose_batch_underflows(capsys, extra):
+    assert main(["advise", "--data", "5e-324", *extra]) == 1
+    captured = capsys.readouterr()
+    assert "scalelaw: error: ValidationError" in captured.err
+    assert "underflows" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("size", ["nan", "inf", "0"])
 def test_advise_rejects_bad_model_size(capsys, size):
     assert main(["advise", "--data", "1e12", "--model-size", size]) == 1
@@ -270,6 +281,9 @@ def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):
 _BOPT_BLOCK = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
                "d_min": 1e9, "d_max": 1e12}
 _DATA_QUERY = ["--data", "1e10", "--model-size", "3.5e8"]
+# JSON Infinity where an integer belongs
+_INF_PRESET_ROW = {"n_params": 3.5e8, "label": "350M", "batch_size": 5e5, "max_lr": 3e-4,
+                   "warmup_steps": math.inf, "decay_steps": 0}
 
 
 @pytest.mark.parametrize(
@@ -278,6 +292,7 @@ _DATA_QUERY = ["--data", "1e10", "--model-size", "3.5e8"]
         ({"bopt": {"k": 1}}, _DATA_QUERY, "bopt"),
         ({"frontier": {"N_opt": "x"}}, ["--compute", "1e21"], "frontier"),
         ({"bopt": _BOPT_BLOCK, "lr_law": {"gamma": 0.5}}, _DATA_QUERY, "lr_law"),
+        ({"bopt": _BOPT_BLOCK, "presets": {"rows": [_INF_PRESET_ROW]}}, _DATA_QUERY, "presets"),
     ],
 )
 def test_advise_malformed_laws_file_is_parse_error(tmp_path, capsys, blocks, query, block):
@@ -364,6 +379,27 @@ def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
     assert "ValidationError: base and budget values must be positive and finite" in (
         capsys.readouterr().err
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sweep": {"models": 5}},
+        {"sweep": dict(default_sweep_config().to_dict(), batch_sizes=["x"])},
+        {"sweep": dict(default_sweep_config().to_dict(), schemes=["bogus"])},
+        {"sweep": dict(default_sweep_config().to_dict(), points_per_run=math.inf)},
+        {"ground_truth": {"law": 3}},
+    ],
+)
+def test_simulate_wrong_typed_config_is_parse_error(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "runs.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scalelaw: error: ParseError" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

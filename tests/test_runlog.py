@@ -146,6 +146,12 @@ def test_parse_lenient_collects_rejects():
         ("warmup_steps", "ten"),
         ("decay_steps", math.inf),
         ("lr_scale", None),
+        ("seq_len", "abc"),
+        ("seq_len", -5),
+        ("seq_len", 0),
+        ("seq_len", 1.5),
+        ("seq_len", [1]),
+        ("seq_len", True),
     ],
 )
 def test_parse_bad_scalar_value_is_parse_error(field, value):
