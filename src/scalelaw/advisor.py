@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .frontier import FrontierReport
 from .lawfit import ChinchillaLaw
 from .lrlaw import LrLawFit, scale_lr
-from .runlog import FLOPS_PER_PARAM_TOKEN
+from .runlog import FLOPS_PER_PARAM_TOKEN, read_field
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ class PresetRow:
     @classmethod
     def from_dict(cls, d: dict) -> "PresetRow":
         return cls(
-            n_params=float(d["n_params"]),
-            label=str(d["label"]),
-            batch_size=float(d["batch_size"]),
-            max_lr=float(d["max_lr"]),
-            warmup_steps=int(d["warmup_steps"]),
-            decay_steps=int(d["decay_steps"]),
+            n_params=read_field(d, "n_params", float),
+            label=read_field(d, "label", str),
+            batch_size=read_field(d, "batch_size", float),
+            max_lr=read_field(d, "max_lr", float),
+            warmup_steps=read_field(d, "warmup_steps", int),
+            decay_steps=read_field(d, "decay_steps", int),
         )
 
 

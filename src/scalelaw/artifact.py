@@ -23,6 +23,8 @@ from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw, KaplanLaw
 from .lrlaw import LrLawFit
 
 FORMAT_TAG = "scalelaw-laws/1"
+# blocks that each hold one record, keyed by their LawArtifact field
+_RECORD_BLOCKS = dict(frontier=FrontierReport, bopt=BoptLaw, lr_law=LrLawFit, presets=Presets)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -71,14 +73,9 @@ class LawArtifact:
                 "params": self.loss_law.to_dict(),
                 "fit": self.loss_fit or {},
             }
-        if self.frontier is not None:
-            doc["frontier"] = self.frontier.to_dict()
-        if self.bopt is not None:
-            doc["bopt"] = self.bopt.to_dict()
-        if self.lr_law is not None:
-            doc["lr_law"] = self.lr_law.to_dict()
-        if self.presets is not None:
-            doc["presets"] = self.presets.to_dict()
+        for name in _RECORD_BLOCKS:
+            if getattr(self, name) is not None:
+                doc[name] = getattr(self, name).to_dict()
         if self.comparisons:
             doc["comparisons"] = [dict(c) for c in self.comparisons]
         if self.provenance:
@@ -98,10 +95,10 @@ class LawArtifact:
         return cls(
             loss_law=loss_law,
             loss_fit=loss_fit,
-            frontier=_parse_block(doc, "frontier", FrontierReport.from_dict),
-            bopt=_parse_block(doc, "bopt", BoptLaw.from_dict),
-            lr_law=_parse_block(doc, "lr_law", LrLawFit.from_dict),
-            presets=_parse_block(doc, "presets", Presets.from_dict),
+            **{
+                name: _parse_block(doc, name, record.from_dict)
+                for name, record in _RECORD_BLOCKS.items()
+            },
             comparisons=_parse_block(doc, "comparisons", tuple) or (),
             provenance=doc.get("provenance"),
         )

@@ -25,12 +25,13 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .frontier import PowerLaw, fit_power_law
+from .frontier import PowerLaw, fit_power_law, parabola_vertex
 from .runlog import (
     DEFAULT_HALF_LIFE_FRACTION,
     LrScheme,
     RunSet,
     has_divergence,
+    read_field,
     smooth_run,
     tokens_at_loss,
 )
@@ -118,8 +119,8 @@ class BoptLaw:
     @classmethod
     def from_dict(cls, d: dict) -> "BoptLaw":
         return cls(
-            **{f.name: float(d[f.name]) for f in fields(cls) if f.name != "power_fitted"},
-            power_fitted=bool(d.get("power_fitted", True)),
+            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
+            power_fitted=read_field(d, "power_fitted", bool, True),
         )
 
 
@@ -236,14 +237,10 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
         raise ValidationError("contour points must share one loss level")
     log_b = np.log([pt.B for pt in pts])
     log_d = np.log([pt.D_required for pt in pts])
-    c2, c1, c0 = np.polyfit(log_b, log_d, 2)
-    if c2 <= 0:
-        raise NoMinimumError(
-            f"contour at level {pts[0].loss_level:.4g} has no interior minimum "
-            f"(curvature {c2:.3g})"
-        )
-    log_b_star = -c1 / (2.0 * c2)
-    log_d_star = c0 + c1 * log_b_star + c2 * log_b_star**2
+    try:
+        log_b_star, log_d_star = parabola_vertex(log_b, log_d)
+    except NoMinimumError as exc:
+        raise NoMinimumError(f"contour at level {pts[0].loss_level:.4g} has {exc}") from None
     return ContourVertex(
         loss_level=pts[0].loss_level,
         B_star=float(math.exp(log_b_star)),
@@ -338,7 +335,6 @@ def bopt_law_from_runs(
     lr_policy: Literal["best_of_schemes", "fixed_scheme"] = "best_of_schemes",
     scheme: LrScheme | None = None,
     s_floor_hint: float | None = None,
-    half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
     discard_fraction: float | None = None,
 ) -> tuple[BoptLaw, list[ContourVertex]]:
     """Full pipeline: contours, parabola vertices, two-regime fit.
@@ -351,7 +347,6 @@ def bopt_law_from_runs(
         levels,
         lr_policy=lr_policy,
         scheme=scheme,
-        half_life_fraction=half_life_fraction,
         discard_fraction=discard_fraction,
     )
     vertices = []

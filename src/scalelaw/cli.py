@@ -35,8 +35,14 @@ from .errors import (
     ValidationError,
 )
 from .frontier import compute_envelope, frontier_report
-from .lawfit import FrontierConstraint, fit_loss_law, samples_from_runs
-from .lrlaw import build_surface, extract_lr_opt, fit_gamma
+from .lawfit import DEFAULT_HUBER_DELTA, FrontierConstraint, fit_loss_law, samples_from_runs
+from .lrlaw import (
+    DEFAULT_PLATEAU_TOLERANCE,
+    DEFAULT_REFINEMENT,
+    build_surface,
+    extract_lr_opt,
+    fit_gamma,
+)
 from .noisescale import TABLE_B_RATIOS, tradeoff_table
 from .runlog import LrScheme, parse_runs, serialize_runs, smooth_run
 from .synth import (
@@ -584,7 +590,8 @@ def _build_parser() -> _Parser:
         "or four numbers 'a,b,p,q'",
     )
     p.add_argument(
-        "--delta", type=float, default=1e-3, help="Huber delta on log-loss residuals"
+        "--delta", type=float, default=DEFAULT_HUBER_DELTA,
+        help="Huber delta on log-loss residuals",
     )
     p.add_argument(
         "--raw", action="store_true", help="fit raw curve points (skip smoothing)"
@@ -626,13 +633,13 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--refinement",
         type=int,
-        default=4,
+        default=DEFAULT_REFINEMENT,
         help="batch-grid refinement between swept batches",
     )
     p.add_argument(
         "--plateau-tol",
         type=float,
-        default=0.05,
+        default=DEFAULT_PLATEAU_TOLERANCE,
         help="relative LR variation treated as the ceiling plateau",
     )
     _add_filter_flags(p)

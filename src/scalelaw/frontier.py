@@ -19,9 +19,10 @@ from .errors import (
     EmptyEnvelopeError,
     InsufficientDataError,
     InsufficientFrontierError,
+    NoMinimumError,
     ValidationError,
 )
-from .runlog import FLOPS_PER_PARAM_TOKEN, RunSet, smooth_run
+from .runlog import FLOPS_PER_PARAM_TOKEN, RunSet, read_field, smooth_run
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -69,7 +70,7 @@ class PowerLaw:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PowerLaw":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+        return cls(**{f.name: read_field(d, f.name, float) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,12 @@ def _run_curves(runset: RunSet, smooth: bool) -> dict[str, tuple[np.ndarray, np.
     return {run.run_id: _run_curve_log(run, smooth) for run in runset}
 
 
-def _interp_on_grid(log_grid: np.ndarray, log_c: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Piecewise-linear loss in log C; NaN outside the curve's range."""
-    if log_c.size == 0:
-        return np.full(log_grid.shape, np.nan)
-    vals = np.interp(log_grid, log_c, loss)
-    vals[(log_grid < log_c[0]) | (log_grid > log_c[-1])] = np.nan
+def interp_in_range(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Piecewise-linear fp(xp) at each x; NaN outside [xp[0], xp[-1]]."""
+    if xp.size == 0:
+        return np.full(x.shape, np.nan)
+    vals = np.interp(x, xp, fp)
+    vals[(x < xp[0]) | (x > xp[-1])] = np.nan
     return vals
 
 
@@ -208,7 +209,7 @@ def _envelope(
     run_ids = []
     for idx, run in enumerate(runset):
         run_ids.append(run.run_id)
-        vals = _interp_on_grid(log_grid, *curves[run.run_id])
+        vals = interp_in_range(log_grid, *curves[run.run_id])
         better = vals < best  # NaN never wins
         best[better] = vals[better]
         winner[better] = idx
@@ -233,8 +234,8 @@ def compute_envelope(
     return _envelope(runset, grid, _run_curves(runset, smooth))
 
 
-def _longest_contiguous(indices: list[int]) -> list[int]:
-    """The longest stretch of consecutive indices; the first one on ties."""
+def longest_stretch(indices) -> list[int]:
+    """The longest stretch of consecutive indices as Python ints; the first on ties."""
     stretches = np.split(indices, np.flatnonzero(np.diff(indices) > 1) + 1)
     return max(stretches, key=len).tolist()
 
@@ -257,7 +258,7 @@ def _frontier_points(
     for n_params, runs in model_runs.items():
         cov = np.zeros(log_grid.shape, dtype=bool)
         for run in runs:
-            cov |= ~np.isnan(_interp_on_grid(log_grid, *curves[run.run_id]))
+            cov |= ~np.isnan(interp_in_range(log_grid, *curves[run.run_id]))
         coverage[n_params] = cov
 
     points = []
@@ -268,7 +269,7 @@ def _frontier_points(
                 f"model {n_params:.3g} never wins the envelope; excluded from the frontier"
             )
             continue
-        interval = _longest_contiguous(indices)
+        interval = longest_stretch(indices)
         if len(interval) < len(indices):
             warnings.warn(
                 f"model {n_params:.3g} wins a fragmented set; using the longest interval"
@@ -284,7 +285,7 @@ def _frontier_points(
         best_loss = math.inf
         best_run = None
         for run in model_runs[n_params]:
-            val = _interp_on_grid(np.asarray([math.log(c_star)]), *curves[run.run_id])[0]
+            val = interp_in_range(np.asarray([math.log(c_star)]), *curves[run.run_id])[0]
             if not math.isnan(val) and val < best_loss:
                 best_loss = val
                 best_run = run
@@ -338,6 +339,16 @@ def fit_power_law(x, y) -> PowerLaw:
         x_min=float(x_arr.min()),
         x_max=float(x_arr.max()),
     )
+
+
+def parabola_vertex(x, y) -> tuple[float, float]:
+    """(x, y) at the minimum of the least-squares parabola through (x, y);
+    NoMinimumError when the parabola is flat or concave."""
+    c2, c1, c0 = np.polyfit(x, y, 2)
+    if c2 <= 0:
+        raise NoMinimumError(f"no interior minimum (curvature {c2:.3g})")
+    xv = -c1 / (2.0 * c2)
+    return float(xv), float(c0 + c1 * xv + c2 * xv**2)
 
 
 def frontier_laws(

@@ -30,7 +30,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .runlog import RunSet, smooth_run
+from .runlog import RunSet, has_divergence, read_field, smooth_run
 
 DEFAULT_HUBER_DELTA = 1e-3
 
@@ -129,7 +129,7 @@ class ChinchillaLaw:
 
     @classmethod
     def from_dict(cls, params: dict) -> "ChinchillaLaw":
-        return cls(**{f.name: float(params[f.name]) for f in fields(cls)})
+        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
 
 
 # Published fit of the 125M-2.6B batch-size study: the reference artifact's
@@ -176,7 +176,7 @@ class KaplanLaw:
 
     @classmethod
     def from_dict(cls, params: dict) -> "KaplanLaw":
-        return cls(**{f.name: float(params[f.name]) for f in fields(cls)})
+        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
 
 
 def _check_delta(delta: float) -> None:
@@ -509,16 +509,17 @@ def fit_loss_law(
 def samples_from_runs(runset: RunSet, smooth: bool = True) -> np.ndarray:
     """Extract (N, D, loss) rows from every run, smoothed by default.
 
-    Diverged tails are dropped by the smoothing step; with smooth=False the
-    raw finite points are used as-is.
+    Diverged runs (has_divergence) are skipped: their rising tail traces the
+    blow-up, not the law.  With smooth=False the raw points are used as-is.
     """
     blocks = [np.empty((0, 3))]
     for run in runset:
+        if has_divergence(run.points):
+            continue
         curve = (smooth_run(run) if smooth else run).points
-        finite = np.isfinite(curve.loss)
-        n_params = np.full(np.count_nonzero(finite), float(run.model.n_params))
-        blocks.append(np.column_stack((n_params, curve.tokens[finite], curve.loss[finite])))
+        n_params = np.full(len(curve), float(run.model.n_params))
+        blocks.append(np.column_stack((n_params, curve.tokens, curve.loss)))
     samples = np.concatenate(blocks)
     if not len(samples):
-        raise InsufficientDataError("no finite samples in the run set")
+        raise InsufficientDataError("no samples from converged runs in the run set")
     return samples

@@ -18,9 +18,11 @@ from .errors import (
     GammaUndefinedError,
     InsufficientDataError,
     InsufficientGridError,
+    NoMinimumError,
     ValidationError,
 )
-from .runlog import LrScheme, RunSet, has_divergence, smooth_run
+from .frontier import fit_power_law, interp_in_range, longest_stretch, parabola_vertex
+from .runlog import LrScheme, RunSet, has_divergence, read_field, smooth_run
 
 DEFAULT_PLATEAU_TOLERANCE = 0.05
 # A flat suffix only counts as the ceiling plateau if it spans enough of the
@@ -60,47 +62,35 @@ class LossSurface:
         with np.errstate(invalid="ignore"):
             if np.any(self.losses <= 0):
                 raise ValidationError("losses must be positive (NaN for missing)")
-        if not self._has_filled_window(3):
-            raise InsufficientGridError("no fully observed 3x3 subgrid in the sweep")
-
-    def _has_filled_window(self, size: int) -> bool:
         filled = np.isfinite(self.losses)
-        nb, nl = filled.shape
-        if nb < size or nl < size:
-            return False
-        for i in range(nb - size + 1):
-            for j in range(nl - size + 1):
-                if filled[i : i + size, j : j + size].all():
-                    return True
-        return False
+        windows = np.lib.stride_tricks.sliding_window_view
+        if min(filled.shape) < 3 or not windows(filled, (3, 3)).all(axis=(2, 3)).any():
+            raise InsufficientGridError("no fully observed 3x3 subgrid in the sweep")
 
     def column_at(self, b: float) -> np.ndarray:
         """Losses at every LR grid node for batch b, blended along log B.
 
         Values are NaN where either supporting row is missing.
         """
-        log_b = math.log(b)
-        axis = np.log(self.grid_B)
-        if not axis[0] <= log_b <= axis[-1]:
-            return np.full(self.grid_LR.shape, np.nan)
-        i = int(np.searchsorted(axis, log_b, side="right") - 1)
-        i = min(i, axis.size - 2)
-        t = (log_b - axis[i]) / (axis[i + 1] - axis[i])
-        return (1.0 - t) * self.losses[i] + t * self.losses[i + 1]
+        return _log_blend(self.grid_B, b, self.losses)
 
     def value_at(self, b: float, lr_factor: float) -> float:
         """Bilinear surface value; NaN outside the filled region."""
         if lr_factor <= 0:
             raise ValidationError("lr_factor must be positive")
-        column = self.column_at(b)
-        axis = np.log(self.grid_LR)
-        log_lr = math.log(lr_factor)
-        if not axis[0] <= log_lr <= axis[-1]:
-            return math.nan
-        j = int(np.searchsorted(axis, log_lr, side="right") - 1)
-        j = min(j, axis.size - 2)
-        t = (log_lr - axis[j]) / (axis[j + 1] - axis[j])
-        return float((1.0 - t) * column[j] + t * column[j + 1])
+        return float(_log_blend(self.grid_LR, lr_factor, self.column_at(b)))
+
+
+def _log_blend(grid: np.ndarray, x: float, rows: np.ndarray) -> np.ndarray:
+    """rows[i] and rows[i + 1] blended linearly by where log x falls between
+    log grid[i] and log grid[i + 1]; NaN when x lies off the grid."""
+    axis = np.log(grid)
+    log_x = math.log(x)
+    if not axis[0] <= log_x <= axis[-1]:
+        return np.full(rows.shape[1:], np.nan)
+    i = min(int(np.searchsorted(axis, log_x, side="right") - 1), axis.size - 2)
+    t = (log_x - axis[i]) / (axis[i + 1] - axis[i])
+    return (1.0 - t) * rows[i] + t * rows[i + 1]
 
 
 @dataclass(frozen=True)
@@ -137,16 +127,16 @@ class LrLawFit:
     @classmethod
     def from_dict(cls, d: dict) -> "LrLawFit":
         return cls(
-            gamma=float(d["gamma"]),
-            lr_ceiling=_optional_float(d["lr_ceiling"]),
-            plateau_onset_B=_optional_float(d["plateau_onset_B"]),
-            n_fit=int(d.get("n_fit", 0)),
-            **{key: _optional_float(d.get(key)) for key in _LR_ANCHOR_KEYS},
+            gamma=read_field(d, "gamma", float),
+            lr_ceiling=_optional_float(d, "lr_ceiling"),
+            plateau_onset_B=_optional_float(d, "plateau_onset_B"),
+            n_fit=read_field(d, "n_fit", int, 0),
+            **{key: _optional_float(d, key) for key in _LR_ANCHOR_KEYS if key in d},
         )
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _optional_float(d: dict, name: str) -> float | None:
+    return None if d[name] is None else read_field(d, name, float)
 
 
 def _loss_at_checkpoint(run, d_checkpoint: float) -> float:
@@ -157,11 +147,8 @@ def _loss_at_checkpoint(run, d_checkpoint: float) -> float:
     if tokens.size < 2 or tokens[-1] < d_checkpoint or tokens[0] > d_checkpoint:
         return math.nan
     smoothed = smooth_run(run).points
-    log_t = np.log(smoothed.tokens)
-    target = math.log(d_checkpoint)
-    if target < log_t[0]:
-        return math.nan
-    return float(np.interp(target, log_t, smoothed.loss))
+    target = np.array([math.log(d_checkpoint)])
+    return float(interp_in_range(target, np.log(smoothed.tokens), smoothed.loss)[0])
 
 
 def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:
@@ -211,15 +198,6 @@ def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:
     )
 
 
-def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Vertex of the parabola through three points; None if not convex."""
-    c2, c1, c0 = np.polyfit(x, y, 2)
-    if c2 <= 0:
-        return None
-    xv = -c1 / (2.0 * c2)
-    return float(xv), float(c0 + c1 * xv + c2 * xv**2)
-
-
 def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -> list[LrSample]:
     """LR_opt(B) samples: per-batch argmin over LR with quadratic refinement.
 
@@ -245,21 +223,14 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
     samples = []
     for lb in refined:
         column = surface.column_at(math.exp(lb))
-        valid = np.isfinite(column)
-        if valid.sum() < 2:
-            continue
-        idx = np.nonzero(valid)[0]
         # work within the longest consecutive stretch of observed cells
-        splits = np.nonzero(np.diff(idx) > 1)[0]
-        segments = np.split(idx, splits + 1)
-        segment = max(segments, key=len)
-        if segment.size < 2:
+        segment = longest_stretch(np.flatnonzero(np.isfinite(column)))
+        if len(segment) < 2:
             continue
         vals = column[segment]
         k = int(np.argmin(vals))
-        at_edge = k == 0 or k == segment.size - 1
-        if at_edge or segment.size < 3:
-            j = segment[k]
+        j = segment[k]
+        if k == 0 or k == len(segment) - 1:
             samples.append(
                 LrSample(
                     B=float(math.exp(lb)),
@@ -269,12 +240,10 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
                 )
             )
             continue
-        j = segment[k]
-        vertex = _parabola_vertex(log_lr[j - 1 : j + 2], column[j - 1 : j + 2])
-        if vertex is None:
+        try:
+            log_opt, loss_opt = parabola_vertex(log_lr[j - 1 : j + 2], column[j - 1 : j + 2])
+        except NoMinimumError:
             log_opt, loss_opt = float(log_lr[j]), float(column[j])
-        else:
-            log_opt, loss_opt = vertex
         samples.append(
             LrSample(
                 B=float(math.exp(lb)),
@@ -335,9 +304,8 @@ def fit_gamma(
             raise GammaUndefinedError(
                 "all batch sizes sit in the LR plateau", lr_ceiling=lr_ceiling
             )
-    slope, _ = np.polyfit(np.log(bs[prefix]), np.log(lrs[prefix]), 1)
     return LrLawFit(
-        gamma=float(slope),
+        gamma=fit_power_law(bs[prefix], lrs[prefix]).p,
         lr_ceiling=lr_ceiling,
         plateau_onset_B=onset,
         n_fit=int(bs[prefix].size),

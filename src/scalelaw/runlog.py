@@ -198,15 +198,35 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _coerce(obj: dict, name: str, kind: type, line_no: int | None, default=None):
-    """obj[name] (or the default when absent) as kind; ParseError if it is no number."""
-    value = obj.get(name, default)
+_REQUIRED = object()
+_KIND_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
+
+
+def read_field(doc: dict, name: str, kind: type, default=_REQUIRED):
+    """doc[name] (the default when absent; KeyError if required) as kind.
+
+    int takes whole numbers and float any number, neither a bool; str and
+    bool take only their own type.  Any other value, which kind() would
+    change silently, is a TypeError naming the field.
+    """
+    value = doc[name] if default is _REQUIRED else doc.get(name, default)
+    if kind in (str, bool):
+        ok = type(value) is kind
+    elif kind is int:
+        ok = type(value) is int or isinstance(value, float) and value.is_integer()
+    else:
+        ok = type(value) is int or isinstance(value, float)
+    if not ok:
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _coerce(obj: dict, name: str, kind: type, line_no: int | None, default=_REQUIRED):
+    """read_field of a run-log line; ParseError with the line number if refused."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(
-            f"{name} must be a number, got {value!r}", line_no=line_no, field=name
-        ) from None
+        return read_field(obj, name, kind, default)
+    except TypeError as exc:
+        raise ParseError(str(exc), line_no=line_no, field=name) from None
 
 
 def _curve_from_rows(rows: list, line_no: int | None) -> Curve:
@@ -278,11 +298,11 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
         )
     model = ModelSpec(
         n_params=_coerce(obj, "n_params", float, line_no),
-        label=str(obj.get("label", "")),
+        label=_coerce(obj, "label", str, line_no, default=""),
         seq_len=seq_len,
     )
     return RunRecord(
-        run_id=str(obj["run_id"]),
+        run_id=_coerce(obj, "run_id", str, line_no),
         model=model,
         batch_size_tokens=_coerce(obj, "batch_size_tokens", float, line_no),
         lr_peak=_coerce(obj, "lr_peak", float, line_no),

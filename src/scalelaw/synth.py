@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from ._numpy import np
 from .errors import ParseError, ValidationError
 from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
 from .lrlaw import scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet
+from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet, read_field
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -71,17 +71,14 @@ class GroundTruth:
             return cls(
                 law=ChinchillaLaw.from_dict(d["law"]),
                 noise=NoiseParams(
-                    eta_max=float(d["noise"]["eta_max"]),
-                    B_noise=float(d["noise"]["B_noise"]),
-                    dL_max=float(d["noise"]["dL_max"]),
-                    gamma_tradeoff=float(d["noise"]["gamma_tradeoff"]),
+                    **{f.name: read_field(d["noise"], f.name, float) for f in fields(NoiseParams)}
                 ),
-                bcrit_mode=str(d["bcrit_mode"]),
-                bcrit_b0=float(d["bcrit_b0"]),
-                bcrit_loss_ref=float(d["bcrit_loss_ref"]),
-                lr_efficiency=bool(d["lr_efficiency"]),
-                observation_noise=float(d["observation_noise"]),
-                seed=int(d["seed"]),
+                bcrit_mode=read_field(d, "bcrit_mode", str),
+                bcrit_b0=read_field(d, "bcrit_b0", float),
+                bcrit_loss_ref=read_field(d, "bcrit_loss_ref", float),
+                lr_efficiency=read_field(d, "lr_efficiency", bool),
+                observation_noise=read_field(d, "observation_noise", float),
+                seed=read_field(d, "seed", int),
             )
         except KeyError as exc:
             raise ParseError(f"ground truth document missing field {exc.args[0]!r}")
@@ -135,16 +132,16 @@ class SynthConfig:
         try:
             return cls(
                 models=tuple(
-                    ModelSpec(n_params=float(m["n_params"]), label=str(m.get("label", "")))
+                    ModelSpec(read_field(m, "n_params", float), read_field(m, "label", str, ""))
                     for m in d["models"]
                 ),
                 batch_sizes=tuple(float(b) for b in d["batch_sizes"]),
                 schemes=tuple(LrScheme(s) for s in d["schemes"]),
                 lr_factors=tuple(float(f) for f in d["lr_factors"]),
-                base_batch=float(d["base_batch"]),
-                base_lr=float(d["base_lr"]),
-                tokens_per_run=float(d["tokens_per_run"]),
-                points_per_run=int(d["points_per_run"]),
+                base_batch=read_field(d, "base_batch", float),
+                base_lr=read_field(d, "base_lr", float),
+                tokens_per_run=read_field(d, "tokens_per_run", float),
+                points_per_run=read_field(d, "points_per_run", int),
             )
         except KeyError as exc:
             raise ParseError(f"sweep config document missing field {exc.args[0]!r}")

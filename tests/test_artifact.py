@@ -12,6 +12,7 @@ from scalelaw import (
     ValidationError,
     reference_artifact,
 )
+from scalelaw.advisor import DEFAULT_PRESETS
 from scalelaw.artifact import FORMAT_TAG
 
 # sha256 of the saved reference artifact: every published constant, the
@@ -145,6 +146,20 @@ _BOPT = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
         ({"loss_law": {"form": "chinchilla"}}, "loss_law block is missing field 'params'"),
         ({"presets": {"rows": [{"n_params": 1e8}]}}, "presets block is missing field 'label'"),
         ({"comparisons": 5}, "comparisons block is malformed"),
+        ({"bopt": dict(_BOPT, power_fitted="false")}, "bopt block is malformed: power_fitted"),
+        ({"bopt": dict(_BOPT, k=True)}, "bopt block is malformed: k"),
+        (
+            {"lr_law": {"gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None, "n_fit": 2.5}},
+            "lr_law block is malformed: n_fit",
+        ),
+        (
+            {"presets": {"rows": [dict(DEFAULT_PRESETS[0].to_dict(), warmup_steps=715.9)]}},
+            "presets block is malformed: warmup_steps",
+        ),
+        (
+            {"presets": {"rows": [dict(DEFAULT_PRESETS[0].to_dict(), label=None)]}},
+            "presets block is malformed: label",
+        ),
     ],
 )
 def test_malformed_blocks_are_parse_errors(blocks, message):

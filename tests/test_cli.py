@@ -390,6 +390,14 @@ def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
         {"sweep": dict(default_sweep_config().to_dict(), schemes=["bogus"])},
         {"sweep": dict(default_sweep_config().to_dict(), points_per_run=math.inf)},
         {"ground_truth": {"law": 3}},
+        {"sweep": dict(default_sweep_config().to_dict(), points_per_run=3.9)},
+        {
+            "sweep": dict(
+                default_sweep_config().to_dict(), models=[{"n_params": 1e8, "label": None}]
+            )
+        },
+        {"ground_truth": dict(default_ground_truth().to_dict(), seed=7.9)},
+        {"ground_truth": dict(default_ground_truth().to_dict(), lr_efficiency="false")},
     ],
 )
 def test_simulate_wrong_typed_config_is_parse_error(tmp_path, capsys, doc):

@@ -14,8 +14,10 @@ from scalelaw import (
     ValidationError,
     apply_constraint,
     fit_loss_law,
+    has_divergence,
     huber,
     r_squared,
+    samples_from_runs,
 )
 from scalelaw import lawfit
 from scalelaw.lawfit import default_init_grid
@@ -406,3 +408,13 @@ def test_d_for_loss_round_trip(ref_law):
 def test_law_dict_round_trip(ref_law):
     assert ChinchillaLaw.from_dict(ref_law.to_dict()) == ref_law
     assert KaplanLaw.from_dict(GPT3_ROW.to_dict()) == GPT3_ROW
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["smoothed", "raw"])
+def test_samples_skip_diverged_runs(master_runs, smooth):
+    converged = [run.run_id for run in master_runs if not has_divergence(run.points)]
+    assert 0 < len(converged) < len(master_runs)
+    np.testing.assert_array_equal(
+        samples_from_runs(master_runs, smooth=smooth),
+        samples_from_runs(master_runs.subset(converged), smooth=smooth),
+    )

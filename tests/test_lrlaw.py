@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -156,6 +157,29 @@ def test_surface_requires_3x3_filled():
         build_surface(RunSet(runs=runs), d_checkpoint=1.5e7)
 
 
+def test_surface_checkpoint_in_discarded_head_is_missing():
+    runset = separable_sweep(lambda i, j: 2.5)
+    runs = dict(runset.runs)
+    # 15 of 20 warm-up steps: smoothing drops the first 75% of r00's 2e7 tokens
+    runs["r00"] = dataclasses.replace(runs["r00"], warmup_steps=15)
+    with pytest.warns(UserWarning, match="run r00 missing at checkpoint"):
+        surface = build_surface(RunSet(runs=runs), d_checkpoint=1.2e7)
+    assert math.isnan(surface.losses[0, 0])
+    assert np.isfinite(surface.losses).sum() == surface.losses.size - 1
+
+
+@pytest.mark.parametrize("n_b, n_lr", [(2, 3), (3, 2)])
+def test_surface_smaller_than_3x3_is_insufficient(n_b, n_lr):
+    with pytest.raises(InsufficientGridError):
+        LossSurface(
+            d_checkpoint=1e9,
+            grid_B=[1e6, 2e6, 4e6][:n_b],
+            grid_LR=[0.5, 1.0, 2.0][:n_lr],
+            losses=np.full((n_b, n_lr), 2.0),
+            base_lr=3e-4,
+        )
+
+
 def test_surface_input_validation():
     with pytest.raises(InsufficientDataError):
         build_surface(RunSet(), d_checkpoint=1e9)
@@ -295,6 +319,22 @@ def test_extract_skips_around_missing_cells():
     )
     samples = extract_lr_opt(holed, refinement=1)
     assert samples[2].lr_opt == pytest.approx(6e-4 * 0.8, rel=1e-6)
+
+
+def test_extract_skips_column_of_isolated_cells():
+    grid_b = np.geomspace(1e6, 1.6e7, 5)
+    surface = quadratic_surface([0.5, 0.6, 0.8, 1.0, 1.3], grid_b)
+    losses = surface.losses.copy()
+    losses[0, 1::2] = np.nan  # row 0 keeps only every other LR cell
+    holed = LossSurface(
+        d_checkpoint=1e9,
+        grid_B=grid_b,
+        grid_LR=surface.grid_LR,
+        losses=losses,
+        base_lr=6e-4,
+    )
+    samples = extract_lr_opt(holed, refinement=1)
+    assert [s.B for s in samples] == pytest.approx(grid_b[1:].tolist(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ def test_parse_lenient_collects_rejects():
         ("seq_len", 1.5),
         ("seq_len", [1]),
         ("seq_len", True),
+        ("warmup_steps", 2.7),
+        ("decay_steps", True),
+        ("n_params", True),
+        ("lr_scale", False),
+        ("run_id", None),
+        ("run_id", 123),
+        ("label", None),
+        ("label", 123),
     ],
 )
 def test_parse_bad_scalar_value_is_parse_error(field, value):
