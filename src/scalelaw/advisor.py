@@ -71,9 +71,6 @@ class Presets:
         if not self.rows:
             raise ValidationError("preset table must not be empty")
 
-    def with_row(self, row: PresetRow) -> "Presets":
-        return Presets(rows=self.rows + (row,))
-
     def lookup(self, n_params: float) -> PresetRow:
         """Nearest row by log model size; ties go to the larger model."""
         if not (math.isfinite(n_params) and n_params > 0):
@@ -91,20 +88,16 @@ class Presets:
         return cls(rows=tuple(PresetRow.from_dict(r) for r in d["rows"]))
 
 
-def preset_lookup(n_params: float, presets: Presets | None = None) -> PresetRow:
-    """Nearest preset row for a model size (default table unless given)."""
-    return (presets or Presets()).lookup(n_params)
-
-
 @dataclass(frozen=True)
 class Recommendation:
     """A recommended training configuration with per-field provenance.
 
     provenance names the law or identity each field came from;
     flags carries per-field validity warnings (extrapolation, regime).
+    N is None when a data budget comes without a model size.
     """
 
-    N: float
+    N: float | None
     D: float
     S: float
     B: float
@@ -254,7 +247,7 @@ def advise_data(
         flags["LR"] = "no model size given; preset anchoring skipped"
 
     return Recommendation(
-        N=n_params if n_params is not None else math.nan,
+        N=n_params,
         D=D,
         S=s,
         B=b,
@@ -265,30 +258,3 @@ def advise_data(
         provenance=provenance,
         flags=flags,
     )
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    """Iso-loss model shrink: same predicted loss from a smaller model."""
-
-    N_small: float
-    inference_ratio: float
-    loss: float
-
-
-def compress_query(
-    law: ChinchillaLaw, reference: tuple[float, float], candidate_D: float
-) -> CompressionResult:
-    """How far the model shrinks at equal loss when trained on more data.
-
-    Evaluates the law at the reference (N, D), then solves for the model
-    size reaching the same loss at candidate_D tokens.
-    """
-    n0, d0 = reference
-    if n0 <= 0 or d0 <= 0:
-        raise ValidationError("reference N and D must be positive")
-    if candidate_D < d0:
-        raise ValidationError("candidate_D must be at least the reference D")
-    target = law.eval(n0, d0)
-    n_small = law.n_for_loss(target, candidate_D)
-    return CompressionResult(N_small=n_small, inference_ratio=n0 / n_small, loss=target)

@@ -25,7 +25,7 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .frontier import PowerLaw, fit_power_law, parabola_vertex
+from .frontier import fit_power_law, parabola_vertex
 from .runlog import (
     DEFAULT_HALF_LIFE_FRACTION,
     LrScheme,
@@ -252,21 +252,20 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
 def fit_bopt_law(
     vertices: Sequence[ContourVertex],
     s_floor_hint: float | None = None,
-    include_extrapolated: bool = False,
 ) -> BoptLaw:
     """Two-regime B_opt(D) law from contour vertices.
 
     Vertices whose implied step count D/B sits at or below the minimum-step
     band are floor-limited and set s_floor (median of their step counts, or
     the hint); the rest constrain the power branch.  Extrapolated vertices
-    are dropped unless include_extrapolated is set.
+    are dropped.
 
     Raises:
         InsufficientDataError: fewer than 4 usable vertices or under one
             decade of D coverage.
     """
     all_vertices = list(vertices)
-    usable = [v for v in all_vertices if include_extrapolated or not v.extrapolated]
+    usable = [v for v in all_vertices if not v.extrapolated]
     if len(usable) < len(all_vertices):
         warnings.warn(
             f"dropping {len(all_vertices) - len(usable)} extrapolated contour vertices"
@@ -314,19 +313,6 @@ def fit_bopt_law(
         d_max=float(d_vals.max()),
         power_fitted=power_fitted,
     )
-
-
-def derive_sopt(law: BoptLaw) -> PowerLaw:
-    """Optimal step count S_opt(D) = D/B_opt(D) on the power branch.
-
-    Exact by construction: coefficient 1/k, exponent 1 - p.  Below the
-    crossover the step count is the constant s_floor instead.
-    """
-    if not law.power_fitted:
-        raise ValidationError("law has no fitted power branch")
-    x_min = law.d_min if math.isinf(law.crossover_D) else max(law.d_min, law.crossover_D)
-    x_min = min(x_min, law.d_max)
-    return PowerLaw(k=1.0 / law.k, p=1.0 - law.p, x_min=x_min, x_max=law.d_max)
 
 
 def bopt_law_from_runs(

@@ -22,7 +22,7 @@ from .errors import (
     NoMinimumError,
     ValidationError,
 )
-from .runlog import FLOPS_PER_PARAM_TOKEN, RunSet, read_field, smooth_run
+from .runlog import FLOPS_PER_PARAM_TOKEN, RunSet, read_field, read_items, smooth_run
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -41,8 +41,10 @@ class PowerLaw:
     x_max: float
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValidationError(f"coefficient must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValidationError(f"coefficient must be positive and finite, got {self.k}")
+        if not math.isfinite(self.p):
+            raise ValidationError(f"exponent must be finite, got {self.p}")
         if not 0 < self.x_min <= self.x_max:
             raise ValidationError("need 0 < x_min <= x_max")
 
@@ -55,12 +57,6 @@ class PowerLaw:
         x_arr = np.asarray(x, dtype=float)
         out = self.k * x_arr**self.p
         return out.item() if out.ndim == 0 else out
-
-    def solve(self, y: float) -> float:
-        """x at which the law reaches y (requires a nonzero exponent)."""
-        if self.p == 0:
-            raise ValidationError("cannot invert a flat power law")
-        return (y / self.k) ** (1.0 / self.p)
 
     def extrapolates(self, x: float) -> bool:
         return x < self.x_min or x > self.x_max
@@ -107,6 +103,13 @@ class FrontierPoint:
         if abs(self.D - self.S * self.B) > self.B:
             raise ValidationError("D must equal S*B within one batch")
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "FrontierPoint":
+        return cls(
+            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
+            edge_clipped=read_field(d, "edge_clipped", bool, False),
+        )
+
 
 _LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
 
@@ -138,13 +141,15 @@ class FrontierReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrontierReport":
+        residuals = d.get("consistency_residuals", {})
         return cls(
-            points=tuple(FrontierPoint(**pt) for pt in d.get("points", ())),
+            points=tuple(FrontierPoint.from_dict(pt) for pt in d.get("points", ())),
             **{name: PowerLaw.from_dict(d[name]) for name in _LAW_NAMES},
+            # .keys() refuses a list, whose entries would pass as indices
             consistency_residuals={
-                key: float(value) for key, value in d.get("consistency_residuals", {}).items()
+                key: read_field(residuals, key, float) for key in residuals.keys()
             },
-            excluded=tuple(float(m) for m in d.get("excluded_model_sizes", ())),
+            excluded=read_items(d, "excluded_model_sizes", float, ()),
         )
 
 

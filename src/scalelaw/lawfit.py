@@ -92,24 +92,6 @@ class ChinchillaLaw:
         """Loss floor for a fixed model size as data grows without bound."""
         return self.E + self.A * n ** (-self.alpha)
 
-    def floor_at_d(self, d: float) -> float:
-        """Loss floor for a fixed token budget as model size grows without bound."""
-        return self.E + self.Bcoef * d ** (-self.beta)
-
-    def n_for_loss(self, target_loss: float, d: float) -> float:
-        """Smallest model size reaching target_loss at d tokens (closed form)."""
-        if d <= 0:
-            raise ValidationError("d must be positive")
-        floor = self.floor_at_d(d)
-        remainder = target_loss - floor
-        if remainder <= 0:
-            raise InfeasibleTargetError(
-                f"target loss {target_loss} is at or below the floor {floor:.6g} "
-                f"reachable with {d:.4g} tokens",
-                floor=floor,
-            )
-        return (self.A / remainder) ** (1.0 / self.alpha)
-
     def d_for_loss(self, target_loss: float, n: float) -> float:
         """Token budget at which a model of size n reaches target_loss."""
         if n <= 0:
@@ -150,13 +132,6 @@ class KaplanLaw:
         if min(self.Nc, self.Dc, self.alpha_N, self.alpha_D) <= 0:
             raise ValidationError("all KaplanLaw fields must be positive")
 
-    @classmethod
-    def from_exponent_ratio(
-        cls, Nc: float, ratio: float, Dc: float, alpha_D: float
-    ) -> "KaplanLaw":
-        """Build from the (Nc, alpha_N/alpha_D, Dc, alpha_D) quadruple."""
-        return cls(Nc=Nc, Dc=Dc, alpha_N=ratio * alpha_D, alpha_D=alpha_D)
-
     def eval(self, n, d):
         """Loss at n parameters and d tokens; broadcasts over arrays."""
         n_arr = np.asarray(n, dtype=float)
@@ -166,10 +141,6 @@ class KaplanLaw:
         inner = (self.Nc / n_arr) ** (self.alpha_N / self.alpha_D) + self.Dc / d_arr
         out = inner**self.alpha_D
         return out.item() if out.ndim == 0 else out
-
-    def limit_at_n(self, n: float) -> float:
-        """Infinite-data limit (Nc/n)^alpha_N."""
-        return (self.Nc / n) ** self.alpha_N
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -198,21 +169,16 @@ def huber(residual, delta: float):
     return out.item() if out.ndim == 0 else out
 
 
-def r_squared(predicted, observed, log_space: bool = True) -> float:
-    """Coefficient of determination, by default on log values.
-
-    Residuals and total variance are computed on log(predicted) and
-    log(observed) unless log_space is False.
-    """
+def r_squared(predicted, observed) -> float:
+    """Coefficient of determination of log(predicted) against log(observed)."""
     pred = np.asarray(predicted, dtype=float)
     obs = np.asarray(observed, dtype=float)
     if pred.shape != obs.shape or pred.size == 0:
         raise ValidationError("predicted and observed must be equal-length and non-empty")
-    if log_space:
-        if np.any(pred <= 0) or np.any(obs <= 0):
-            raise ValidationError("log-space r_squared requires positive values")
-        pred = np.log(pred)
-        obs = np.log(obs)
+    if np.any(pred <= 0) or np.any(obs <= 0):
+        raise ValidationError("log-space r_squared requires positive values")
+    pred = np.log(pred)
+    obs = np.log(obs)
     ss_tot = float(np.sum((obs - obs.mean()) ** 2))
     if ss_tot == 0:
         raise DegenerateVarianceError("observed values are all equal")
@@ -236,8 +202,12 @@ class FrontierConstraint:
     q: float
 
     def __post_init__(self) -> None:
-        if min(self.a, self.b, self.p, self.q) <= 0:
-            raise ValidationError("all frontier constraint fields must be positive")
+        # "not 0 < v < inf" also rejects NaN, which fails every comparison
+        if not all(0 < v < math.inf for v in (self.a, self.b, self.p, self.q)):
+            raise ValidationError(
+                "all frontier constraint fields must be positive and finite, got "
+                f"({self.a}, {self.b}, {self.p}, {self.q})"
+            )
         if abs(self.a + self.b - 1.0) > 1e-9:
             raise ValidationError(f"exponents must sum to 1, got {self.a + self.b}")
         if abs(6.0 * self.p * self.q - 1.0) > 0.01:
@@ -254,8 +224,8 @@ def apply_constraint(
     Balancing the two loss terms along the frontier gives alpha/beta = b/a
     and A*alpha*q^beta = Bcoef*beta*p^alpha.
     """
-    if min(a, b, p, q, Bcoef, beta) <= 0:
-        raise ValidationError("all arguments must be positive")
+    if not all(0 < v < math.inf for v in (a, b, p, q, Bcoef, beta)):
+        raise ValidationError("all arguments must be positive and finite")
     if abs(a + b - 1.0) > 1e-9:
         raise ValidationError(f"exponents must sum to 1, got {a + b}")
     alpha = beta * (b / a)

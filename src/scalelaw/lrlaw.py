@@ -36,8 +36,8 @@ class LossSurface:
     """Losses at one token checkpoint over a (batch, LR-factor) grid.
 
     grid_LR holds scale factors relative to base_lr; cells from diverged or
-    too-short runs are NaN.  Interpolation is bilinear in log coordinates
-    and undefined wherever a supporting cell is missing.
+    too-short runs are NaN.  column_at blends the LR column between batch
+    rows linearly in log B; the LR axis is only read at its grid nodes.
     """
 
     d_checkpoint: float
@@ -70,27 +70,16 @@ class LossSurface:
     def column_at(self, b: float) -> np.ndarray:
         """Losses at every LR grid node for batch b, blended along log B.
 
-        Values are NaN where either supporting row is missing.
+        Values are NaN where either supporting row is missing, and all NaN
+        when b lies off the batch grid.
         """
-        return _log_blend(self.grid_B, b, self.losses)
-
-    def value_at(self, b: float, lr_factor: float) -> float:
-        """Bilinear surface value; NaN outside the filled region."""
-        if lr_factor <= 0:
-            raise ValidationError("lr_factor must be positive")
-        return float(_log_blend(self.grid_LR, lr_factor, self.column_at(b)))
-
-
-def _log_blend(grid: np.ndarray, x: float, rows: np.ndarray) -> np.ndarray:
-    """rows[i] and rows[i + 1] blended linearly by where log x falls between
-    log grid[i] and log grid[i + 1]; NaN when x lies off the grid."""
-    axis = np.log(grid)
-    log_x = math.log(x)
-    if not axis[0] <= log_x <= axis[-1]:
-        return np.full(rows.shape[1:], np.nan)
-    i = min(int(np.searchsorted(axis, log_x, side="right") - 1), axis.size - 2)
-    t = (log_x - axis[i]) / (axis[i + 1] - axis[i])
-    return (1.0 - t) * rows[i] + t * rows[i + 1]
+        axis = np.log(self.grid_B)
+        log_b = math.log(b)
+        if not axis[0] <= log_b <= axis[-1]:
+            return np.full(self.grid_LR.size, np.nan)
+        i = min(int(np.searchsorted(axis, log_b, side="right") - 1), axis.size - 2)
+        t = (log_b - axis[i]) / (axis[i + 1] - axis[i])
+        return (1.0 - t) * self.losses[i] + t * self.losses[i + 1]
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ def eta_opt_sgd(B: float, params: NoiseParams) -> float:
     return params.eta_max / (1.0 + params.B_noise / B)
 
 
-def delta_loss_opt(B: float, params: NoiseParams) -> float:
-    """Best per-step loss improvement at batch size B: dL_max/(1 + B_noise/B)."""
-    if B <= 0:
-        raise ValidationError("B must be positive")
-    return params.dL_max / (1.0 + params.B_noise / B)
-
-
 def eta_opt_adam(B: float, params: NoiseParams) -> float:
     """Optimal sign-style (Adam-family) learning rate at batch size B.
 
@@ -102,9 +95,3 @@ def tradeoff_table(
     """One trade-off row per B/B_crit ratio, in the given order."""
     return [solve_tradeoff(b, gamma) for b in b_ratios]
 
-
-def critical_batch(E_min: float, S_min: float) -> float:
-    """Critical batch size B_crit = E_min/S_min (tokens per step)."""
-    if E_min <= 0 or S_min <= 0:
-        raise ValidationError("E_min and S_min must be positive")
-    return E_min / S_min

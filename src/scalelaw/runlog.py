@@ -210,6 +210,17 @@ def read_field(doc: dict, name: str, kind: type, default=_REQUIRED):
     change silently, is a TypeError naming the field.
     """
     value = doc[name] if default is _REQUIRED else doc.get(name, default)
+    return _as_kind(value, name, kind)
+
+
+def read_items(doc: dict, name: str, kind: type, default=_REQUIRED) -> tuple:
+    """doc[name] (the default when absent) as a tuple, each entry held to
+    read_field's rules for kind."""
+    items = doc[name] if default is _REQUIRED else doc.get(name, default)
+    return tuple(_as_kind(value, f"{name} entry", kind) for value in items)
+
+
+def _as_kind(value, name: str, kind: type):
     if kind in (str, bool):
         ok = type(value) is kind
     elif kind is int:
@@ -370,13 +381,6 @@ def serialize_runs(runset: RunSet) -> list[str]:
     return lines
 
 
-def flops(n_params: float, tokens: float) -> float:
-    """Training compute estimate C = 6 * N * D."""
-    if not (n_params > 0 and tokens > 0):
-        raise ValidationError("flops() requires positive n_params and tokens")
-    return FLOPS_PER_PARAM_TOKEN * n_params * tokens
-
-
 def _take(curve: Curve, index) -> Curve:
     """The checkpoints of a curve picked by a slice or mask."""
     return Curve(curve.step[index], curve.tokens[index], curve.loss[index])
@@ -468,11 +472,6 @@ def smooth_run(
         discard_fraction = min(0.9, max(DEFAULT_DISCARD_FRACTION, warm_span))
     smoothed = smooth_curve(points, half_life_fraction * total, discard_fraction)
     return replace(run, points=smoothed)
-
-
-def monotone_envelope(curve: Curve) -> Curve:
-    """Running minimum of the loss curve (non-increasing in tokens)."""
-    return Curve(curve.step, curve.tokens, np.fmin.accumulate(curve.loss))
 
 
 def tokens_at_loss(curve: Curve, target_loss: float) -> float:

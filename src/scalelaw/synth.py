@@ -21,7 +21,7 @@ from .errors import ParseError, ValidationError
 from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
 from .lrlaw import scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet, read_field
+from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet, read_field, read_items
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -135,9 +135,9 @@ class SynthConfig:
                     ModelSpec(read_field(m, "n_params", float), read_field(m, "label", str, ""))
                     for m in d["models"]
                 ),
-                batch_sizes=tuple(float(b) for b in d["batch_sizes"]),
+                batch_sizes=read_items(d, "batch_sizes", float),
                 schemes=tuple(LrScheme(s) for s in d["schemes"]),
-                lr_factors=tuple(float(f) for f in d["lr_factors"]),
+                lr_factors=read_items(d, "lr_factors", float),
                 base_batch=read_field(d, "base_batch", float),
                 base_lr=read_field(d, "base_lr", float),
                 tokens_per_run=read_field(d, "tokens_per_run", float),

@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 
 import numpy as np
@@ -20,9 +19,7 @@ from scalelaw import (
     advise_compute,
     advise_data,
     bopt_law_from_runs,
-    compress_query,
     frontier_report,
-    preset_lookup,
     reference_artifact,
     scale_lr,
 )
@@ -93,9 +90,7 @@ def test_compute_validation(reference):
 
 
 def test_data_table_row_anchor(reference, ref_law):
-    presets = Presets().with_row(
-        PresetRow(6.8e9, "6.8B", 2e6, 1.2e-4, 350, 300000)
-    )
+    presets = Presets(rows=Presets().rows + (PresetRow(6.8e9, "6.8B", 2e6, 1.2e-4, 350, 300000),))
     rec = advise_data(
         reference.bopt, 2e11, n_params=6.8e9, loss_law=ref_law, presets=presets
     )
@@ -127,7 +122,7 @@ def test_data_monotone_in_budget(reference):
 def test_data_without_model_size_skips_lr(reference):
     rec = advise_data(reference.bopt, 1e12)
     assert rec.LR is None
-    assert math.isnan(rec.N)
+    assert rec.N is None
     assert rec.C is None
     assert "no model size" in rec.flags["LR"]
 
@@ -223,74 +218,27 @@ def test_advise_rejects_non_finite_and_non_positive_budgets(law_sets, laws, budg
 
 
 # ---------------------------------------------------------------------------
-# iso-loss compression
-
-
-def test_compress_published_anchor(ref_law):
-    result = compress_query(ref_law, (2.6e9, 1e12), 1.5e13)
-    # hand-rolled closed form, independent of the law's own solver
-    target = 1.48 + 314.35 / 2.6e9**0.331 + 460.51 / 1e12**0.286
-    n_small = (314.35 / (target - 1.48 - 460.51 / 1.5e13**0.286)) ** (1.0 / 0.331)
-    assert result.loss == pytest.approx(target, rel=1e-12)
-    assert result.N_small == pytest.approx(n_small, rel=1e-9)
-    assert result.N_small == pytest.approx(1e9, rel=0.03)
-    assert 2.5 <= result.inference_ratio <= 2.7
-
-
-def test_compress_round_trip(ref_law):
-    result = compress_query(ref_law, (2.6e9, 1e12), 1e12)
-    assert result.N_small == pytest.approx(2.6e9, rel=1e-9)
-    assert result.inference_ratio == pytest.approx(1.0, rel=1e-9)
-
-
-def test_compress_continuity(ref_law):
-    result = compress_query(ref_law, (2.6e9, 1e12), 1e12 * (1 + 1e-6))
-    assert result.inference_ratio > 1.0
-    assert result.inference_ratio == pytest.approx(1.0, abs=1e-4)
-
-
-def test_compress_is_iso_loss(ref_law):
-    rng = random.Random(5)
-    for _ in range(20):
-        n0 = 10 ** rng.uniform(8, 10)
-        d0 = 10 ** rng.uniform(10, 12)
-        candidate = d0 * 10 ** rng.uniform(0.1, 2)
-        result = compress_query(ref_law, (n0, d0), candidate)
-        assert ref_law.eval(result.N_small, candidate) == pytest.approx(
-            result.loss, rel=1e-6
-        )
-        assert result.inference_ratio > 1.0
-
-
-def test_compress_validation(ref_law):
-    with pytest.raises(ValidationError, match="at least the reference"):
-        compress_query(ref_law, (2.6e9, 1e12), 1e11)
-    with pytest.raises(ValidationError):
-        compress_query(ref_law, (-2.6e9, 1e12), 1e13)
-
-
-# ---------------------------------------------------------------------------
 # presets
 
 
 def test_preset_lookup_table_rows():
-    row = preset_lookup(1.25e8)
+    row = Presets().lookup(1.25e8)
     assert (row.batch_size, row.max_lr) == (5e5, 6.0e-4)
     assert (row.warmup_steps, row.decay_steps) == (715, 500000)
-    row = preset_lookup(2.6e9)
+    row = Presets().lookup(2.6e9)
     assert (row.batch_size, row.max_lr) == (1e6, 1.6e-4)
     assert (row.warmup_steps, row.decay_steps) == (350, 300000)
 
 
 def test_preset_lookup_log_nearest():
     # 7e8 sits between 350M and 1.3B linearly but nearest 760M in log space
-    assert preset_lookup(7e8).label == "760M"
-    assert preset_lookup(1e10).label == "2.6B"
-    assert preset_lookup(1e6).label == "125M"
+    assert Presets().lookup(7e8).label == "760M"
+    assert Presets().lookup(1e10).label == "2.6B"
+    assert Presets().lookup(1e6).label == "125M"
 
 
 def test_preset_table_is_extensible():
-    presets = Presets().with_row(PresetRow(1.3e10, "13B", 2e6, 1.0e-4, 350, 300000))
+    presets = Presets(rows=Presets().rows + (PresetRow(1.3e10, "13B", 2e6, 1.0e-4, 350, 300000),))
     assert presets.lookup(1.2e10).label == "13B"
     assert len(Presets().rows) == 5
 
@@ -302,7 +250,7 @@ def test_preset_validation():
         PresetRow(1e8, "bad", -5e5, 6e-4, 715, 500000)
     for n_params in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
-            preset_lookup(n_params)
+            Presets().lookup(n_params)
 
 
 def test_preset_dict_round_trip():

@@ -128,6 +128,8 @@ def test_comparison_law_lookup(reference):
 
 _BOPT = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
          "d_min": 1e9, "d_max": 1e12}
+_FRONTIER = reference_artifact().frontier.to_dict()
+_POINT = {"C": 1.2e20, "loss": 2.5, "N": 1e9, "D": 2e10, "S": 2e4, "B": 1e6, "edge_clipped": False}
 
 
 @pytest.mark.parametrize(
@@ -159,6 +161,23 @@ _BOPT = {"k": 3240.0, "p": 0.264, "s_floor": 4000.0, "crossover_D": 4.6e9,
         (
             {"presets": {"rows": [dict(DEFAULT_PRESETS[0].to_dict(), label=None)]}},
             "presets block is malformed: label",
+        ),
+        (
+            {"frontier": dict(_FRONTIER, points=[dict(_POINT, edge_clipped="false")])},
+            "frontier block is malformed: edge_clipped",
+        ),
+        (
+            {"frontier": dict(_FRONTIER, points=[dict(_POINT, N=True)])},
+            "frontier block is malformed: N",
+        ),
+        ({"frontier": dict(_FRONTIER, points=[{"C": 1.2e20}])}, "frontier block is missing field"),
+        (
+            {"frontier": dict(_FRONTIER, excluded_model_sizes=[True])},
+            "frontier block is malformed: excluded_model_sizes",
+        ),
+        (
+            {"frontier": dict(_FRONTIER, consistency_residuals={"B_opt": True})},
+            "frontier block is malformed: B_opt",
         ),
     ],
 )

@@ -16,7 +16,6 @@ from scalelaw import (
     RunSet,
     ValidationError,
     default_loss_levels,
-    derive_sopt,
     eta_opt_adam,
     fit_bopt_law,
     fit_contour_parabola,
@@ -360,8 +359,6 @@ def test_bopt_all_floor_vertices_has_no_power_branch():
     assert law.s_floor == pytest.approx(3000.0, rel=1e-12)
     assert math.isinf(law.crossover_D)
     assert law.eval(1e9) == pytest.approx(1e9 / 3000.0, rel=1e-12)
-    with pytest.raises(ValidationError, match="power branch"):
-        derive_sopt(law)
 
 
 def test_bopt_extrapolated_vertices_dropped_by_default():
@@ -372,8 +369,6 @@ def test_bopt_extrapolated_vertices_dropped_by_default():
     with pytest.warns(UserWarning, match="extrapolated"):
         law = fit_bopt_law(good + flagged)
     assert law.d_max == 1e12
-    wider = fit_bopt_law(good + flagged, include_extrapolated=True)
-    assert wider.d_max == 5e12
 
 
 def test_bopt_fit_data_requirements():
@@ -387,30 +382,6 @@ def test_bopt_dict_round_trip():
     law = fit_bopt_law(published_vertices(np.geomspace(1e10, 1e12, 6)))
     clone = BoptLaw.from_dict(law.to_dict())
     assert clone == law
-
-
-# ---------------------------------------------------------------------------
-# derived step law
-
-
-def test_sopt_from_published_constants():
-    law = fit_bopt_law(published_vertices(np.geomspace(1e10, 1e12, 6)))
-    sopt = derive_sopt(law)
-    assert sopt.k == pytest.approx(1.0 / PUBLISHED_K, rel=1e-12)
-    assert sopt.k == pytest.approx(3.09e-4, rel=2e-3)
-    assert sopt.p == pytest.approx(1.0 - PUBLISHED_P, abs=1e-12)
-    for d in np.geomspace(sopt.x_min, sopt.x_max, 9):
-        assert sopt(d) * law.eval(d) == pytest.approx(d, rel=1e-9)
-
-
-def test_sopt_range_starts_at_crossover():
-    vertices = published_vertices(np.geomspace(1e10, 1e12, 5)) + [
-        ContourVertex(loss_level=3.1, B_star=2.5e4, D_star=1e8, extrapolated=False)
-    ]
-    law = fit_bopt_law(vertices)
-    sopt = derive_sopt(law)
-    assert sopt.x_min == pytest.approx(law.crossover_D, rel=1e-9)
-    assert sopt.x_max == 1e12
 
 
 # ---------------------------------------------------------------------------

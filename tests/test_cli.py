@@ -171,6 +171,26 @@ def test_advise_data_human_output(capsys):
     assert "LR anchor" in out
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        ["--compute", "8.16e21"],
+        ["--data", "2e10"],
+        ["--data", "1e12", "--model-size", "2.6e9"],
+    ],
+)
+def test_advise_json_is_strict(capsys, budget):
+    assert main(["advise", *budget, "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert all(rec[key] is not None for key in ("D", "S", "B"))
+    if budget[0] == "--data" and "--model-size" not in budget:
+        assert (rec["N"], rec["C"], rec["LR"]) == (None, None, None)
+
+
 def test_advise_rejects_model_size_with_compute(capsys):
     assert main(["advise", "--compute", "1e21", "--model-size", "1e9"]) == 1
     assert "only applies" in capsys.readouterr().err
@@ -398,6 +418,8 @@ def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
         },
         {"ground_truth": dict(default_ground_truth().to_dict(), seed=7.9)},
         {"ground_truth": dict(default_ground_truth().to_dict(), lr_efficiency="false")},
+        {"sweep": dict(default_sweep_config().to_dict(), batch_sizes=[5e5, True])},
+        {"sweep": dict(default_sweep_config().to_dict(), lr_factors=[True])},
     ],
 )
 def test_simulate_wrong_typed_config_is_parse_error(tmp_path, capsys, doc):
@@ -597,6 +619,22 @@ def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys):
     assert main(["fit-law", "--runs", str(five_model_runs), "--laws", str(laws),
                  "--constrain", "frontier"]) == 1
     assert "run the frontier verb first" in capsys.readouterr().err
+
+
+def test_fit_law_non_finite_constraint_is_validation_error(five_model_runs, tmp_path, capsys):
+    laws = tmp_path / "laws.json"
+    fit = ["fit-law", "--runs", str(five_model_runs), "--laws", str(laws), "--constrain"]
+    assert main([*fit, "0.5,0.5,nan,1"]) == 1
+    err = capsys.readouterr().err
+    assert "scalelaw: error: ValidationError: all frontier constraint fields" in err
+    assert "must be positive and finite" in err
+    doc = LawArtifact().to_json_dict()
+    doc["frontier"] = scalelaw.reference_artifact().frontier.to_dict()
+    doc["frontier"]["N_opt"]["k"] = math.nan
+    laws.write_text(json.dumps(doc))
+    assert main([*fit, "frontier"]) == 1
+    err = capsys.readouterr().err
+    assert "scalelaw: error: ValidationError: coefficient must be positive and finite" in err
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "0"])

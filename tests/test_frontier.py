@@ -90,7 +90,6 @@ def published_points(cs, floor=None):
 def test_power_law_call_and_solve():
     law = PowerLaw(k=2.0, p=0.5, x_min=1.0, x_max=1e6)
     assert law(4.0) == pytest.approx(4.0, rel=1e-12)
-    assert law.solve(4.0) == pytest.approx(4.0, rel=1e-12)
     vec = law(np.array([1.0, 100.0]))
     assert vec == pytest.approx([2.0, 20.0], rel=1e-12)
 
@@ -102,17 +101,17 @@ def test_power_law_extrapolation_flag():
     assert not law.extrapolates(50.0)
 
 
-def test_power_law_flat_solve_rejected():
-    law = PowerLaw(k=1.0, p=0.0, x_min=1.0, x_max=2.0)
-    with pytest.raises(ValidationError, match="flat"):
-        law.solve(2.0)
-
-
 def test_power_law_validation():
     with pytest.raises(ValidationError):
         PowerLaw(k=-1.0, p=0.5, x_min=1.0, x_max=2.0)
     with pytest.raises(ValidationError):
         PowerLaw(k=1.0, p=0.5, x_min=5.0, x_max=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="coefficient"):
+            PowerLaw(k=bad, p=0.5, x_min=1.0, x_max=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="exponent"):
+            PowerLaw(k=1.0, p=bad, x_min=1.0, x_max=2.0)
 
 
 def test_power_law_dict_round_trip():
@@ -358,9 +357,8 @@ def test_laws_identities_hold_exactly():
 
 
 def test_laws_batch_floor_sets_x_min():
-    assert PowerLaw(k=6.42e3, p=0.102, x_min=1e18, x_max=1e23).solve(5e5) == pytest.approx(
-        3.4953e18, rel=1e-3
-    )
+    # the published batch law 6.42e3 * C^0.102 reaches the 5e5 floor here
+    assert (5e5 / 6.42e3) ** (1 / 0.102) == pytest.approx(3.4953e18, rel=1e-3)
     report = frontier_laws(published_points(np.geomspace(1e18, 1e23, 11), floor=5e5))
     x_min = report.B_opt.x_min
     assert 1.5e18 < x_min < 1e19

@@ -123,9 +123,9 @@ def test_surface_reproduces_grid_nodes():
     for i in range(4):
         for j in range(3):
             assert surface.losses[i, j] == pytest.approx(2.0 + 0.3 * i + 0.1 * j, rel=1e-12)
-            assert surface.value_at(
-                surface.grid_B[i], surface.grid_LR[j]
-            ) == pytest.approx(2.0 + 0.3 * i + 0.1 * j, rel=1e-12)
+            assert surface.column_at(surface.grid_B[i])[j] == pytest.approx(
+                2.0 + 0.3 * i + 0.1 * j, rel=1e-12
+            )
 
 
 def test_surface_diverged_cell_is_missing_neighbors_unaffected():
@@ -224,7 +224,7 @@ def test_surface_type_validation():
         LossSurface(**{**good, "losses": np.full((3, 3), -1.0)})
 
 
-def test_surface_bilinear_blend():
+def test_surface_log_b_blend():
     grid_b = [1e6, 4e6, 1.6e7]
     surface = LossSurface(
         d_checkpoint=1e9,
@@ -234,12 +234,11 @@ def test_surface_bilinear_blend():
         base_lr=3e-4,
     )
     # geometric midpoint of the first two rows blends them equally
-    assert surface.value_at(2e6, 1.0) == pytest.approx(2.6, rel=1e-12)
-    assert surface.value_at(1e6, math.sqrt(0.5)) == pytest.approx(2.05, rel=1e-12)
-    assert math.isnan(surface.value_at(5e5, 1.0))
-    assert math.isnan(surface.value_at(1e6, 4.0))
-    with pytest.raises(ValidationError):
-        surface.value_at(1e6, -1.0)
+    assert surface.column_at(2e6) == pytest.approx([2.5, 2.6, 2.7], rel=1e-12)
+    assert surface.column_at(8e6) == pytest.approx([3.5, 3.6, 3.7], rel=1e-12)
+    assert surface.column_at(1.6e7) == pytest.approx([4.0, 4.1, 4.2], rel=1e-12)
+    for off_grid in (5e5, 3.2e7):
+        assert np.isnan(surface.column_at(off_grid)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from scalelaw import (
     TABLE_B_RATIOS,
     NoiseParams,
     ValidationError,
-    critical_batch,
-    delta_loss_opt,
     eta_opt_adam,
     eta_opt_sgd,
     solve_tradeoff,
@@ -33,30 +31,6 @@ def test_eta_sgd_saturates():
 
 def test_eta_sgd_direct_value():
     assert eta_opt_sgd(1e6, PARAMS) == pytest.approx(2e-4, rel=1e-12)
-
-
-def test_delta_loss_half_at_noise_scale():
-    p = NoiseParams(eta_max=1e-3, B_noise=1e6, dL_max=0.1, gamma_tradeoff=1.0)
-    assert delta_loss_opt(1e6, p) == pytest.approx(0.05, rel=1e-12)
-
-
-def test_delta_loss_direct_value():
-    p = NoiseParams(eta_max=1e-3, B_noise=1e6, dL_max=0.1, gamma_tradeoff=1.0)
-    assert delta_loss_opt(9e6, p) == pytest.approx(0.09, rel=1e-12)
-
-
-def test_delta_loss_monotone():
-    rng = random.Random(13)
-    for _ in range(20):
-        p = NoiseParams(
-            eta_max=10 ** rng.uniform(-4, -2),
-            B_noise=10 ** rng.uniform(5, 7),
-            dL_max=rng.uniform(0.01, 1.0),
-            gamma_tradeoff=1.0,
-        )
-        bs = np.geomspace(1e3, 1e9, 40)
-        vals = [delta_loss_opt(b, p) for b in bs]
-        assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +194,3 @@ def test_table_rows_satisfy_e_equals_b_times_s():
     for gamma in (0.5, 1.0, 2.0):
         for row in tradeoff_table(gamma=gamma):
             assert row.e_ratio == pytest.approx(row.b_ratio * row.s_ratio, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# critical batch
-
-
-def test_critical_batch_direct_quotient():
-    assert critical_batch(2e11, 1e5) == pytest.approx(2e6, rel=1e-12)
-
-
-def test_critical_batch_unit_steps():
-    assert critical_batch(3.7e9, 1.0) == 3.7e9
-
-
-def test_critical_batch_scale_invariance():
-    rng = random.Random(41)
-    for _ in range(20):
-        e_min = 10 ** rng.uniform(8, 12)
-        s_min = 10 ** rng.uniform(3, 6)
-        scale = 10 ** rng.uniform(-2, 2)
-        assert critical_batch(scale * e_min, scale * s_min) == pytest.approx(
-            critical_batch(e_min, s_min), rel=1e-12
-        )

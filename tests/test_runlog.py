@@ -21,9 +21,7 @@ from scalelaw import (
     UnreachableLossError,
     ValidationError,
     finite_prefix,
-    flops,
     has_divergence,
-    monotone_envelope,
     parse_runs,
     serialize_runs,
     smooth_curve,
@@ -339,27 +337,6 @@ def test_roundtrip_identity():
 
 
 # ---------------------------------------------------------------------------
-# flops
-
-
-def test_flops_direct_product():
-    assert flops(1e9, 1e9) == 6e18
-
-
-def test_flops_published_budget_row():
-    assert flops(6.80e9, 2.00e11) == pytest.approx(8.16e21, rel=1e-12)
-
-
-def test_flops_matching_smaller_model_row():
-    assert flops(4.49e9, 3.03e11) == pytest.approx(8.16e21, rel=1e-3)
-
-
-def test_flops_rejects_nonpositive():
-    with pytest.raises(ValidationError):
-        flops(0.0, 1e9)
-
-
-# ---------------------------------------------------------------------------
 # curve inversion
 
 
@@ -389,8 +366,8 @@ def test_tokens_at_loss_uses_running_minimum():
     bumpy = curve([(1, 1e8, 3.0), (2, 2e8, 2.2), (3, 3e8, 2.6), (4, 4e8, 2.0)])
     # the bump never beats the running best, so 2.2 is first hit at 2e8
     assert tokens_at_loss(bumpy, 2.2) == pytest.approx(2e8)
-    env = monotone_envelope(bumpy)
-    assert env.loss.tolist() == [3.0, 2.2, 2.2, 2.0]
+    # past the bump, 2.1 is interpolated from the running best 2.2 at 3e8
+    assert tokens_at_loss(bumpy, 2.1) == pytest.approx((3e8 * 4e8) ** 0.5, rel=1e-12)
 
 
 def test_tokens_at_loss_monotone_in_target():
