@@ -90,7 +90,15 @@ class BoptLaw:
     power_fitted: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.k, self.s_floor, self.d_min) <= 0 or self.d_max < self.d_min:
+        # written so that NaN, which fails every comparison, is rejected;
+        # crossover_D is inf when the power branch never undercuts the linear one
+        positive = (self.k, self.s_floor, self.d_min, self.d_max)
+        if not (
+            all(0 < v < math.inf for v in positive)
+            and self.d_min <= self.d_max
+            and math.isfinite(self.p)
+            and 0 <= self.crossover_D <= math.inf
+        ):
             raise ValidationError("invalid BoptLaw fields")
 
     def eval(self, d):

@@ -9,9 +9,9 @@ D_opt = q*C^b, which reduces the search to (E, beta, Bcoef); a free
 5-parameter mode is available for comparison with published fits.
 
 The fit screens a 125-point grid of starts by one objective evaluation each
-and polishes the 8 best with L-BFGS-B, fed the exact gradient of the
-objective.  scipy.optimize is imported only when a fit runs, so the rest of
-the package starts without it.
+and polishes the 8 best with a small projected-BFGS solver for the box
+bounds, fed the exact gradient of the objective.  It stops on L-BFGS-B's
+tests and reaches the same optimum, so the package needs only numpy.
 """
 
 from __future__ import annotations
@@ -64,10 +64,13 @@ class ChinchillaLaw:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.E < 0:
-            raise ValidationError(f"E must be non-negative, got {self.E}")
-        if self.A <= 0 or self.Bcoef <= 0:
-            raise ValidationError("A and Bcoef must be positive")
+        # "not 0 < v < inf" also rejects NaN, which fails every comparison
+        if not 0 <= self.E < math.inf:
+            raise ValidationError(f"E must be non-negative and finite, got {self.E}")
+        if not (0 < self.A < math.inf and 0 < self.Bcoef < math.inf):
+            raise ValidationError(
+                f"A and Bcoef must be positive and finite, got ({self.A}, {self.Bcoef})"
+            )
         if not (0 < self.alpha < 1 and 0 < self.beta < 1):
             raise ValidationError(
                 f"alpha and beta must lie in (0, 1), got ({self.alpha}, {self.beta})"
@@ -129,8 +132,8 @@ class KaplanLaw:
     alpha_D: float
 
     def __post_init__(self) -> None:
-        if min(self.Nc, self.Dc, self.alpha_N, self.alpha_D) <= 0:
-            raise ValidationError("all KaplanLaw fields must be positive")
+        if not all(0 < v < math.inf for v in (self.Nc, self.Dc, self.alpha_N, self.alpha_D)):
+            raise ValidationError("all KaplanLaw fields must be positive and finite")
 
     def eval(self, n, d):
         """Loss at n parameters and d tokens; broadcasts over arrays."""
@@ -343,22 +346,85 @@ def _objective_and_grad(
     return value, np.asarray(grad)
 
 
-def _polish(starts, bounds, args):
-    """Run L-BFGS-B with the exact gradient from each start; keep every result."""
-    from scipy.optimize import minimize
+@dataclass(frozen=True)
+class _Polished:
+    """Where one polished start stopped, and whether a convergence test stopped it."""
 
-    return [
-        minimize(
-            _objective_and_grad,
-            theta0,
-            args=args,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": _MAX_ITER, "ftol": _TOL, "gtol": _TOL},
-        )
-        for theta0 in starts
-    ]
+    x: np.ndarray
+    fun: float
+    success: bool
+
+
+def _arc_search(x, f, g, step, lo, hi, args):
+    """Weak-Wolfe step along the projection arc clip(x + t*step, lo, hi).
+
+    A trial that fails the Armijo condition is too long and one that fails
+    the curvature condition too short; t doubles until a trial is too long,
+    then bisects between the longest short and the shortest long trial.
+    Returns the (x, objective, gradient) of the first trial meeting both
+    conditions, else of the last one meeting Armijo's, else None.
+    """
+    too_short, too_long, t = 0.0, math.inf, 1.0
+    best = None
+    for _ in range(60):
+        x_new = np.clip(x + t * step, lo, hi)
+        f_new, g_new = _objective_and_grad(x_new, *args)
+        slope = float(g @ (x_new - x))
+        # written so that a NaN objective or slope counts as too long
+        if not (slope < 0 and f_new <= f + 1e-4 * slope):
+            too_long = t
+        else:
+            best = (x_new, f_new, g_new)
+            if float(g_new @ (x_new - x)) >= 0.9 * slope:
+                break
+            too_short = t
+        t = 0.5 * (too_short + too_long) if too_long < math.inf else 2.0 * t
+    return best
+
+
+def _minimize_box(theta0: np.ndarray, lo: np.ndarray, hi: np.ndarray, args) -> _Polished:
+    """Projected BFGS on the box [lo, hi] with the exact objective gradient.
+
+    Each step solves the dense quasi-Newton system on the free variables; a
+    variable is fixed for the step when it sits at a bound and its gradient
+    points out of the box.  _arc_search picks the step length, and a step it
+    cannot find restarts from steepest descent.  The stopping tests are
+    L-BFGS-B's: a relative objective reduction of at most _TOL, or a
+    projected-gradient infinity norm of at most _TOL; _MAX_ITER steps
+    without either is a failure.
+    """
+    x = theta0
+    f, g = _objective_and_grad(x, *args)
+    hess = None  # quasi-Newton Hessian; None means take a steepest-descent step
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= _TOL:
+            return _Polished(x, f, True)
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        step = np.zeros_like(x)
+        if hess is None:
+            # unit length at most, as L-BFGS-B's first step
+            step[free] = -g[free] / max(1.0, float(np.linalg.norm(g[free])))
+        else:
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+        found = _arc_search(x, f, g, step, lo, hi, args)
+        if found is None:
+            if hess is None:
+                return _Polished(x, f, False)
+            hess = None
+            continue
+        x_new, f_new, g_new = found
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            if hess is None:
+                hess = np.eye(x.size) * (float(y @ y) / sy)
+            hs = hess @ s
+            hess = hess - np.outer(hs, hs) / float(s @ hs) + np.outer(y, y) / sy
+        reduction = f - f_new
+        x, f, g = x_new, f_new, g_new
+        if reduction <= _TOL * max(abs(f), abs(f + reduction), 1.0):
+            return _Polished(x, f, True)
+    return _Polished(x, f, False)
 
 
 def fit_loss_law(
@@ -373,9 +439,10 @@ def fit_loss_law(
     apply_constraint and only (E, beta, Bcoef) are optimized; without one,
     all five parameters are free.  Optimization runs in log-parameter space.
     Every grid start is screened by one objective evaluation; the
-    POLISHED_STARTS (8) lowest are then polished by L-BFGS-B with the
-    analytic gradient, in grid order.  The converged start with the lowest
-    objective wins, ties broken by grid order.
+    POLISHED_STARTS (8) lowest are then polished by projected BFGS
+    (_minimize_box) with the analytic gradient, in grid order.  The
+    converged start with the lowest objective wins, ties broken by grid
+    order.
 
     Args:
         samples: array-like of (N, D, loss) rows.
@@ -429,13 +496,14 @@ def fit_loss_law(
             (math.log(e0), math.log(c0), math.log(b0), math.log(c0), math.log(b0))
             for e0, b0, c0 in grid
         ]
-    # L-BFGS-B clips each start into the bounds; screen the point it starts from
-    starts = np.clip(np.asarray(starts), *np.asarray(bounds).T)
+    # the solver starts from each start clipped into the bounds; screen that point
+    lo, hi = np.asarray(bounds).T
+    starts = np.clip(np.asarray(starts), lo, hi)
     args = (np.log(n), np.log(d), np.log(obs), delta, constraint)
 
     screen = [_objective_and_grad(theta0, *args)[0] for theta0 in starts]
     polished = np.sort(np.argsort(screen, kind="stable")[:POLISHED_STARTS])
-    results = _polish(starts[polished], bounds, args)
+    results = [_minimize_box(theta0, lo, hi, args) for theta0 in starts[polished]]
 
     # results are in grid order, so the strict < sends ties to the lowest index
     converged = [res.fun for res in results if res.success]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -187,8 +188,16 @@ def test_malformed_blocks_are_parse_errors(blocks, message):
 
 
 def test_out_of_range_block_values_stay_validation_errors():
-    params = {"E": 1.5, "A": -1.0, "alpha": 0.3, "Bcoef": 400.0, "beta": 0.3}
-    with pytest.raises(ValidationError):
-        LawArtifact.from_json_dict(
-            {"format": FORMAT_TAG, "loss_law": {"form": "chinchilla", "params": params}}
-        )
+    params = {"E": 1.5, "A": 400.0, "alpha": 0.3, "Bcoef": 400.0, "beta": 0.3}
+    # NaN fails every comparison, so each check must reject it explicitly
+    loss_laws = [dict(params, A=-1.0), dict(params, E=math.nan), dict(params, Bcoef=math.inf)]
+    blocks = [{"loss_law": {"form": "chinchilla", "params": p}} for p in loss_laws]
+    blocks += [
+        {"bopt": dict(_BOPT, **{name: value})}
+        for name in ("k", "p", "s_floor", "crossover_D", "d_min", "d_max")
+        for value in (math.nan, -math.inf)
+    ]
+    blocks.append({"bopt": dict(_BOPT, d_max=math.inf)})
+    for block in blocks:
+        with pytest.raises(ValidationError):
+            LawArtifact.from_json_dict({"format": FORMAT_TAG, **block})

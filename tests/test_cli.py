@@ -242,12 +242,28 @@ def test_tradeoff_rejects_bad_gamma(capsys, gamma):
     assert captured.out == ""
 
 
-def test_advise_cold_start_skips_scipy_optimize():
+def test_cli_verbs_never_import_scipy(tmp_path):
+    runs, laws = str(tmp_path / "runs.jsonl"), str(tmp_path / "laws.json")
+    lr_runs = str(lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3))
+    base = ["--batch", "5e5", "--only-scheme", "origin"]
+    levels = ",".join(f"{2.45 + 0.04 * i:.2f}" for i in range(16))
+    verbs = [
+        ["advise", "--compute", "1e21"],
+        ["simulate", "--out", runs, "--seed", "1", "--points-per-run", "100"],
+        ["frontier", "--runs", runs, "--laws", laws, *base],
+        ["fit-law", "--runs", runs, "--laws", laws, "--constrain", "frontier", *base],
+        ["fit-bopt", "--runs", runs, "--laws", laws, "--model-size", "1.25e8",
+         "--policy", "fixed_scheme", "--scheme", "linear", "--levels", levels],
+        ["fit-lr", "--runs", lr_runs, "--laws", laws, "--checkpoint-tokens", "2e7"],
+    ]
     script = (
-        "import sys, scalelaw, scalelaw.cli\n"
-        "code = scalelaw.cli.main(['advise', '--compute', '1e21'])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "import sys, warnings\n"
+        "from scalelaw.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"for argv in {verbs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:3]\n"
     )
     src = str(Path(scalelaw.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -258,6 +274,7 @@ def test_advise_cold_start_skips_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert "model size N" in proc.stdout
+    assert LawArtifact.load(laws).loss_law is not None
 
 
 def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
@@ -287,6 +304,27 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("batch size B") == 1 and '"B": ' in proc.stdout
     assert "B/B_crit" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "block, field, query",
+    [
+        ("loss_law", "E", ["--compute", "1e21"]),
+        ("bopt", "k", ["--data", "1e12"]),
+    ],
+)
+def test_advise_non_finite_law_field_is_validation_error(
+    tmp_path, capsys, reference, block, field, query
+):
+    doc = json.loads(json.dumps(reference.to_json_dict()))
+    params = doc[block]["params"] if block == "loss_law" else doc[block]
+    params[field] = math.nan
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps(doc))
+    assert main(["advise", *query, "--laws", str(laws)]) == 1
+    captured = capsys.readouterr()
+    assert "scalelaw: error: ValidationError" in captured.err
+    assert captured.out == ""
 
 
 def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):

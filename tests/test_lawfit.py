@@ -63,6 +63,14 @@ def test_law_parameter_validation():
         ChinchillaLaw(E=1.5, A=100.0, alpha=1.2, Bcoef=100.0, beta=0.3)
     with pytest.raises(ValidationError):
         ChinchillaLaw(E=-0.1, A=100.0, alpha=0.3, Bcoef=100.0, beta=0.3)
+    # NaN fails every comparison, so each check must reject it explicitly
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            ChinchillaLaw(E=bad, A=100.0, alpha=0.3, Bcoef=100.0, beta=0.3)
+        with pytest.raises(ValidationError, match="finite"):
+            ChinchillaLaw(E=1.5, A=100.0, alpha=0.3, Bcoef=bad, beta=0.3)
+        with pytest.raises(ValidationError, match="finite"):
+            KaplanLaw(Nc=8.8e13, Dc=bad, alpha_N=0.076, alpha_D=0.095)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +324,57 @@ def test_prescreen_matches_single_start_fits(ref_law, seed, constraint):
         best_single = min(best_single, single.objective_value)
     report = fit_loss_law(samples, constraint=constraint)
     assert report.objective_value <= (1.0 + 1e-9) * best_single
+
+
+# E = 0 puts the fit's optimum on E's 1e-3 floor
+FLOOR_LAW = ChinchillaLaw(E=0.0, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
+
+
+@pytest.mark.parametrize(
+    "law, seed, constraint, param_rel",
+    [
+        *((None, seed, CONSTRAINT, 1e-6) for seed in (1, 7, 42)),
+        # the free fit's optimum lies in a flat (A, alpha) valley: under these
+        # options L-BFGS-B itself stops up to 5.3e-6 from the Newton-refined
+        # minimizer at seed 1, so no solver can match its A to 1e-6
+        *((None, seed, None, 1e-5) for seed in (1, 7, 42)),
+        (FLOOR_LAW, 1, CONSTRAINT, 1e-6),
+    ],
+    ids=[f"{m}-seed{s}" for m in ("constrained", "free") for s in (1, 7, 42)] + ["E-floor"],
+)
+def test_solver_matches_lbfgsb(ref_law, monkeypatch, law, seed, constraint, param_rel):
+    from scipy.optimize import minimize
+
+    polished = []
+    solve = lawfit._minimize_box
+
+    def record(theta0, lo, hi, args):
+        polished.append((theta0, list(zip(lo, hi)), args))
+        return solve(theta0, lo, hi, args)
+
+    monkeypatch.setattr(lawfit, "_minimize_box", record)
+    report = fit_loss_law(grid_samples(law or ref_law, sigma=0.005, seed=seed), constraint)
+    reference = [
+        minimize(
+            lawfit._objective_and_grad, theta0, args=args, jac=True, method="L-BFGS-B",
+            bounds=bounds, options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-12},
+        )
+        for theta0, bounds, args in polished
+    ]
+    assert len(reference) == lawfit.POLISHED_STARTS
+    converged = [res for res in reference if res.success]
+    # min() keeps the first of equal objectives, as fit_loss_law's grid order does
+    best = min(converged, key=lambda res: res.fun)
+    law_fit = report.law
+    np.testing.assert_allclose(
+        [law_fit.E, law_fit.A, law_fit.alpha, law_fit.Bcoef, law_fit.beta],
+        lawfit._unpack(best.x, constraint),
+        rtol=param_rel,
+    )
+    assert report.objective_value <= (1.0 + 1e-9) * best.fun
+    assert report.n_converged >= len(converged)
+    if law is FLOOR_LAW:
+        assert law_fit.E == pytest.approx(1e-3, rel=1e-12)
 
 
 def _central_diff(fun, theta, step=1e-6):
