@@ -14,12 +14,16 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .bslaw import BoptLaw
 from .errors import ValidationError
-from .frontier import FrontierReport
-from .lawfit import ChinchillaLaw
-from .lrlaw import LrLawFit, scale_lr
-from .runlog import FLOPS_PER_PARAM_TOKEN, read_field
+from .laws import (
+    FLOPS_PER_PARAM_TOKEN,
+    BoptLaw,
+    ChinchillaLaw,
+    FrontierReport,
+    LrLawFit,
+    read_field,
+    scale_lr,
+)
 
 
 @dataclass(frozen=True)

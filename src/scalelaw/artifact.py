@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .advisor import Presets
-from .bslaw import BoptLaw
 from .errors import ParseError
-from .frontier import FrontierReport, PowerLaw
-from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw, KaplanLaw
-from .lrlaw import LrLawFit
+from .laws import (
+    REFERENCE_LOSS_LAW,
+    BoptLaw,
+    ChinchillaLaw,
+    FrontierReport,
+    KaplanLaw,
+    LrLawFit,
+    PowerLaw,
+)
 
 FORMAT_TAG = "scalelaw-laws/1"
 # blocks that each hold one record, keyed by their LawArtifact field
@@ -28,17 +33,22 @@ _RECORD_BLOCKS = dict(frontier=FrontierReport, bopt=BoptLaw, lr_law=LrLawFit, pr
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to path atomically: temp file in the same directory, then rename."""
+    """Write text to path atomically: temp file in the same directory, then rename.
+
+    An OSError names path, not the temp file, whose name is random.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 @dataclass(frozen=True)

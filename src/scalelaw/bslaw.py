@@ -10,13 +10,12 @@ k * D^p.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .errors import (
     EmptyContourError,
     InsufficientDataError,
@@ -26,15 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .frontier import fit_power_law, parabola_vertex
-from .runlog import (
-    DEFAULT_HALF_LIFE_FRACTION,
-    LrScheme,
-    RunSet,
-    has_divergence,
-    read_field,
-    smooth_run,
-    tokens_at_loss,
-)
+from .laws import BoptLaw, LrScheme
+from .runlog import DEFAULT_HALF_LIFE_FRACTION, RunSet, has_divergence, smooth_run, tokens_at_loss
 
 # Choose default loss levels inside the bulk of final losses.
 DEFAULT_N_LEVELS = 8
@@ -69,67 +61,6 @@ class ContourVertex:
     B_star: float
     D_star: float
     extrapolated: bool
-
-
-@dataclass(frozen=True)
-class BoptLaw:
-    """Two-regime optimal batch size: B_opt(D) = min(D/s_floor, k*D^p).
-
-    Below crossover_D the minimum step count s_floor binds and the optimal
-    batch grows linearly with data; above it the fitted power branch takes
-    over.  power_fitted is False when no contour minima reached the power
-    regime, in which case the power branch is a copy of the linear one.
-    """
-
-    k: float
-    p: float
-    s_floor: float
-    crossover_D: float
-    d_min: float
-    d_max: float
-    power_fitted: bool = True
-
-    def __post_init__(self) -> None:
-        # written so that NaN, which fails every comparison, is rejected;
-        # crossover_D is inf when the power branch never undercuts the linear one
-        positive = (self.k, self.s_floor, self.d_min, self.d_max)
-        if not (
-            all(0 < v < math.inf for v in positive)
-            and self.d_min <= self.d_max
-            and math.isfinite(self.p)
-            and 0 <= self.crossover_D <= math.inf
-        ):
-            raise ValidationError("invalid BoptLaw fields")
-
-    def eval(self, d):
-        """Optimal batch size in tokens at data budget d."""
-        if type(d) in (float, int):
-            with contextlib.suppress(OverflowError):  # numpy returns inf instead
-                d = float(d)
-                if d <= 0:
-                    raise ValidationError("d must be positive")
-                return min(d / self.s_floor, self.k * d**self.p)
-        d_arr = np.asarray(d, dtype=float)
-        if np.any(d_arr <= 0):
-            raise ValidationError("d must be positive")
-        out = np.minimum(d_arr / self.s_floor, self.k * d_arr**self.p)
-        return out.item() if out.ndim == 0 else out
-
-    def regime(self, d: float) -> str:
-        return "linear" if d < self.crossover_D else "power"
-
-    def extrapolates(self, d: float) -> bool:
-        return d < self.d_min or d > self.d_max
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoptLaw":
-        return cls(
-            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
-            power_fitted=read_field(d, "power_fitted", bool, True),
-        )
 
 
 def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> list[float]:

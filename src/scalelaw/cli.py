@@ -20,10 +20,19 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
-from .advisor import Presets, advise_compute, advise_data
-from .artifact import LawArtifact, reference_artifact, write_text_atomic
-from .bslaw import DEFAULT_N_LEVELS, bopt_law_from_runs, default_loss_levels, iso_loss_contour
+from . import (
+    __version__,
+    advisor,
+    artifact,
+    bslaw,
+    frontier,
+    lawfit,
+    laws,
+    lrlaw,
+    noisescale,
+    runlog,
+    synth,
+)
 from .errors import (
     EmptyContourError,
     FitFailureError,
@@ -34,29 +43,28 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .frontier import compute_envelope, frontier_report
-from .lawfit import DEFAULT_HUBER_DELTA, FrontierConstraint, fit_loss_law, samples_from_runs
-from .lrlaw import (
-    DEFAULT_PLATEAU_TOLERANCE,
-    DEFAULT_REFINEMENT,
-    build_surface,
-    extract_lr_opt,
-    fit_gamma,
-)
-from .noisescale import TABLE_B_RATIOS, tradeoff_table
-from .runlog import LrScheme, parse_runs, serialize_runs, smooth_run
-from .synth import (
-    GroundTruth,
-    SynthConfig,
-    default_ground_truth,
-    default_sweep_config,
-    simulate_grid,
-)
 
 SEED_ENV_VAR = "SCALELAW_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser whose options may be added on first use.
+
+    A verb's parser gets its options from add_arguments the first time it
+    parses, so building the parser reads no layer's defaults and a verb
+    loads only the layers it uses.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
     # usage problems are input errors (exit 1), not numerical failures
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -68,30 +76,28 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    artifact.write_text_atomic(path, buf.getvalue())
 
 
 def _read_runs(path: str, strict: bool = True):
     with open(path) as handle:
-        return parse_runs(handle, strict=strict)
+        return runlog.parse_runs(handle, strict=strict)
 
 
-def _load_laws(spec: str) -> LawArtifact:
+def _load_laws(spec: str) -> artifact.LawArtifact:
     if spec == "reference":
-        return reference_artifact()
-    return LawArtifact.load(spec)
+        return artifact.reference_artifact()
+    return artifact.LawArtifact.load(spec)
 
 
-def _update_laws(path: str, **blocks) -> LawArtifact:
+def _update_laws(path: str, **blocks) -> None:
     """Replace blocks of the artifact at path, creating it if absent."""
     target = Path(path)
     if target.exists():
-        artifact = LawArtifact.load(target)
+        doc = artifact.LawArtifact.load(target)
     else:
-        artifact = LawArtifact(presets=Presets(), provenance=f"scalelaw {__version__}")
-    artifact = dataclasses.replace(artifact, **blocks)
-    artifact.save(target)
-    return artifact
+        doc = artifact.LawArtifact(presets=advisor.Presets(), provenance=f"scalelaw {__version__}")
+    dataclasses.replace(doc, **blocks).save(target)
 
 
 def _filter_runs(runset, model_size=None, batch=None, scheme=None):
@@ -117,7 +123,7 @@ def _filter_runs(runset, model_size=None, batch=None, scheme=None):
 
 
 def _filtered_runs(args):
-    scheme = LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
+    scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
     return _filter_runs(
         _read_runs(args.runs),
         model_size=getattr(args, "model_size", None),
@@ -157,7 +163,7 @@ def _fmt(value, precision: int = 6) -> str:
 def _cmd_ingest(args) -> None:
     runset = _read_runs(args.runs, strict=not args.lenient)
     if args.out:
-        write_text_atomic(args.out, "\n".join(serialize_runs(runset)) + "\n")
+        artifact.write_text_atomic(args.out, "\n".join(runlog.serialize_runs(runset)) + "\n")
     models = runset.model_sizes()
     batches = sorted({run.batch_size_tokens for run in runset})
     n_points = sum(len(run.points) for run in runset)
@@ -207,16 +213,18 @@ def _cmd_simulate(args) -> None:
         if not isinstance(doc, dict):
             raise ParseError(f"{args.config}: config must be a JSON object")
         truth = (
-            GroundTruth.from_dict(doc["ground_truth"])
+            synth.GroundTruth.from_dict(doc["ground_truth"])
             if "ground_truth" in doc
-            else default_ground_truth()
+            else synth.default_ground_truth()
         )
         sweep = (
-            SynthConfig.from_dict(doc["sweep"]) if "sweep" in doc else default_sweep_config()
+            synth.SynthConfig.from_dict(doc["sweep"])
+            if "sweep" in doc
+            else synth.default_sweep_config()
         )
     else:
-        truth = default_ground_truth()
-        sweep = default_sweep_config()
+        truth = synth.default_ground_truth()
+        sweep = synth.default_sweep_config()
     if args.tokens_per_run is not None:
         sweep = dataclasses.replace(sweep, tokens_per_run=args.tokens_per_run)
     if args.points_per_run is not None:
@@ -224,8 +232,8 @@ def _cmd_simulate(args) -> None:
     seed = _resolve_seed(args, truth.seed)
     if seed != truth.seed:
         truth = dataclasses.replace(truth, seed=seed)
-    runset = simulate_grid(sweep, truth)
-    write_text_atomic(args.out, "\n".join(serialize_runs(runset)) + "\n")
+    runset = synth.simulate_grid(sweep, truth)
+    artifact.write_text_atomic(args.out, "\n".join(runlog.serialize_runs(runset)) + "\n")
     _emit(args, [f"simulated {len(runset)} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
         "runs": len(runset),
@@ -234,25 +242,25 @@ def _cmd_simulate(args) -> None:
     })
 
 
-def _constraint_from_artifact(laws_path: str) -> FrontierConstraint:
+def _constraint_from_artifact(laws_path: str) -> lawfit.FrontierConstraint:
     target = Path(laws_path)
-    artifact = LawArtifact.load(target) if target.exists() else None
-    if artifact is None or artifact.frontier is None:
+    doc = artifact.LawArtifact.load(target) if target.exists() else None
+    if doc is None or doc.frontier is None:
         raise ValidationError(
             "--constrain frontier needs a laws file with a frontier block; "
             "run the frontier verb first"
         )
-    return FrontierConstraint(
-        a=artifact.frontier.N_opt.p,
-        b=artifact.frontier.D_opt.p,
-        p=artifact.frontier.N_opt.k,
-        q=artifact.frontier.D_opt.k,
+    return lawfit.FrontierConstraint(
+        a=doc.frontier.N_opt.p,
+        b=doc.frontier.D_opt.p,
+        p=doc.frontier.N_opt.k,
+        q=doc.frontier.D_opt.k,
     )
 
 
 def _cmd_fit_law(args) -> None:
     runset = _filtered_runs(args)
-    samples = samples_from_runs(runset, smooth=not args.raw)
+    samples = lawfit.samples_from_runs(runset, smooth=not args.raw)
     constraint = None
     if args.constrain is not None:
         if args.constrain == "frontier":
@@ -267,8 +275,8 @@ def _cmd_fit_law(args) -> None:
                     "--constrain takes 'frontier' or four numbers 'a,b,p,q', "
                     f"got {args.constrain!r}"
                 )
-            constraint = FrontierConstraint(*parts)
-    report = fit_loss_law(samples, constraint=constraint, delta=args.delta)
+            constraint = lawfit.FrontierConstraint(*parts)
+    report = lawfit.fit_loss_law(samples, constraint=constraint, delta=args.delta)
     _update_laws(args.laws, loss_law=report.law, loss_fit=report.to_dict())
     law = report.law
     lines = [
@@ -292,7 +300,7 @@ def _cmd_fit_law(args) -> None:
 
 def _cmd_frontier(args) -> None:
     runset = _filtered_runs(args)
-    report = frontier_report(runset)
+    report = frontier.frontier_report(runset)
     _update_laws(args.laws, frontier=report)
     lines = []
     for name in ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt"):
@@ -317,13 +325,15 @@ def _cmd_frontier(args) -> None:
 
 
 def _contour_levels(args, runset) -> list[float]:
-    return args.levels if args.levels is not None else default_loss_levels(runset, args.n_levels)
+    if args.levels is not None:
+        return args.levels
+    return bslaw.default_loss_levels(runset, args.n_levels)
 
 
 def _cmd_fit_bopt(args) -> None:
     runset = _filtered_runs(args)
-    scheme = LrScheme(args.scheme) if args.scheme else None
-    law, vertices = bopt_law_from_runs(
+    scheme = laws.LrScheme(args.scheme) if args.scheme else None
+    law, vertices = bslaw.bopt_law_from_runs(
         runset,
         loss_levels=_contour_levels(args, runset),
         lr_policy=args.policy,
@@ -352,10 +362,10 @@ def _cmd_fit_bopt(args) -> None:
 
 def _cmd_fit_lr(args) -> None:
     runset = _filtered_runs(args)
-    surface = build_surface(runset, args.checkpoint_tokens)
-    samples = extract_lr_opt(surface, refinement=args.refinement)
+    surface = lrlaw.build_surface(runset, args.checkpoint_tokens)
+    samples = lrlaw.extract_lr_opt(surface, refinement=args.refinement)
     fit = dataclasses.replace(
-        fit_gamma(samples, plateau_tolerance=args.plateau_tol),
+        lrlaw.fit_gamma(samples, plateau_tolerance=args.plateau_tol),
         base_lr=surface.base_lr,
         d_checkpoint=args.checkpoint_tokens,
     )
@@ -380,8 +390,8 @@ def _cmd_fit_lr(args) -> None:
 
 
 def _cmd_tradeoff(args) -> None:
-    ratios = args.b_ratios if args.b_ratios is not None else list(TABLE_B_RATIOS)
-    rows = tradeoff_table(args.gamma, ratios)
+    ratios = args.b_ratios if args.b_ratios is not None else list(noisescale.TABLE_B_RATIOS)
+    rows = noisescale.tradeoff_table(args.gamma, ratios)
     if args.csv:
         lines = ["b_ratio,e_ratio,s_ratio"]
         lines.extend(f"{r.b_ratio!r},{r.e_ratio!r},{r.s_ratio!r}" for r in rows)
@@ -398,36 +408,36 @@ def _cmd_tradeoff(args) -> None:
 
 
 def _cmd_advise(args) -> None:
-    artifact = _load_laws(args.laws)
+    doc = _load_laws(args.laws)
     if args.compute is not None:
         if args.model_size is not None:
             raise ValidationError(
                 "--model-size only applies to --data; a compute budget pins the model size"
             )
-        if artifact.frontier is None:
+        if doc.frontier is None:
             raise ValidationError(
                 f"{args.laws}: no frontier block; --compute needs one (run the frontier verb)"
             )
-        rec = advise_compute(
-            artifact.frontier,
+        rec = advisor.advise_compute(
+            doc.frontier,
             args.compute,
-            loss_law=artifact.loss_law,
-            presets=artifact.presets,
-            lr_law=artifact.lr_law,
+            loss_law=doc.loss_law,
+            presets=doc.presets,
+            lr_law=doc.lr_law,
             lr_scheme=args.scheme,
         )
     else:
-        if artifact.bopt is None:
+        if doc.bopt is None:
             raise ValidationError(
                 f"{args.laws}: no batch-size law block; --data needs one (run fit-bopt)"
             )
-        rec = advise_data(
-            artifact.bopt,
+        rec = advisor.advise_data(
+            doc.bopt,
             args.data,
             n_params=args.model_size,
-            loss_law=artifact.loss_law,
-            presets=artifact.presets,
-            lr_law=artifact.lr_law,
+            loss_law=doc.loss_law,
+            presets=doc.presets,
+            lr_law=doc.lr_law,
             lr_scheme=args.scheme,
         )
     lines = []
@@ -454,13 +464,13 @@ def _cmd_advise(args) -> None:
 def _cmd_export_plot(args) -> None:
     runset = _filtered_runs(args)
     if args.kind == "envelope":
-        envelope = compute_envelope(runset)
+        envelope = frontier.compute_envelope(runset)
         header = ["flops", "loss", "run_id"]
         rows = [[s.C, s.loss, s.run_id] for s in envelope]
     elif args.kind == "contour":
         levels = _contour_levels(args, runset)
-        scheme = LrScheme(args.scheme) if args.scheme else None
-        contours = iso_loss_contour(runset, levels, lr_policy=args.policy, scheme=scheme)
+        scheme = laws.LrScheme(args.scheme) if args.scheme else None
+        contours = bslaw.iso_loss_contour(runset, levels, lr_policy=args.policy, scheme=scheme)
         header = ["loss_level", "batch_size_tokens", "tokens_required"]
         rows = [
             [pt.loss_level, pt.B, pt.D_required]
@@ -471,7 +481,7 @@ def _cmd_export_plot(args) -> None:
         header = ["run_id", "step", "tokens", "loss"]
         rows = []
         for run in runset:
-            curve = (run if args.raw else smooth_run(run)).points
+            curve = (run if args.raw else runlog.smooth_run(run)).points
             rows.extend(
                 (run.run_id, *row)
                 for row in zip(curve.step.tolist(), curve.tokens.tolist(), curve.loss.tolist())
@@ -509,7 +519,7 @@ def _add_filter_flags(parser) -> None:
     )
     parser.add_argument(
         "--only-scheme",
-        choices=[s.value for s in LrScheme],
+        choices=[s.value for s in laws.LrScheme],
         help="keep only runs trained under this LR scheme",
     )
 
@@ -519,8 +529,11 @@ def _add_contour_flags(parser) -> None:
         "--levels", type=_csv_floats, help="comma-separated iso-loss levels"
     )
     parser.add_argument(
-        "--n-levels", type=int, default=DEFAULT_N_LEVELS,
-        help=f"number of automatic loss levels without --levels (default {DEFAULT_N_LEVELS})",
+        "--n-levels",
+        type=int,
+        default=bslaw.DEFAULT_N_LEVELS,
+        help="number of automatic loss levels without --levels "
+        f"(default {bslaw.DEFAULT_N_LEVELS})",
     )
     parser.add_argument(
         "--policy",
@@ -530,23 +543,12 @@ def _add_contour_flags(parser) -> None:
     )
     parser.add_argument(
         "--scheme",
-        choices=[s.value for s in LrScheme],
+        choices=[s.value for s in laws.LrScheme],
         help="LR scheme to hold fixed (with --policy fixed_scheme)",
     )
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="scalelaw",
-        description="Fit loss/batch/LR scaling laws from training-run logs "
-        "and turn budgets into training configurations.",
-    )
-    parser.add_argument("--version", action="version", version=f"scalelaw {__version__}")
-    sub = parser.add_subparsers(dest="verb", metavar="verb")
-
-    p = sub.add_parser(
-        "ingest", help="validate a JSONL run log and optionally normalize it"
-    )
+def _ingest_arguments(p) -> None:
     p.add_argument("--runs", required=True, help="input run log (JSONL)")
     p.add_argument("--out", help="write a normalized copy here")
     p.add_argument(
@@ -555,11 +557,9 @@ def _build_parser() -> _Parser:
         help="collect bad lines instead of failing on the first",
     )
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser(
-        "simulate", help="generate a synthetic run log from a planted ground truth"
-    )
+
+def _simulate_arguments(p) -> None:
     p.add_argument(
         "--config",
         help="JSON file with 'ground_truth' and/or 'sweep' blocks "
@@ -578,11 +578,9 @@ def _build_parser() -> _Parser:
         "--points-per-run", type=int, help="override the sweep's checkpoints per run"
     )
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser(
-        "fit-law", help="fit the parametric loss law L(N, D) to a run log"
-    )
+
+def _fit_law_arguments(p) -> None:
     _add_fit_io_flags(p)
     p.add_argument(
         "--constrain",
@@ -590,7 +588,7 @@ def _build_parser() -> _Parser:
         "or four numbers 'a,b,p,q'",
     )
     p.add_argument(
-        "--delta", type=float, default=DEFAULT_HUBER_DELTA,
+        "--delta", type=float, default=lawfit.DEFAULT_HUBER_DELTA,
         help="Huber delta on log-loss residuals",
     )
     p.add_argument(
@@ -598,19 +596,15 @@ def _build_parser() -> _Parser:
     )
     _add_filter_flags(p)
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_fit_law)
 
-    p = sub.add_parser(
-        "frontier", help="extract the compute frontier and fit its power laws"
-    )
+
+def _frontier_arguments(p) -> None:
     _add_fit_io_flags(p)
     _add_filter_flags(p)
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_frontier)
 
-    p = sub.add_parser(
-        "fit-bopt", help="fit the two-regime batch-size law B_opt(D) for one model size"
-    )
+
+def _fit_bopt_arguments(p) -> None:
     _add_fit_io_flags(p, runs_help="input run log (JSONL, one model size)")
     _add_contour_flags(p)
     p.add_argument(
@@ -618,11 +612,9 @@ def _build_parser() -> _Parser:
     )
     _add_filter_flags(p)
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_fit_bopt)
 
-    p = sub.add_parser(
-        "fit-lr", help="extract LR_opt(B) from an LR sweep and fit its exponent"
-    )
+
+def _fit_lr_arguments(p) -> None:
     _add_fit_io_flags(p, runs_help="input run log (JSONL, one model size)")
     p.add_argument(
         "--checkpoint-tokens",
@@ -633,22 +625,20 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--refinement",
         type=int,
-        default=DEFAULT_REFINEMENT,
+        default=lrlaw.DEFAULT_REFINEMENT,
         help="batch-grid refinement between swept batches",
     )
     p.add_argument(
         "--plateau-tol",
         type=float,
-        default=DEFAULT_PLATEAU_TOLERANCE,
+        default=lrlaw.DEFAULT_PLATEAU_TOLERANCE,
         help="relative LR variation treated as the ceiling plateau",
     )
     _add_filter_flags(p)
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_fit_lr)
 
-    p = sub.add_parser(
-        "tradeoff", help="print the iso-loss steps/data trade-off table"
-    )
+
+def _tradeoff_arguments(p) -> None:
     p.add_argument("--gamma", type=float, default=1.0, help="trade-off constant")
     p.add_argument(
         "--b-ratios",
@@ -657,11 +647,9 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_tradeoff)
 
-    p = sub.add_parser(
-        "advise", help="turn a compute or data budget into a training configuration"
-    )
+
+def _advise_arguments(p) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--compute", type=float, help="compute budget in FLOPs")
     group.add_argument("--data", type=float, help="token budget")
@@ -680,9 +668,9 @@ def _build_parser() -> _Parser:
         help="LR scaling rule used to move the preset LR to the advised batch",
     )
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_advise)
 
-    p = sub.add_parser("export-plot", help="export plot-ready CSV data")
+
+def _export_plot_arguments(p) -> None:
     p.add_argument("--runs", required=True, help="input run log (JSONL)")
     p.add_argument(
         "--kind",
@@ -698,8 +686,41 @@ def _build_parser() -> _Parser:
     )
     _add_filter_flags(p)
     _add_json_flag(p)
-    p.set_defaults(handler=_cmd_export_plot)
 
+
+# (verb, help, options, handler) in the order the usage lists them
+_VERBS = (
+    ("ingest", "validate a JSONL run log and optionally normalize it",
+     _ingest_arguments, _cmd_ingest),
+    ("simulate", "generate a synthetic run log from a planted ground truth",
+     _simulate_arguments, _cmd_simulate),
+    ("fit-law", "fit the parametric loss law L(N, D) to a run log",
+     _fit_law_arguments, _cmd_fit_law),
+    ("frontier", "extract the compute frontier and fit its power laws",
+     _frontier_arguments, _cmd_frontier),
+    ("fit-bopt", "fit the two-regime batch-size law B_opt(D) for one model size",
+     _fit_bopt_arguments, _cmd_fit_bopt),
+    ("fit-lr", "extract LR_opt(B) from an LR sweep and fit its exponent",
+     _fit_lr_arguments, _cmd_fit_lr),
+    ("tradeoff", "print the iso-loss steps/data trade-off table",
+     _tradeoff_arguments, _cmd_tradeoff),
+    ("advise", "turn a compute or data budget into a training configuration",
+     _advise_arguments, _cmd_advise),
+    ("export-plot", "export plot-ready CSV data", _export_plot_arguments, _cmd_export_plot),
+)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="scalelaw",
+        description="Fit loss/batch/LR scaling laws from training-run logs "
+        "and turn budgets into training configurations.",
+    )
+    parser.add_argument("--version", action="version", version=f"scalelaw {__version__}")
+    sub = parser.add_subparsers(dest="verb", metavar="verb")
+    for verb, verb_help, add_arguments, handler in _VERBS:
+        p = sub.add_parser(verb, help=verb_help, add_arguments=add_arguments)
+        p.set_defaults(handler=handler)
     return parser
 
 

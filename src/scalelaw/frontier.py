@@ -8,13 +8,12 @@ identities C = 6*N*D and D = S*B hold exactly in the reported law set.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .errors import (
     EmptyEnvelopeError,
     InsufficientDataError,
@@ -22,7 +21,8 @@ from .errors import (
     NoMinimumError,
     ValidationError,
 )
-from .runlog import FLOPS_PER_PARAM_TOKEN, RunSet, read_field, read_items, smooth_run
+from .laws import FLOPS_PER_PARAM_TOKEN, FrontierPoint, FrontierReport, PowerLaw
+from .runlog import RunSet, smooth_run
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -32,125 +32,12 @@ ENVELOPE_HALF_LIFE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
-class PowerLaw:
-    """y = k * x^p with the regressor range the fit actually covered."""
-
-    k: float
-    p: float
-    x_min: float
-    x_max: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < math.inf:
-            raise ValidationError(f"coefficient must be positive and finite, got {self.k}")
-        if not math.isfinite(self.p):
-            raise ValidationError(f"exponent must be finite, got {self.p}")
-        if not 0 < self.x_min <= self.x_max:
-            raise ValidationError("need 0 < x_min <= x_max")
-
-    def __call__(self, x):
-        # plain floats skip numpy; non-positive x and overflow take the
-        # numpy path, which returns nan or inf where Python would raise
-        if type(x) in (float, int) and x > 0:
-            with contextlib.suppress(OverflowError):
-                return self.k * float(x) ** self.p
-        x_arr = np.asarray(x, dtype=float)
-        out = self.k * x_arr**self.p
-        return out.item() if out.ndim == 0 else out
-
-    def extrapolates(self, x: float) -> bool:
-        return x < self.x_min or x > self.x_max
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PowerLaw":
-        return cls(**{f.name: read_field(d, f.name, float) for f in fields(cls)})
-
-
-@dataclass(frozen=True)
 class EnvelopeSample:
     """One grid point of the frontier envelope."""
 
     C: float
     loss: float
     run_id: str
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    """The compute-optimal operating point of one model size.
-
-    edge_clipped marks points whose winning interval was cut off by the end
-    of the data rather than by a competing model; their C is a lower-quality
-    estimate of the true optimum.
-    """
-
-    C: float
-    loss: float
-    N: float
-    D: float
-    S: float
-    B: float
-    edge_clipped: bool = False
-
-    def __post_init__(self) -> None:
-        if min(self.C, self.loss, self.N, self.D, self.S, self.B) <= 0:
-            raise ValidationError("all FrontierPoint fields must be positive")
-        if abs(self.C / (FLOPS_PER_PARAM_TOKEN * self.N * self.D) - 1.0) > 0.005:
-            raise ValidationError("C must equal 6*N*D within 0.5%")
-        if abs(self.D - self.S * self.B) > self.B:
-            raise ValidationError("D must equal S*B within one batch")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrontierPoint":
-        return cls(
-            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
-            edge_clipped=read_field(d, "edge_clipped", bool, False),
-        )
-
-
-_LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
-
-
-@dataclass(frozen=True)
-class FrontierReport:
-    """Frontier points and the five fitted/derived power laws of compute."""
-
-    points: tuple[FrontierPoint, ...]
-    L_opt: PowerLaw
-    N_opt: PowerLaw
-    D_opt: PowerLaw
-    S_opt: PowerLaw
-    B_opt: PowerLaw
-    consistency_residuals: dict[str, float]
-    excluded: tuple[float, ...] = ()
-
-    def to_dict(self) -> dict:
-        """Every field; the points only when the report has any."""
-        doc = {name: getattr(self, name).to_dict() for name in _LAW_NAMES}
-        doc.update(
-            consistency_residuals=dict(self.consistency_residuals),
-            n_points=len(self.points),
-            excluded_model_sizes=list(self.excluded),
-        )
-        if self.points:
-            doc["points"] = [asdict(pt) for pt in self.points]
-        return doc
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrontierReport":
-        residuals = d.get("consistency_residuals", {})
-        return cls(
-            points=tuple(FrontierPoint.from_dict(pt) for pt in d.get("points", ())),
-            **{name: PowerLaw.from_dict(d[name]) for name in _LAW_NAMES},
-            # .keys() refuses a list, whose entries would pass as indices
-            consistency_residuals={
-                key: read_field(residuals, key, float) for key in residuals.keys()
-            },
-            excluded=read_items(d, "excluded_model_sizes", float, ()),
-        )
 
 
 def _run_curve_log(run, smooth: bool = False) -> tuple[np.ndarray, np.ndarray]:

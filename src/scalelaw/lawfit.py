@@ -1,12 +1,10 @@
-"""Parametric loss laws and the constrained Huber fit.
+"""The constrained Huber fit of the parametric loss law.
 
-Two law families are supported: the additive Chinchilla form
-L(N, D) = E + A/N^alpha + B/D^beta and the older Kaplan form
-[(Nc/N)^(alpha_N/alpha_D) + Dc/D]^alpha_D.  Fitting targets the Chinchilla
-form, minimizing a Huber loss on log-loss residuals.  The constrained mode
-ties (A, alpha) to an observed compute-allocation frontier N_opt = p*C^a,
-D_opt = q*C^b, which reduces the search to (E, beta, Bcoef); a free
-5-parameter mode is available for comparison with published fits.
+The fit targets the additive form L(N, D) = E + A/N^alpha + B/D^beta
+(laws.ChinchillaLaw), minimizing a Huber loss on log-loss residuals.  The
+constrained mode ties (A, alpha) to an observed compute-allocation frontier
+N_opt = p*C^a, D_opt = q*C^b, which reduces the search to (E, beta, Bcoef);
+a free 5-parameter mode is available for comparison with published fits.
 
 The fit screens a 125-point grid of starts by one objective evaluation each
 and polishes the 8 best with a small projected-BFGS solver for the box
@@ -16,21 +14,20 @@ tests and reaches the same optimum, so the package needs only numpy.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .errors import (
     DegenerateVarianceError,
     FitFailureError,
-    InfeasibleTargetError,
     InsufficientDataError,
     ValidationError,
 )
-from .runlog import RunSet, has_divergence, read_field, smooth_run
+from .laws import ChinchillaLaw
+from .runlog import RunSet, has_divergence, smooth_run
 
 DEFAULT_HUBER_DELTA = 1e-3
 
@@ -47,110 +44,6 @@ POLISHED_STARTS = 8
 
 _MAX_ITER = 500
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ChinchillaLaw:
-    """Additive-form loss law L(N, D) = E + A/N^alpha + Bcoef/D^beta.
-
-    E is the irreducible loss in nats; A and Bcoef scale the parameter- and
-    data-limited terms.
-    """
-
-    E: float
-    A: float
-    alpha: float
-    Bcoef: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        # "not 0 < v < inf" also rejects NaN, which fails every comparison
-        if not 0 <= self.E < math.inf:
-            raise ValidationError(f"E must be non-negative and finite, got {self.E}")
-        if not (0 < self.A < math.inf and 0 < self.Bcoef < math.inf):
-            raise ValidationError(
-                f"A and Bcoef must be positive and finite, got ({self.A}, {self.Bcoef})"
-            )
-        if not (0 < self.alpha < 1 and 0 < self.beta < 1):
-            raise ValidationError(
-                f"alpha and beta must lie in (0, 1), got ({self.alpha}, {self.beta})"
-            )
-
-    def eval(self, n, d):
-        """Loss at n parameters and d tokens; broadcasts over arrays."""
-        if type(n) in (float, int) and type(d) in (float, int):
-            with contextlib.suppress(OverflowError):  # numpy returns inf instead
-                n, d = float(n), float(d)
-                if n <= 0 or d <= 0:
-                    raise ValidationError("n and d must be positive")
-                return self.E + self.A * n ** (-self.alpha) + self.Bcoef * d ** (-self.beta)
-        n_arr = np.asarray(n, dtype=float)
-        d_arr = np.asarray(d, dtype=float)
-        if np.any(n_arr <= 0) or np.any(d_arr <= 0):
-            raise ValidationError("n and d must be positive")
-        out = self.E + self.A * n_arr ** (-self.alpha) + self.Bcoef * d_arr ** (-self.beta)
-        return out.item() if out.ndim == 0 else out
-
-    def floor_at_n(self, n: float) -> float:
-        """Loss floor for a fixed model size as data grows without bound."""
-        return self.E + self.A * n ** (-self.alpha)
-
-    def d_for_loss(self, target_loss: float, n: float) -> float:
-        """Token budget at which a model of size n reaches target_loss."""
-        if n <= 0:
-            raise ValidationError("n must be positive")
-        floor = self.floor_at_n(n)
-        remainder = target_loss - floor
-        if remainder <= 0:
-            raise InfeasibleTargetError(
-                f"target loss {target_loss} is at or below the floor {floor:.6g} "
-                f"reachable with {n:.4g} parameters",
-                floor=floor,
-            )
-        return (self.Bcoef / remainder) ** (1.0 / self.beta)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, params: dict) -> "ChinchillaLaw":
-        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
-
-
-# Published fit of the 125M-2.6B batch-size study: the reference artifact's
-# loss law and the synthetic generator's planted truth.
-REFERENCE_LOSS_LAW = ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
-
-
-@dataclass(frozen=True)
-class KaplanLaw:
-    """Power-form loss law [(Nc/N)^(alpha_N/alpha_D) + Dc/D]^alpha_D."""
-
-    Nc: float
-    Dc: float
-    alpha_N: float
-    alpha_D: float
-
-    def __post_init__(self) -> None:
-        if not all(0 < v < math.inf for v in (self.Nc, self.Dc, self.alpha_N, self.alpha_D)):
-            raise ValidationError("all KaplanLaw fields must be positive and finite")
-
-    def eval(self, n, d):
-        """Loss at n parameters and d tokens; broadcasts over arrays."""
-        n_arr = np.asarray(n, dtype=float)
-        d_arr = np.asarray(d, dtype=float)
-        if np.any(n_arr <= 0) or np.any(d_arr <= 0):
-            raise ValidationError("n and d must be positive")
-        inner = (self.Nc / n_arr) ** (self.alpha_N / self.alpha_D) + self.Dc / d_arr
-        out = inner**self.alpha_D
-        return out.item() if out.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, params: dict) -> "KaplanLaw":
-        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
 
 
 def _check_delta(delta: float) -> None:

@@ -1,0 +1,397 @@
+"""The fitted laws: the value types a laws file holds and advice evaluates.
+
+Fitting (lawfit, frontier, bslaw, lrlaw) produces these records, the
+artifact module reads and writes them, and the advisor evaluates them.
+They depend on nothing but the error types and numpy, which they load only
+for array arguments, so a process that just reads a laws file and evaluates
+it never loads the fitting code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+from dataclasses import asdict, dataclass, fields
+from enum import Enum
+
+from ._lazy import np
+from .errors import InfeasibleTargetError, ValidationError
+
+# Forward-pass-plus-backward cost per parameter per token.
+FLOPS_PER_PARAM_TOKEN = 6.0
+
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
+
+
+def read_field(doc: dict, name: str, kind: type, default=_REQUIRED):
+    """doc[name] (the default when absent; KeyError if required) as kind.
+
+    int takes whole numbers and float any number, neither a bool; str and
+    bool take only their own type.  Any other value, which kind() would
+    change silently, is a TypeError naming the field.
+    """
+    value = doc[name] if default is _REQUIRED else doc.get(name, default)
+    return _as_kind(value, name, kind)
+
+
+def read_items(doc: dict, name: str, kind: type, default=_REQUIRED) -> tuple:
+    """doc[name] (the default when absent) as a tuple, each entry held to
+    read_field's rules for kind."""
+    items = doc[name] if default is _REQUIRED else doc.get(name, default)
+    return tuple(_as_kind(value, f"{name} entry", kind) for value in items)
+
+
+def _as_kind(value, name: str, kind: type):
+    if kind in (str, bool):
+        ok = type(value) is kind
+    elif kind is int:
+        ok = type(value) is int or isinstance(value, float) and value.is_integer()
+    else:
+        ok = type(value) is int or isinstance(value, float)
+    if not ok:
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+class LrScheme(str, Enum):
+    """How the peak learning rate was chosen relative to a base configuration."""
+
+    ORIGIN = "origin"
+    SQRT = "sqrt"
+    LINEAR = "linear"
+
+
+def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme = "linear") -> float:
+    """Transfer a learning rate across batch sizes.
+
+    linear multiplies by new_B/base_B, sqrt by its square root, none keeps
+    the base value.  Run-log scheme tags map onto these rules (origin means
+    none).
+    """
+    if min(base_lr, base_B, new_B) <= 0:
+        raise ValidationError("all arguments must be positive")
+    if isinstance(scheme, LrScheme):
+        scheme = {"origin": "none", "sqrt": "sqrt", "linear": "linear"}[scheme.value]
+    if scheme == "linear":
+        return base_lr * (new_B / base_B)
+    if scheme == "sqrt":
+        return base_lr * math.sqrt(new_B / base_B)
+    if scheme == "none":
+        return base_lr
+    raise ValidationError(f"unknown scaling scheme {scheme!r}")
+
+
+@dataclass(frozen=True)
+class PowerLaw:
+    """y = k * x^p with the regressor range the fit actually covered."""
+
+    k: float
+    p: float
+    x_min: float
+    x_max: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.k < math.inf:
+            raise ValidationError(f"coefficient must be positive and finite, got {self.k}")
+        if not math.isfinite(self.p):
+            raise ValidationError(f"exponent must be finite, got {self.p}")
+        if not 0 < self.x_min <= self.x_max:
+            raise ValidationError("need 0 < x_min <= x_max")
+
+    def __call__(self, x):
+        # plain floats skip numpy; non-positive x and overflow take the
+        # numpy path, which returns nan or inf where Python would raise
+        if type(x) in (float, int) and x > 0:
+            with contextlib.suppress(OverflowError):
+                return self.k * float(x) ** self.p
+        x_arr = np.asarray(x, dtype=float)
+        out = self.k * x_arr**self.p
+        return out.item() if out.ndim == 0 else out
+
+    def extrapolates(self, x: float) -> bool:
+        return x < self.x_min or x > self.x_max
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PowerLaw":
+        return cls(**{f.name: read_field(d, f.name, float) for f in fields(cls)})
+
+
+@dataclass(frozen=True)
+class FrontierPoint:
+    """The compute-optimal operating point of one model size.
+
+    edge_clipped marks points whose winning interval was cut off by the end
+    of the data rather than by a competing model; their C is a lower-quality
+    estimate of the true optimum.
+    """
+
+    C: float
+    loss: float
+    N: float
+    D: float
+    S: float
+    B: float
+    edge_clipped: bool = False
+
+    def __post_init__(self) -> None:
+        if min(self.C, self.loss, self.N, self.D, self.S, self.B) <= 0:
+            raise ValidationError("all FrontierPoint fields must be positive")
+        if abs(self.C / (FLOPS_PER_PARAM_TOKEN * self.N * self.D) - 1.0) > 0.005:
+            raise ValidationError("C must equal 6*N*D within 0.5%")
+        if abs(self.D - self.S * self.B) > self.B:
+            raise ValidationError("D must equal S*B within one batch")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FrontierPoint":
+        return cls(
+            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
+            edge_clipped=read_field(d, "edge_clipped", bool, False),
+        )
+
+
+_LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
+
+
+@dataclass(frozen=True)
+class FrontierReport:
+    """Frontier points and the five fitted/derived power laws of compute."""
+
+    points: tuple[FrontierPoint, ...]
+    L_opt: PowerLaw
+    N_opt: PowerLaw
+    D_opt: PowerLaw
+    S_opt: PowerLaw
+    B_opt: PowerLaw
+    consistency_residuals: dict[str, float]
+    excluded: tuple[float, ...] = ()
+
+    def to_dict(self) -> dict:
+        """Every field; the points only when the report has any."""
+        doc = {name: getattr(self, name).to_dict() for name in _LAW_NAMES}
+        doc.update(
+            consistency_residuals=dict(self.consistency_residuals),
+            n_points=len(self.points),
+            excluded_model_sizes=list(self.excluded),
+        )
+        if self.points:
+            doc["points"] = [asdict(pt) for pt in self.points]
+        return doc
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FrontierReport":
+        residuals = d.get("consistency_residuals", {})
+        return cls(
+            points=tuple(FrontierPoint.from_dict(pt) for pt in d.get("points", ())),
+            **{name: PowerLaw.from_dict(d[name]) for name in _LAW_NAMES},
+            # .keys() refuses a list, whose entries would pass as indices
+            consistency_residuals={
+                key: read_field(residuals, key, float) for key in residuals.keys()
+            },
+            excluded=read_items(d, "excluded_model_sizes", float, ()),
+        )
+
+
+@dataclass(frozen=True)
+class ChinchillaLaw:
+    """Additive-form loss law L(N, D) = E + A/N^alpha + Bcoef/D^beta.
+
+    E is the irreducible loss in nats; A and Bcoef scale the parameter- and
+    data-limited terms.
+    """
+
+    E: float
+    A: float
+    alpha: float
+    Bcoef: float
+    beta: float
+
+    def __post_init__(self) -> None:
+        # "not 0 < v < inf" also rejects NaN, which fails every comparison
+        if not 0 <= self.E < math.inf:
+            raise ValidationError(f"E must be non-negative and finite, got {self.E}")
+        if not (0 < self.A < math.inf and 0 < self.Bcoef < math.inf):
+            raise ValidationError(
+                f"A and Bcoef must be positive and finite, got ({self.A}, {self.Bcoef})"
+            )
+        if not (0 < self.alpha < 1 and 0 < self.beta < 1):
+            raise ValidationError(
+                f"alpha and beta must lie in (0, 1), got ({self.alpha}, {self.beta})"
+            )
+
+    def eval(self, n, d):
+        """Loss at n parameters and d tokens; broadcasts over arrays."""
+        if type(n) in (float, int) and type(d) in (float, int):
+            with contextlib.suppress(OverflowError):  # numpy returns inf instead
+                n, d = float(n), float(d)
+                if n <= 0 or d <= 0:
+                    raise ValidationError("n and d must be positive")
+                return self.E + self.A * n ** (-self.alpha) + self.Bcoef * d ** (-self.beta)
+        n_arr = np.asarray(n, dtype=float)
+        d_arr = np.asarray(d, dtype=float)
+        if np.any(n_arr <= 0) or np.any(d_arr <= 0):
+            raise ValidationError("n and d must be positive")
+        out = self.E + self.A * n_arr ** (-self.alpha) + self.Bcoef * d_arr ** (-self.beta)
+        return out.item() if out.ndim == 0 else out
+
+    def floor_at_n(self, n: float) -> float:
+        """Loss floor for a fixed model size as data grows without bound."""
+        return self.E + self.A * n ** (-self.alpha)
+
+    def d_for_loss(self, target_loss: float, n: float) -> float:
+        """Token budget at which a model of size n reaches target_loss."""
+        if n <= 0:
+            raise ValidationError("n must be positive")
+        floor = self.floor_at_n(n)
+        remainder = target_loss - floor
+        if remainder <= 0:
+            raise InfeasibleTargetError(
+                f"target loss {target_loss} is at or below the floor {floor:.6g} "
+                f"reachable with {n:.4g} parameters",
+                floor=floor,
+            )
+        return (self.Bcoef / remainder) ** (1.0 / self.beta)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, params: dict) -> "ChinchillaLaw":
+        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
+
+
+# Published fit of the 125M-2.6B batch-size study: the reference artifact's
+# loss law and the synthetic generator's planted truth.
+REFERENCE_LOSS_LAW = ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
+
+
+@dataclass(frozen=True)
+class KaplanLaw:
+    """Power-form loss law [(Nc/N)^(alpha_N/alpha_D) + Dc/D]^alpha_D."""
+
+    Nc: float
+    Dc: float
+    alpha_N: float
+    alpha_D: float
+
+    def __post_init__(self) -> None:
+        if not all(0 < v < math.inf for v in (self.Nc, self.Dc, self.alpha_N, self.alpha_D)):
+            raise ValidationError("all KaplanLaw fields must be positive and finite")
+
+    def eval(self, n, d):
+        """Loss at n parameters and d tokens; broadcasts over arrays."""
+        n_arr = np.asarray(n, dtype=float)
+        d_arr = np.asarray(d, dtype=float)
+        if np.any(n_arr <= 0) or np.any(d_arr <= 0):
+            raise ValidationError("n and d must be positive")
+        inner = (self.Nc / n_arr) ** (self.alpha_N / self.alpha_D) + self.Dc / d_arr
+        out = inner**self.alpha_D
+        return out.item() if out.ndim == 0 else out
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, params: dict) -> "KaplanLaw":
+        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
+
+
+@dataclass(frozen=True)
+class BoptLaw:
+    """Two-regime optimal batch size: B_opt(D) = min(D/s_floor, k*D^p).
+
+    Below crossover_D the minimum step count s_floor binds and the optimal
+    batch grows linearly with data; above it the fitted power branch takes
+    over.  power_fitted is False when no contour minima reached the power
+    regime, in which case the power branch is a copy of the linear one.
+    """
+
+    k: float
+    p: float
+    s_floor: float
+    crossover_D: float
+    d_min: float
+    d_max: float
+    power_fitted: bool = True
+
+    def __post_init__(self) -> None:
+        # written so that NaN, which fails every comparison, is rejected;
+        # crossover_D is inf when the power branch never undercuts the linear one
+        positive = (self.k, self.s_floor, self.d_min, self.d_max)
+        if not (
+            all(0 < v < math.inf for v in positive)
+            and self.d_min <= self.d_max
+            and math.isfinite(self.p)
+            and 0 <= self.crossover_D <= math.inf
+        ):
+            raise ValidationError("invalid BoptLaw fields")
+
+    def eval(self, d):
+        """Optimal batch size in tokens at data budget d."""
+        if type(d) in (float, int):
+            with contextlib.suppress(OverflowError):  # numpy returns inf instead
+                d = float(d)
+                if d <= 0:
+                    raise ValidationError("d must be positive")
+                return min(d / self.s_floor, self.k * d**self.p)
+        d_arr = np.asarray(d, dtype=float)
+        if np.any(d_arr <= 0):
+            raise ValidationError("d must be positive")
+        out = np.minimum(d_arr / self.s_floor, self.k * d_arr**self.p)
+        return out.item() if out.ndim == 0 else out
+
+    def regime(self, d: float) -> str:
+        return "linear" if d < self.crossover_D else "power"
+
+    def extrapolates(self, d: float) -> bool:
+        return d < self.d_min or d > self.d_max
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BoptLaw":
+        return cls(
+            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
+            power_fitted=read_field(d, "power_fitted", bool, True),
+        )
+
+
+# Optional LrLawFit fields naming where the law was anchored.
+_LR_ANCHOR_KEYS = ("base_lr", "base_B", "d_checkpoint")
+
+
+@dataclass(frozen=True)
+class LrLawFit:
+    """Fitted LR-vs-batch exponent with its ceiling plateau, if any, and
+    optionally where it was anchored (base LR and batch, checkpoint tokens)."""
+
+    gamma: float
+    lr_ceiling: float | None
+    plateau_onset_B: float | None
+    n_fit: int
+    base_lr: float | None = None
+    base_B: float | None = None
+    d_checkpoint: float | None = None
+
+    def to_dict(self) -> dict:
+        """Every field, except anchor fields that are unset."""
+        return {k: v for k, v in asdict(self).items() if v is not None or k not in _LR_ANCHOR_KEYS}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LrLawFit":
+        return cls(
+            gamma=read_field(d, "gamma", float),
+            lr_ceiling=_optional_float(d, "lr_ceiling"),
+            plateau_onset_B=_optional_float(d, "plateau_onset_B"),
+            n_fit=read_field(d, "n_fit", int, 0),
+            **{key: _optional_float(d, key) for key in _LR_ANCHOR_KEYS if key in d},
+        )
+
+
+def _optional_float(d: dict, name: str) -> float | None:
+    return None if d[name] is None else read_field(d, name, float)

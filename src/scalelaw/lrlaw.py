@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 from .errors import (
     GammaUndefinedError,
     InsufficientDataError,
@@ -22,7 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .frontier import fit_power_law, interp_in_range, longest_stretch, parabola_vertex
-from .runlog import LrScheme, RunSet, has_divergence, read_field, smooth_run
+from .laws import LrLawFit
+from .runlog import RunSet, has_divergence, smooth_run
 
 DEFAULT_PLATEAU_TOLERANCE = 0.05
 # A flat suffix only counts as the ceiling plateau if it spans enough of the
@@ -90,42 +91,6 @@ class LrSample:
     lr_opt: float
     loss_at_opt: float
     boundary: bool = False
-
-
-# Optional LrLawFit fields naming where the law was anchored.
-_LR_ANCHOR_KEYS = ("base_lr", "base_B", "d_checkpoint")
-
-
-@dataclass(frozen=True)
-class LrLawFit:
-    """Fitted LR-vs-batch exponent with its ceiling plateau, if any, and
-    optionally where it was anchored (base LR and batch, checkpoint tokens)."""
-
-    gamma: float
-    lr_ceiling: float | None
-    plateau_onset_B: float | None
-    n_fit: int
-    base_lr: float | None = None
-    base_B: float | None = None
-    d_checkpoint: float | None = None
-
-    def to_dict(self) -> dict:
-        """Every field, except anchor fields that are unset."""
-        return {k: v for k, v in asdict(self).items() if v is not None or k not in _LR_ANCHOR_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LrLawFit":
-        return cls(
-            gamma=read_field(d, "gamma", float),
-            lr_ceiling=_optional_float(d, "lr_ceiling"),
-            plateau_onset_B=_optional_float(d, "plateau_onset_B"),
-            n_fit=read_field(d, "n_fit", int, 0),
-            **{key: _optional_float(d, key) for key in _LR_ANCHOR_KEYS if key in d},
-        )
-
-
-def _optional_float(d: dict, name: str) -> float | None:
-    return None if d[name] is None else read_field(d, name, float)
 
 
 def _loss_at_checkpoint(run, d_checkpoint: float) -> float:
@@ -299,23 +264,3 @@ def fit_gamma(
         plateau_onset_B=onset,
         n_fit=int(bs[prefix].size),
     )
-
-
-def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme = "linear") -> float:
-    """Transfer a learning rate across batch sizes.
-
-    linear multiplies by new_B/base_B, sqrt by its square root, none keeps
-    the base value.  Run-log scheme tags map onto these rules (origin means
-    none).
-    """
-    if min(base_lr, base_B, new_B) <= 0:
-        raise ValidationError("all arguments must be positive")
-    if isinstance(scheme, LrScheme):
-        scheme = {"origin": "none", "sqrt": "sqrt", "linear": "linear"}[scheme.value]
-    if scheme == "linear":
-        return base_lr * (new_B / base_B)
-    if scheme == "sqrt":
-        return base_lr * math.sqrt(new_B / base_B)
-    if scheme == "none":
-        return base_lr
-    raise ValidationError(f"unknown scaling scheme {scheme!r}")

@@ -1,5 +1,5 @@
-"""Training-run records: JSONL ingestion, curve smoothing, FLOP accounting,
-and loss-to-tokens inversion.
+"""Training-run records: JSONL ingestion, curve smoothing and loss-to-tokens
+inversion.
 
 A run is a loss curve sampled at checkpoint steps, tagged with the model
 size and optimizer settings that produced it.  Everything downstream
@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Iterable, Iterator
 
-from ._numpy import np
+from ._lazy import np
 from .errors import (
     ConflictError,
     InsufficientDataError,
@@ -23,22 +22,12 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-
-# Forward-pass-plus-backward cost per parameter per token.
-FLOPS_PER_PARAM_TOKEN = 6.0
+from .laws import LrScheme, read_field
 
 # Smoothing defaults: EMA half-life as a fraction of the run's total tokens,
 # and the minimum leading fraction discarded as optimizer transient.
 DEFAULT_HALF_LIFE_FRACTION = 0.01
 DEFAULT_DISCARD_FRACTION = 0.01
-
-
-class LrScheme(str, Enum):
-    """How the peak learning rate was chosen relative to a base configuration."""
-
-    ORIGIN = "origin"
-    SQRT = "sqrt"
-    LINEAR = "linear"
 
 
 @dataclass(frozen=True)
@@ -198,45 +187,14 @@ _REQUIRED_FIELDS = (
 )
 
 
-_REQUIRED = object()
-_KIND_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
+def _coerce(obj: dict, name: str, kind: type, line_no: int | None, *default):
+    """read_field of a run-log line; ParseError with the line number if refused.
 
-
-def read_field(doc: dict, name: str, kind: type, default=_REQUIRED):
-    """doc[name] (the default when absent; KeyError if required) as kind.
-
-    int takes whole numbers and float any number, neither a bool; str and
-    bool take only their own type.  Any other value, which kind() would
-    change silently, is a TypeError naming the field.
+    An integer too large for a float is refused too.
     """
-    value = doc[name] if default is _REQUIRED else doc.get(name, default)
-    return _as_kind(value, name, kind)
-
-
-def read_items(doc: dict, name: str, kind: type, default=_REQUIRED) -> tuple:
-    """doc[name] (the default when absent) as a tuple, each entry held to
-    read_field's rules for kind."""
-    items = doc[name] if default is _REQUIRED else doc.get(name, default)
-    return tuple(_as_kind(value, f"{name} entry", kind) for value in items)
-
-
-def _as_kind(value, name: str, kind: type):
-    if kind in (str, bool):
-        ok = type(value) is kind
-    elif kind is int:
-        ok = type(value) is int or isinstance(value, float) and value.is_integer()
-    else:
-        ok = type(value) is int or isinstance(value, float)
-    if not ok:
-        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _coerce(obj: dict, name: str, kind: type, line_no: int | None, default=_REQUIRED):
-    """read_field of a run-log line; ParseError with the line number if refused."""
     try:
-        return read_field(obj, name, kind, default)
-    except TypeError as exc:
+        return read_field(obj, name, kind, *default)
+    except (TypeError, OverflowError) as exc:
         raise ParseError(str(exc), line_no=line_no, field=name) from None
 
 
@@ -309,7 +267,7 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
         )
     model = ModelSpec(
         n_params=_coerce(obj, "n_params", float, line_no),
-        label=_coerce(obj, "label", str, line_no, default=""),
+        label=_coerce(obj, "label", str, line_no, ""),
         seq_len=seq_len,
     )
     return RunRecord(
@@ -321,7 +279,7 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
         warmup_steps=_coerce(obj, "warmup_steps", int, line_no),
         decay_steps=_coerce(obj, "decay_steps", int, line_no),
         points=points,
-        lr_scale=_coerce(obj, "lr_scale", float, line_no, default=1.0),
+        lr_scale=_coerce(obj, "lr_scale", float, line_no, 1.0),
     )
 
 

@@ -16,12 +16,11 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 
-from ._numpy import np
+from ._lazy import np
 from .errors import ParseError, ValidationError
-from .lawfit import REFERENCE_LOSS_LAW, ChinchillaLaw
-from .lrlaw import scale_lr
+from .laws import REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, LrScheme, ModelSpec, RunRecord, RunSet, read_field, read_items
+from .runlog import Curve, ModelSpec, RunRecord, RunSet
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.

@@ -242,6 +242,19 @@ def test_tradeoff_rejects_bad_gamma(capsys, gamma):
     assert captured.out == ""
 
 
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a new interpreter on this checkout; it must exit 0."""
+    src = str(Path(scalelaw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_cli_verbs_never_import_scipy(tmp_path):
     runs, laws = str(tmp_path / "runs.jsonl"), str(tmp_path / "laws.json")
     lr_runs = str(lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3))
@@ -265,14 +278,7 @@ def test_cli_verbs_never_import_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded[:3]\n"
     )
-    src = str(Path(scalelaw.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = run_fresh(script)
     assert "model size N" in proc.stdout
     assert LawArtifact.load(laws).loss_law is not None
 
@@ -294,16 +300,71 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
         "    loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
         "    assert not loaded, (argv, loaded[:3])\n"
     )
-    src = str(Path(scalelaw.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = run_fresh(script)
     assert proc.stdout.count("batch size B") == 1 and '"B": ' in proc.stdout
     assert "B/B_crit" in proc.stdout
+
+
+# the layers the benchmark traces, and those that fit laws to run logs
+TRACED_LAYERS = ("synth", "runlog", "frontier", "bslaw", "lawfit", "lrlaw", "artifact", "advisor")
+FIT_LAYERS = ("synth", "runlog", "lawfit", "frontier", "bslaw", "lrlaw")
+
+
+def test_each_verb_executes_only_its_layers(tmp_path, reference, five_model_runs):
+    laws = tmp_path / "laws.json"
+    reference.save(laws)
+    cases = [
+        (
+            [
+                ["advise", "--compute", "8.16e21"],
+                ["advise", "--data", "1e12", "--laws", str(laws), "--model-size", "2.6e9",
+                 "--json"],
+                ["tradeoff", "--gamma", "1"],
+            ],
+            FIT_LAYERS,
+        ),
+        ([["ingest", "--runs", str(five_model_runs)]],
+         ("lawfit", "frontier", "bslaw", "lrlaw", "synth", "advisor")),
+    ]
+    for queries, unused in cases:
+        # a layer waiting for its lazy load is a ModuleType subclass until it runs
+        script = (
+            "import sys, types\n"
+            "import scalelaw\n"
+            "def executed():\n"
+            "    return [m for m in sorted(sys.modules) if m.startswith('scalelaw.')\n"
+            "            and type(sys.modules[m]) is types.ModuleType]\n"
+            "assert set(scalelaw.__all__) <= set(dir(scalelaw))\n"
+            "assert executed() == ['scalelaw._lazy'], executed()\n"
+            "from scalelaw.cli import main\n"
+            f"missing = [n for n in {TRACED_LAYERS!r} if 'scalelaw.' + n not in sys.modules]\n"
+            "assert not missing, missing\n"
+            f"for argv in {queries!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            f"    ran = [n for n in {unused!r} if 'scalelaw.' + n in executed()]\n"
+            "    assert not ran, (argv, ran)\n"
+        )
+        run_fresh(script)
+
+
+@pytest.mark.parametrize("verb", ["fit-law", "simulate"])
+def test_write_into_missing_directory_names_the_destination(
+    five_model_runs, tmp_path, capsys, verb
+):
+    target = str(tmp_path / "missing" / "out")
+    if verb == "fit-law":
+        argv = ["fit-law", "--runs", str(five_model_runs), "--laws", target]
+    else:
+        argv = ["simulate", "--out", target, "--points-per-run", "20"]
+    payloads = [run_json(capsys, *argv) for _ in range(2)]
+    assert payloads[0] == payloads[1]
+    code, payload = payloads[0]
+    assert code == 1
+    assert payload == {
+        "error": "FileNotFoundError",
+        "message": f"[Errno 2] No such file or directory: {target!r}",
+    }
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize(
@@ -811,3 +872,13 @@ def test_help_exits_zero(capsys):
     for verb in ("ingest", "simulate", "fit-law", "frontier", "fit-bopt",
                  "fit-lr", "tradeoff", "advise", "export-plot"):
         assert verb in out
+    # a verb's options are added when it parses, so its own help lists them
+    for verb, option in [("ingest", "--lenient"), ("simulate", "--points-per-run"),
+                         ("fit-law", "--delta"), ("frontier", "--only-scheme"),
+                         ("fit-bopt", "--n-levels"), ("fit-lr", "--plateau-tol"),
+                         ("tradeoff", "--b-ratios"), ("advise", "--compute"),
+                         ("export-plot", "--kind")]:
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        assert option in capsys.readouterr().out

@@ -7,7 +7,6 @@ checks every global a function references against the imported module and
 the builtins.
 """
 
-import ast
 import builtins
 import importlib
 import pkgutil
@@ -43,13 +42,8 @@ def test_public_exports_resolve():
     namespace: dict = {}
     exec("from scalelaw import *", namespace)
     assert set(scalelaw.__all__) <= namespace.keys()
-    # a name deleted from the imports or from __all__ must not stay in the other
-    tree = ast.parse(Path(scalelaw.__file__).read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    # a name deleted from the export table or from __all__ must not stay in the other
+    exported = [name for names in scalelaw._EXPORTS.values() for name in names]
     assert len(scalelaw.__all__) == len(set(scalelaw.__all__))
-    assert sorted(scalelaw.__all__) == sorted(imported + ["__version__"])
+    assert sorted(scalelaw.__all__) == sorted(exported + ["__version__"])
+    assert set(scalelaw.__all__) <= set(dir(scalelaw))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalelaw import (
@@ -18,6 +18,7 @@ from scalelaw import (
     PreRangeLossError,
     RunRecord,
     RunSet,
+    ScaleLawError,
     UnreachableLossError,
     ValidationError,
     finite_prefix,
@@ -302,6 +303,46 @@ def test_parse_verdict_matches_scalar_reference(points):
         with pytest.raises((ParseError, ValidationError)) as info:
             parse_runs([line])
         assert info.type is expected
+
+
+_DROP = object()
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    # past 2**1024 an int has no float
+    | st.integers(min_value=-(2**1100), max_value=2**1100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_RUN_FIELDS = tuple(json.loads(MINIMAL_LINE)) + ("lr_scale", "label", "seq_len")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(edits=st.dictionaries(
+    st.sampled_from(_RUN_FIELDS), st.just(_DROP) | _JSON_VALUES, min_size=1, max_size=4
+))
+@example(edits={"n_params": 10**400})
+def test_parse_any_field_values_give_runset_or_typed_error(edits):
+    obj = json.loads(MINIMAL_LINE)
+    for name, value in edits.items():
+        if value is _DROP:
+            obj.pop(name, None)
+        else:
+            obj[name] = value
+    line = json.dumps(obj)
+    try:
+        strict = parse_runs([line])
+    except ScaleLawError as exc:
+        strict, error = None, str(exc)
+    lenient = parse_runs([line], strict=False)
+    if strict is None:
+        assert len(lenient) == 0 and lenient.rejected == [(1, error)]
+    else:
+        assert list(lenient.runs) == list(strict.runs) and lenient.rejected == []
 
 
 def test_roundtrip_identity():
