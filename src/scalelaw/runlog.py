@@ -198,6 +198,15 @@ def _coerce(obj: dict, name: str, kind: type, line_no: int | None, *default):
         raise ParseError(str(exc), line_no=line_no, field=name) from None
 
 
+def _step_count(obj: dict, name: str, line_no: int | None) -> int:
+    """A whole-run step count, held to the 64-bit bound of point steps so
+    the float arithmetic of smoothing can use it."""
+    value = _coerce(obj, name, int, line_no)
+    if abs(value) >= 2**63:
+        raise ParseError("step count must fit in 64 bits", line_no=line_no, field=name)
+    return value
+
+
 def _curve_from_rows(rows: list, line_no: int | None) -> Curve:
     """The [step, tokens, loss] rows of a record as a Curve.
 
@@ -276,8 +285,8 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
         batch_size_tokens=_coerce(obj, "batch_size_tokens", float, line_no),
         lr_peak=_coerce(obj, "lr_peak", float, line_no),
         lr_scheme=scheme,
-        warmup_steps=_coerce(obj, "warmup_steps", int, line_no),
-        decay_steps=_coerce(obj, "decay_steps", int, line_no),
+        warmup_steps=_step_count(obj, "warmup_steps", line_no),
+        decay_steps=_step_count(obj, "decay_steps", line_no),
         points=points,
         lr_scale=_coerce(obj, "lr_scale", float, line_no, 1.0),
     )

@@ -189,26 +189,44 @@ def _loss_at_tokens(gt: GroundTruth, n_params: float, d_eff: float, B: float) ->
     return math.exp(0.5 * (lo + hi))
 
 
-def _noise_factor(seed: int, run_id: str, step: int, sigma: float) -> float:
-    """Deterministic log-normal factor keyed by (seed, run_id, step)."""
+def _noise_factors(seed: int, run_id: str, steps: np.ndarray, sigma: float) -> np.ndarray:
+    """Deterministic log-normal factors of one run, keyed by (seed, run_id, step).
+
+    Each step's key f"{seed}|{run_id}|{step}" is hashed with blake2b; the two
+    big-endian halves of its digest become uniforms that a Box-Muller draw
+    turns into a standard normal z, and the factor is exp(sigma * z).
+    Hashing, sqrt and products are exact either way, but numpy's log, cos
+    and exp may differ from the C library's in the last bit (they do on
+    AVX-512 builds), so those three go through ``math``: the emitted
+    curves are pinned by digest.
+    """
+    n = len(steps)
     if sigma == 0.0:
-        return 1.0
-    digest = hashlib.blake2b(
-        f"{seed}|{run_id}|{step}".encode(), digest_size=16
-    ).digest()
-    u1 = (int.from_bytes(digest[:8], "big") + 0.5) / 2.0**64
-    u2 = (int.from_bytes(digest[8:], "big") + 0.5) / 2.0**64
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return math.exp(sigma * z)
+        return np.ones(n)
+    prefix = hashlib.blake2b(f"{seed}|{run_id}|".encode(), digest_size=16)
+    digests = bytearray(16 * n)
+    for i, step in enumerate(steps.tolist()):
+        h = prefix.copy()
+        h.update(b"%d" % step)
+        digests[16 * i : 16 * i + 16] = h.digest()
+    # uint64 -> float64 rounds to nearest, as Python's int -> float does
+    u = (np.frombuffer(digests, ">u8").reshape(-1, 2).astype(np.float64) + 0.5) / 2.0**64
+    log_u1 = np.fromiter(map(math.log, u[:, 0].tolist()), np.float64, n)
+    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[:, 1]).tolist()), np.float64, n)
+    z = np.sqrt(-2.0 * log_u1) * cos_u2
+    return np.fromiter(map(math.exp, (sigma * z).tolist()), np.float64, n)
 
 
-def _checkpoint_steps(total_steps: int, points: int) -> list[int]:
+def _checkpoint_steps(total_steps: int, points: int) -> np.ndarray:
     """Evenly spaced checkpoint steps ending exactly at total_steps."""
     points = min(points, total_steps)
     stride = total_steps / points
-    steps = sorted({max(1, round(stride * k)) for k in range(1, points + 1)})
+    # np.round halves to even, as round() does; the steps never decrease,
+    # so dropping adjacent repeats leaves each step once
+    steps = np.maximum(np.round(stride * np.arange(1, points + 1)), 1).astype(np.int64)
+    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
     if steps[-1] != total_steps:
-        steps.append(total_steps)
+        steps = np.append(steps, total_steps)
     return steps
 
 
@@ -231,40 +249,49 @@ def simulate_curve(
     efficiency cost of an off-optimal learning rate.  rho >= 2 plants a
     divergence: losses grow geometrically and the curve is truncated after
     one non-finite point.  Observation noise is multiplicative log-normal,
-    keyed by (seed, run_id, step) so generation order cannot matter.
+    keyed by (seed, run_id, step) so generation order cannot matter; it is
+    drawn for the whole run at once, with log, cos and exp taken from
+    ``math`` so the bytes match the per-checkpoint definition (see
+    _noise_factors).
     """
     if min(n_params, B, lr_peak, total_tokens) <= 0:
         raise ValidationError("n_params, B, lr_peak, total_tokens must be positive")
-    total_steps = int(total_tokens // B)
-    if total_steps < 1:
+    n_batches = total_tokens // B
+    if n_batches < 1:
         raise ValidationError("total_tokens must cover at least one batch")
+    # checkpoint steps are int64 computed through float64, exact below 2**53
+    if n_batches >= 2.0**53:
+        raise ValidationError("total_tokens must cover fewer than 2**53 batches")
+    total_steps = int(n_batches)
     rho = lr_peak / eta_opt_adam(B, gt.noise)
     efficiency = (2.0 * rho - rho * rho) if gt.lr_efficiency else 1.0
     sigma = gt.observation_noise
 
+    steps = _checkpoint_steps(total_steps, points)
     if efficiency <= 0.0:
         start = gt.law.eval(np.asarray(n_params), B)  # numpy's power, as above
-        steps, losses = [], []
-        for i, step in enumerate(_checkpoint_steps(total_steps, points)):
+        clean = []
+        for i in range(len(steps)):
             loss = start * _DIVERGENCE_GROWTH**i
-            steps.append(step)
             if loss > _DIVERGENCE_CAP * start:
-                losses.append(math.inf)
                 break
-            losses.append(loss * _noise_factor(gt.seed, run_id, step, sigma))
+            clean.append(loss)
+        # the point past the cap, if the grid reaches it, is the non-finite
+        # one; the copy lets the rest of the grid go
+        steps = steps[: len(clean) + 1].copy()
+        noisy = np.array(clean) * _noise_factors(gt.seed, run_id, steps[: len(clean)], sigma)
+        losses = np.append(noisy, [math.inf] * (len(steps) - len(clean)))
     else:
-        steps = _checkpoint_steps(total_steps, points)
         if gt.bcrit_mode == "constant":
             # a fixed B_crit makes d_required one rescaling of the law's own
             # token requirement, so one trade-off solve covers the whole run
             e = solve_tradeoff(B / gt.bcrit_b0, gt.noise.gamma_tradeoff).e_ratio
-            d_eff = np.array(steps, dtype=float) * B * efficiency
-            clean = gt.law.eval(n_params, d_eff / e).tolist()
+            clean = gt.law.eval(n_params, steps * B * efficiency / e)
         else:
-            clean = [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps]
-        losses = [
-            loss * _noise_factor(gt.seed, run_id, step, sigma) for step, loss in zip(steps, clean)
-        ]
+            clean = np.array(
+                [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps.tolist()]
+            )
+        losses = clean * _noise_factors(gt.seed, run_id, steps, sigma)
 
     return RunRecord(
         run_id=run_id,
@@ -274,7 +301,7 @@ def simulate_curve(
         lr_scheme=scheme,
         warmup_steps=0,
         decay_steps=0,
-        points=Curve(steps, np.array(steps) * B, losses),
+        points=Curve(steps, steps * B, losses),
         lr_scale=lr_scale,
     )
 

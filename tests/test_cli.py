@@ -585,6 +585,19 @@ def test_ingest_lenient_rejects_bad_values(five_model_runs, tmp_path, capsys):
     assert [line_no for line_no, _ in payload["rejected"]] == [6, 7, 8]
 
 
+@pytest.mark.parametrize("field", ["warmup_steps", "decay_steps"])
+def test_step_count_past_64_bits_is_parse_error(five_model_runs, tmp_path, capsys, field):
+    # smoothing turns the warm-up into a token span, which such a count overflows
+    obj = json.loads(five_model_runs.read_text().splitlines()[0])
+    obj[field] = 10**400
+    runs = tmp_path / "huge.jsonl"
+    runs.write_text(json.dumps(obj) + "\n")
+    message = f"ParseError: line 1: step count must fit in 64 bits (field: {field})"
+    for argv in (["ingest"], ["frontier", "--laws", str(tmp_path / "laws.json")]):
+        assert main([*argv, "--runs", str(runs)]) == 1
+        assert f"scalelaw: error: {message}" in capsys.readouterr().err
+
+
 def test_ingest_normalized_copy_is_stable(five_model_runs, tmp_path, capsys):
     out = tmp_path / "normalized.jsonl"
     assert main(["ingest", "--runs", str(five_model_runs), "--out", str(out)]) == 0

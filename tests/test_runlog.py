@@ -345,6 +345,23 @@ def test_parse_any_field_values_give_runset_or_typed_error(edits):
         assert list(lenient.runs) == list(strict.runs) and lenient.rejected == []
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+@example(value=[json.loads(MINIMAL_LINE)])
+@example(value=3)
+@example(value="a")
+@example(value=True)
+@example(value=None)
+def test_parse_non_object_line_is_parse_error(value):
+    line = json.dumps(value)
+    with pytest.raises(ParseError) as info:
+        parse_runs([line])
+    assert info.type is ParseError
+    assert str(info.value) == "line 1: each line must be a JSON object"
+    lenient = parse_runs([line], strict=False)
+    assert len(lenient) == 0 and lenient.rejected == [(1, str(info.value))]
+
+
 def test_roundtrip_identity():
     rng = random.Random(7)
     runs = {}

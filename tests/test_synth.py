@@ -2,6 +2,7 @@ import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scalelaw import (
@@ -22,6 +23,8 @@ from scalelaw import (
 from scalelaw.synth import (
     GroundTruth,
     SynthConfig,
+    _checkpoint_steps,
+    _noise_factors,
     d_required,
     default_ground_truth,
     default_sweep_config,
@@ -208,6 +211,9 @@ def test_curve_input_validation():
     with pytest.raises(ValidationError, match="at least one batch"):
         simulate_curve(gt, 3.5e8, B=1e6, lr_peak=6e-4, total_tokens=5e5,
                        points=10, run_id="bad")
+    with pytest.raises(ValidationError, match="fewer than 2\\*\\*53 batches"):
+        simulate_curve(gt, 3.5e8, B=1e6, lr_peak=6e-4, total_tokens=1e25,
+                       points=10, run_id="bad")
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +386,56 @@ def test_noise_free_grid_recovers_planted_law():
 
 
 # ---------------------------------------------------------------------------
+# the array kernels against the per-checkpoint definitions they replace
+
+
+def _reference_noise_factor(seed, run_id, step, sigma):
+    """One checkpoint's noise factor, as the generator first defined it."""
+    if sigma == 0.0:
+        return 1.0
+    digest = hashlib.blake2b(f"{seed}|{run_id}|{step}".encode(), digest_size=16).digest()
+    u1 = (int.from_bytes(digest[:8], "big") + 0.5) / 2.0**64
+    u2 = (int.from_bytes(digest[8:], "big") + 0.5) / 2.0**64
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.exp(sigma * z)
+
+
+def _reference_checkpoint_steps(total_steps, points):
+    points = min(points, total_steps)
+    stride = total_steps / points
+    steps = sorted({max(1, round(stride * k)) for k in range(1, points + 1)})
+    if steps[-1] != total_steps:
+        steps.append(total_steps)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "seed, run_id, sigma",
+    [(7, "125M-0.5M-origin-x1", 0.005), (3, "2.6B-32M-linear-x2.5", 0.005), (0, "", 0.3)],
+)
+def test_noise_factors_match_scalar_definition_bit_for_bit(seed, run_id, sigma):
+    steps = np.arange(1, 40_000, 3)
+    expect = [_reference_noise_factor(seed, run_id, step, sigma) for step in steps.tolist()]
+    assert _noise_factors(seed, run_id, steps, sigma).tolist() == expect
+
+
+def test_noise_factors_without_noise_are_one():
+    assert _noise_factors(7, "run", np.arange(1, 10_001), 0.0).tolist() == [1.0] * 10_000
+    assert _noise_factors(7, "run", np.arange(0), 0.005).tolist() == []
+
+
+@pytest.mark.parametrize("total_steps", [1, 2, 7, 100, 399, 400, 401, 9375, 12_000, 600_000])
+@pytest.mark.parametrize("points", [1, 2, 3, 7, 60, 399, 400, 401, 12_000, 10**6])
+def test_checkpoint_steps_match_set_definition(total_steps, points):
+    steps = _checkpoint_steps(total_steps, points)
+    assert steps.dtype == np.int64
+    assert steps.tolist() == _reference_checkpoint_steps(total_steps, points)
+
+
+# ---------------------------------------------------------------------------
 # generator bytes: any change to the emitted curves shows up as a new digest.
 # The digests were recorded from the per-checkpoint scalar generator, so they
-# also pin the vectorised constant-B_crit path to the same float results.
+# pin the array kernels to the same float results.
 
 GOLDEN_SWEEP = SynthConfig(
     models=(ModelSpec(n_params=1.25e8, label="125M"), ModelSpec(n_params=7.6e8, label="760M")),
@@ -430,6 +483,21 @@ def test_grid_bytes_are_pinned(config, truth, digest):
     # the sweep must keep exercising every generator branch it pins
     assert any(has_divergence(run.points) for run in runset) == (config is GOLDEN_SWEEP)
     assert _digest(runset) == digest
+
+
+def test_long_curve_bytes_are_pinned():
+    """12,000 checkpoints, the per-step size of the long-curves benchmark: one
+    converging 125M run and one that diverges at three times the base LR."""
+    config = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8, label="125M"),),
+        batch_sizes=(5e5,),
+        lr_factors=(1.0, 3.0),
+        tokens_per_run=3e11,
+        points_per_run=12_000,
+    )
+    runset = simulate_grid(config, default_ground_truth(seed=3))
+    assert [len(run.points) for run in runset] == [12_000, 7]
+    assert _digest(runset) == "0acb6947b3d06dee97c6eb74be7485a2bff8ea278ff80e254e68297a47244ce1"
 
 
 def test_default_sweep_bytes_are_pinned():
