@@ -51,6 +51,7 @@ _EXPORTS = {
         "RunRecord",
         "RunSet",
         "parse_runs",
+        "read_runs",
         "serialize_runs",
         "finite_prefix",
         "has_divergence",

@@ -10,11 +10,10 @@ step.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._atomic import write_atomic
 from .advisor import Presets
 from .errors import ParseError
 from .laws import (
@@ -30,25 +29,6 @@ from .laws import (
 FORMAT_TAG = "scalelaw-laws/1"
 # blocks that each hold one record, keyed by their LawArtifact field
 _RECORD_BLOCKS = dict(frontier=FrontierReport, bopt=BoptLaw, lr_law=LrLawFit, presets=Presets)
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to path atomically: temp file in the same directory, then rename.
-
-    An OSError names path, not the temp file, whose name is random.
-    """
-    path = Path(path)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,7 @@ class LawArtifact:
 
     def save(self, path: str | Path) -> None:
         """Write the document atomically (temp file, then rename)."""
-        write_text_atomic(path, json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_atomic(path, [json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "LawArtifact":

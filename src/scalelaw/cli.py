@@ -33,6 +33,7 @@ from . import (
     runlog,
     synth,
 )
+from ._atomic import write_atomic
 from .errors import (
     EmptyContourError,
     FitFailureError,
@@ -76,12 +77,13 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    artifact.write_text_atomic(path, buf.getvalue())
+    write_atomic(path, [buf.getvalue()])
 
 
-def _read_runs(path: str, strict: bool = True):
-    with open(path) as handle:
-        return runlog.parse_runs(handle, strict=strict)
+def _write_runs(path: str, runset) -> None:
+    """Write a run log a line at a time; an empty one is a single blank line."""
+    lines = runlog.serialize_runs(runset) or [""]
+    write_atomic(path, (line + "\n" for line in lines))
 
 
 def _load_laws(spec: str) -> artifact.LawArtifact:
@@ -125,7 +127,7 @@ def _filter_runs(runset, model_size=None, batch=None, scheme=None):
 def _filtered_runs(args):
     scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
     return _filter_runs(
-        _read_runs(args.runs),
+        runlog.read_runs(args.runs),
         model_size=getattr(args, "model_size", None),
         batch=getattr(args, "batch", None),
         scheme=scheme,
@@ -161,9 +163,9 @@ def _fmt(value, precision: int = 6) -> str:
 
 
 def _cmd_ingest(args) -> None:
-    runset = _read_runs(args.runs, strict=not args.lenient)
+    runset = runlog.read_runs(args.runs, strict=not args.lenient)
     if args.out:
-        artifact.write_text_atomic(args.out, "\n".join(runlog.serialize_runs(runset)) + "\n")
+        _write_runs(args.out, runset)
     models = runset.model_sizes()
     batches = sorted({run.batch_size_tokens for run in runset})
     n_points = sum(len(run.points) for run in runset)
@@ -233,7 +235,7 @@ def _cmd_simulate(args) -> None:
     if seed != truth.seed:
         truth = dataclasses.replace(truth, seed=seed)
     runset = synth.simulate_grid(sweep, truth)
-    artifact.write_text_atomic(args.out, "\n".join(runlog.serialize_runs(runset)) + "\n")
+    _write_runs(args.out, runset)
     _emit(args, [f"simulated {len(runset)} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
         "runs": len(runset),
@@ -757,7 +759,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _report_failure(args, exc, 1)
     except NumericalError as exc:
         return _report_failure(args, exc, 2)
-    except OSError as exc:
+    # an unreadable file, or a laws file or config that is not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
         return _report_failure(args, exc, 1)
     return 0
 

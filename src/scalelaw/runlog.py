@@ -8,26 +8,46 @@ size and optimizer settings that produced it.  Everything downstream
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._atomic import write_atomic
 from ._lazy import np
 from .errors import (
     ConflictError,
     InsufficientDataError,
     ParseError,
     PreRangeLossError,
+    ScaleLawError,
     UnreachableLossError,
     ValidationError,
 )
 from .laws import LrScheme, read_field
 
+try:
+    # hashlib's own blake2b; importing hashlib itself loads OpenSSL, about
+    # 5 ms of every verb that reads a run log
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 # Smoothing defaults: EMA half-life as a fraction of the run's total tokens,
 # and the minimum leading fraction discarded as optimizer transient.
 DEFAULT_HALF_LIFE_FRACTION = 0.01
 DEFAULT_DISCARD_FRACTION = 0.01
+
+# The run-log cache keeps the decoded points of each log content, by the
+# blake2b digest of its bytes.  Bump CACHE_FORMAT whenever point decoding
+# changes: entries of another format are never read, and age out.
+CACHE_FORMAT = 1
+CACHE_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -263,9 +283,12 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
             f"unknown lr_scheme {obj['lr_scheme']!r}", line_no=line_no, field="lr_scheme"
         )
     raw_points = obj["points"]
-    if not isinstance(raw_points, list) or not raw_points:
+    if isinstance(raw_points, Curve):  # decoded by an earlier read of the same log
+        points = raw_points
+    elif not isinstance(raw_points, list) or not raw_points:
         raise ParseError("points must be a non-empty list", line_no=line_no, field="points")
-    points = _curve_from_rows(raw_points, line_no)
+    else:
+        points = _curve_from_rows(raw_points, line_no)
     seq_len = obj.get("seq_len")
     # bool is a subclass of int; JSON true is no sequence length
     if seq_len is not None and not (type(seq_len) is int and seq_len > 0):
@@ -292,36 +315,167 @@ def _record_from_obj(obj: dict, line_no: int | None) -> RunRecord:
     )
 
 
-def parse_runs(lines: Iterable[str], strict: bool = True) -> RunSet:
+def parse_runs(lines: Iterable[str | bytes], strict: bool = True) -> RunSet:
     """Parse JSONL run records into a validated RunSet.
 
-    One JSON object per line; blank lines are skipped.  In strict mode the
-    first malformed or conflicting line raises.  With ``strict=False`` bad
-    lines are skipped and reported in ``RunSet.rejected`` as
-    ``(line_no, reason)`` pairs.
+    One JSON object per line; blank lines are skipped.  A line given as
+    bytes is decoded as UTF-8.  In strict mode the first malformed or
+    conflicting line raises.  With ``strict=False`` bad lines are skipped
+    and reported in ``RunSet.rejected`` as ``(line_no, reason)`` pairs.
     """
+    return _parse_lines(lines, strict)
+
+
+def _parse_lines(
+    lines: Iterable[str | bytes], strict: bool, accepted: list | None = None
+) -> RunSet:
+    """parse_runs; ``accepted`` collects the ``(line_no, obj)`` of each run,
+    its points taken out of obj."""
     runset = RunSet()
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
         try:
+            stripped = _text(line, line_no).strip()
+            if not stripped:
+                continue
             try:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no)
-            if not isinstance(obj, dict):
-                raise ParseError("each line must be a JSON object", line_no=line_no)
-            record = _record_from_obj(obj, line_no)
-            if record.run_id in runset:
-                raise ConflictError(f"line {line_no}: duplicate run_id {record.run_id!r}")
-            record.validate()
-            runset.runs[record.run_id] = record
+            _add_record(runset, obj, line_no)
+            if accepted is not None:
+                del obj["points"]
+                accepted.append((line_no, obj))
         except (ParseError, ConflictError, ValidationError) as exc:
             if strict:
                 raise
             runset.rejected.append((line_no, str(exc)))
     return runset
+
+
+def _text(line: str | bytes, line_no: int) -> str:
+    if isinstance(line, str):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.reason}", line_no=line_no
+        ) from None
+
+
+def _add_record(runset: RunSet, obj, line_no: int) -> None:
+    """Read, validate and add the run of one decoded line."""
+    if not isinstance(obj, dict):
+        raise ParseError("each line must be a JSON object", line_no=line_no)
+    record = _record_from_obj(obj, line_no)
+    if record.run_id in runset:
+        raise ConflictError(f"line {line_no}: duplicate run_id {record.run_id!r}")
+    record.validate()
+    runset.runs[record.run_id] = record
+
+
+def read_runs(path: str | Path, strict: bool = True) -> RunSet:
+    """parse_runs of the run log at path, decoding each log content once.
+
+    The file's bytes are read once, split into lines as text mode splits
+    them (at ``\\n``, ``\\r\\n`` and ``\\r``) and decoded as UTF-8.  A log
+    that parses without a rejected line leaves an entry, named by the
+    blake2b digest of its bytes, under ``$XDG_CACHE_HOME/scalelaw`` (or
+    ``~/.cache/scalelaw``).  A later read of the same bytes rebuilds the
+    runs from that entry: only the JSON decoding of the point rows is
+    skipped, and every record is still read and validated.  An entry that
+    is missing, damaged or refused is a miss, and so is a cache directory
+    that cannot be located or written: the log is parsed, so the cache
+    never changes the result.  The CACHE_ENTRIES most recently used entries
+    are kept.
+    """
+    data = Path(path).read_bytes()
+    entry = _entry_path(data)
+    runset = None if entry is None else _load_entry(entry)
+    if runset is None:
+        accepted: list = []
+        runset = _parse_lines(_split_lines(data), strict, accepted)
+        if entry is not None and len(runset) and not runset.rejected:
+            _store_entry(entry, accepted, runset)
+    return runset
+
+
+def _split_lines(data: bytes) -> Iterator[bytes]:
+    """The lines of data, one at a time, split where text mode splits them."""
+    for chunk in io.BytesIO(data):
+        yield from chunk.splitlines()
+
+
+def _entry_path(data: bytes) -> Path | None:
+    """The cache entry of a log of these bytes; None without a cache directory."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        base = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
+    except RuntimeError:  # no home directory
+        return None
+    digest = blake2b(data, digest_size=16).hexdigest()
+    return base / "scalelaw" / f"runs-v{CACHE_FORMAT}-{digest}"
+
+
+# An entry is the byte length of its header (8 bytes, little-endian), the
+# header, a JSON list holding [line_no, point count, obj without points] for
+# each run, then the step, tokens and loss columns of all runs end to end
+# (little-endian int64, float64 and float64).
+
+
+def _load_entry(entry: Path) -> RunSet | None:
+    try:
+        blob = entry.read_bytes()
+        size = int.from_bytes(blob[:8], "little")
+        header = json.loads(blob[8 : 8 + size])
+        body = memoryview(blob)[8 + size :]
+        total = sum(n for _, n, _ in header)
+        if len(body) != 24 * total:
+            return None
+        step = np.frombuffer(body, "<i8", total)
+        tokens = np.frombuffer(body, "<f8", total, 8 * total)
+        loss = np.frombuffer(body, "<f8", total, 16 * total)
+        runset = RunSet()
+        start = 0
+        for line_no, n, obj in header:
+            stop = start + n
+            obj["points"] = Curve(step[start:stop], tokens[start:stop], loss[start:stop])
+            _add_record(runset, obj, line_no)
+            start = stop
+    # an entry that cannot be read, is not of this format or holds a record
+    # that parsing would refuse: the log is parsed instead
+    except (OSError, ValueError, TypeError, LookupError, OverflowError, RecursionError,
+            ScaleLawError):
+        return None
+    _touch(entry)
+    return runset
+
+
+def _store_entry(entry: Path, accepted: list, runset: RunSet) -> None:
+    header = json.dumps(
+        [[line_no, len(run.points), obj] for (line_no, obj), run in zip(accepted, runset)]
+    ).encode()
+    columns = [
+        np.concatenate([getattr(run.points, name) for run in runset]).astype(dtype, copy=False)
+        for name, dtype in (("step", "<i8"), ("tokens", "<f8"), ("loss", "<f8"))
+    ]
+    # an unwritable cache only costs the next read a parse
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(entry, [len(header).to_bytes(8, "little"), header, *columns], binary=True)
+        _touch(entry)
+        entries = sorted(
+            entry.parent.glob("runs-v*"), key=lambda p: p.stat().st_mtime_ns, reverse=True
+        )
+        for stale in entries[CACHE_ENTRIES:]:
+            stale.unlink()
+
+
+def _touch(entry: Path) -> None:
+    """Mark an entry as just used; the least recently used are dropped first."""
+    now = time.time_ns()
+    with contextlib.suppress(OSError):
+        os.utime(entry, ns=(now, now))
 
 
 def serialize_runs(runset: RunSet) -> list[str]:

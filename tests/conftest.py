@@ -13,6 +13,14 @@ from scalelaw import (
 )
 
 
+@pytest.fixture(autouse=True)
+def run_log_cache(tmp_path_factory, monkeypatch):
+    """A fresh run-log cache directory per test, never the user's own."""
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "scalelaw"
+
+
 @pytest.fixture(scope="session")
 def reference():
     return reference_artifact()

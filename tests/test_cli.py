@@ -607,6 +607,47 @@ def test_ingest_normalized_copy_is_stable(five_model_runs, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_run_log_is_parse_error(tmp_path, capsys):
+    runs = tmp_path / "bad.jsonl"
+    runs.write_bytes(b'{"run_id": "a\xff"}\n')
+    message = "line 1: invalid UTF-8 at byte 13: invalid start byte"
+    for argv in (
+        ["ingest"],
+        ["frontier", "--laws", str(tmp_path / "laws.json")],
+        ["export-plot", "--kind", "curves", "--out", str(tmp_path / "curves.csv")],
+    ):
+        assert main([*argv, "--runs", str(runs)]) == 1
+        assert f"scalelaw: error: ParseError: {message}" in capsys.readouterr().err
+    code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient")
+    assert code == 0 and payload["runs"] == 0
+    assert payload["rejected"] == [[1, message]]
+
+
+def test_non_utf8_laws_file_and_config_are_input_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff"}')
+    for argv in (
+        ["advise", "--compute", "1e21", "--laws", str(bad)],
+        ["simulate", "--config", str(bad), "--out", str(tmp_path / "runs.jsonl")],
+    ):
+        assert main(argv) == 1
+        assert "scalelaw: error: UnicodeDecodeError: " in capsys.readouterr().err
+
+
+def test_cold_and_warm_reads_give_the_same_output(five_model_runs, tmp_path, capsys, run_log_cache):
+    """The second read of a log comes from the run-log cache; nothing a verb
+    prints or writes changes."""
+    laws = tmp_path / "laws.json"
+    outputs = []
+    for _ in range(2):
+        laws.unlink(missing_ok=True)
+        for verb in ("frontier", "fit-law"):
+            assert main([verb, "--runs", str(five_model_runs), "--laws", str(laws), "--json"]) == 0
+        outputs.append((capsys.readouterr().out, laws.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(list(run_log_cache.iterdir())) == 1
+
+
 def test_missing_runs_file_is_input_error(tmp_path, capsys):
     assert main(["fit-law", "--runs", str(tmp_path / "absent.jsonl"),
                  "--laws", str(tmp_path / "laws.json")]) == 1

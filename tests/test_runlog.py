@@ -1,13 +1,20 @@
+import contextlib
 import json
 import math
+import os
 import random
-from dataclasses import replace
+import struct
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalelaw import runlog
 from scalelaw import (
     ConflictError,
     Curve,
@@ -24,6 +31,7 @@ from scalelaw import (
     finite_prefix,
     has_divergence,
     parse_runs,
+    read_runs,
     serialize_runs,
     smooth_curve,
     smooth_run,
@@ -525,6 +533,278 @@ def _runsets(draw):
 def test_serialize_parse_round_trip(runset):
     lines = serialize_runs(runset)
     assert serialize_runs(parse_runs(lines)) == lines
+
+
+# ---------------------------------------------------------------------------
+# read_runs and its cache of decoded logs
+
+
+def _outcome(read, *args, **kwargs):
+    """What a read gives: its RunSet, or the type and message of its error."""
+    try:
+        return read(*args, **kwargs)
+    except ScaleLawError as exc:
+        return type(exc), str(exc)
+
+
+def _typed(record) -> list:
+    return [(f.name, type(v), v) for f in fields(record) for v in [getattr(record, f.name)]]
+
+
+def assert_same_runs(got, want):
+    """The same error, or the same runs field for field, down to the Python
+    type of every scalar and the dtype of every curve column."""
+    if not isinstance(want, RunSet):
+        assert got == want
+        return
+    assert isinstance(got, RunSet), got
+    assert got.rejected == want.rejected
+    assert list(got.runs) == list(want.runs)
+    for a, b in zip(got, want):
+        assert _typed(replace(a, points=None, model=None)) == _typed(
+            replace(b, points=None, model=None)
+        )
+        assert _typed(a.model) == _typed(b.model)
+        for name in ("step", "tokens", "loss"):
+            x, y = getattr(a.points, name), getattr(b.points, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@contextlib.contextmanager
+def _no_decoding():
+    """Fail any read that parses its log: what runs inside must be cache hits."""
+    with mock.patch.object(runlog, "_parse_lines", side_effect=AssertionError("log decoded")):
+        yield
+
+
+@st.composite
+def _run_logs(draw):
+    """The bytes of a run log: records, a quarter of them broken, duplicate
+    ids, blank and junk lines, every line ending, raw UTF-8 or escaped text."""
+    out = b""
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["run"] * 6 + ["broken_run", "blank", "junk"]))
+        if kind.endswith("run"):
+            steps = sorted(draw(st.sets(st.integers(min_value=1, max_value=10**6),
+                                        min_size=1, max_size=6)))
+            obj = dict(
+                json.loads(MINIMAL_LINE),
+                run_id=draw(st.sampled_from(["a", "\u00e9t\u00e9", "c\u2028d"]))
+                + str(draw(st.integers(min_value=0, max_value=5))),
+                points=[[s, s * 5e5, draw(st.floats(min_value=0.5, max_value=10.0))]
+                        for s in steps],
+            )
+            if draw(st.booleans()):
+                obj.update(
+                    n_params=draw(st.sampled_from([125_000_000, 1.25e8])),
+                    label=draw(st.text(max_size=4)),
+                    seq_len=draw(st.none() | st.integers(min_value=1, max_value=8192)),
+                    lr_scale=draw(st.sampled_from([1, 0.5, 2.0])),
+                    extra=draw(_JSON_VALUES),
+                )
+            if kind == "broken_run":
+                obj["points"] = draw(_point_rows())
+                for name, value in draw(st.dictionaries(
+                    st.sampled_from(_RUN_FIELDS[1:]), st.just(_DROP) | _JSON_VALUES, max_size=1
+                )).items():
+                    if value is _DROP:
+                        obj.pop(name, None)
+                    else:
+                        obj[name] = value
+            line = json.dumps(obj, ensure_ascii=draw(st.booleans())).encode()
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b"  ", b"\t"]))
+        else:
+            line = draw(st.sampled_from([b"{oops", b"[1, 2]", b"null"]))
+        out += line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return out[:-1] if out.endswith(b"}\n") and draw(st.booleans()) else out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=_run_logs())
+def test_read_runs_matches_parse_runs_on_miss_and_hit(data):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
+        cache = Path(tmp, "scalelaw")
+        path = Path(tmp, "runs.jsonl")
+        path.write_bytes(data)
+        # the lines as text mode reads them, as the CLI read logs before read_runs
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+        expected = {strict: _outcome(parse_runs, lines, strict=strict) for strict in (True, False)}
+        assert_same_runs(_outcome(read_runs, path, strict=False), expected[False])
+        stored = len(expected[False]) > 0 and not expected[False].rejected
+        assert len(list(cache.glob("*"))) == stored
+        with _no_decoding() if stored else contextlib.nullcontext():
+            for strict in (True, False):
+                assert_same_runs(_outcome(read_runs, path, strict=strict), expected[strict])
+        for entry in cache.glob("*"):
+            entry.unlink()
+        assert_same_runs(_outcome(read_runs, path, strict=True), expected[True])
+        assert len(list(cache.glob("*"))) == stored
+
+
+def _two_run_log(path: Path) -> Path:
+    runs = (make_run("x"), make_run("y", batch=1e6, losses=(3.0, 2.0, 1.5, 1.2)))
+    path.write_text("".join(line + "\n" for line in serialize_runs(RunSet(
+        runs={run.run_id: run for run in runs}
+    ))))
+    return path
+
+
+@pytest.fixture
+def cached_log(tmp_path, run_log_cache):
+    """A two-run log, read once so that its cache entry exists."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    expected = parse_runs(path.read_bytes().splitlines())
+    assert_same_runs(read_runs(path), expected)
+    (entry,) = run_log_cache.iterdir()
+    return path, entry, expected
+
+
+def _with_header(blob: bytes, header: bytes) -> bytes:
+    size = int.from_bytes(blob[:8], "little")
+    return len(header).to_bytes(8, "little") + header + blob[8 + size :]
+
+
+@pytest.mark.parametrize("damage", [
+    "garbled", "header_json", "not_a_list", "counts_swapped", "bad_field", "negative_loss",
+    "longer_body",
+])
+def test_damaged_entry_is_a_silent_miss(cached_log, damage):
+    """Whatever is wrong with an entry, the read parses the log instead and
+    writes the entry afresh; a hit still reads and validates every record."""
+    path, entry, expected = cached_log
+    blob = entry.read_bytes()
+    header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
+    (line_x, n_x, obj_x), (line_y, n_y, obj_y) = header
+    damaged = {
+        "garbled": bytes(b ^ 0x5A for b in blob),
+        "header_json": blob[:8] + b"{" + blob[9:],
+        "not_a_list": _with_header(blob, b'{"runs": 2}'),
+        # each run takes the other's point count: its steps stop increasing
+        "counts_swapped": _with_header(
+            blob, json.dumps([[line_x, n_y, obj_x], [line_y, n_x, obj_y]]).encode()
+        ),
+        "bad_field": _with_header(
+            blob, json.dumps([[line_x, n_x, dict(obj_x, lr_scheme="bogus")],
+                              [line_y, n_y, obj_y]]).encode()
+        ),
+        # the last loss of the last run: validation refuses it
+        "negative_loss": blob[:-8] + struct.pack("<d", -1.0),
+        "longer_body": blob + bytes(24),
+    }[damage]
+    entry.write_bytes(damaged)
+    assert_same_runs(read_runs(path), expected)
+    assert entry.read_bytes() == blob
+
+
+def test_every_truncation_of_an_entry_is_a_miss(cached_log):
+    path, entry, expected = cached_log
+    blob = entry.read_bytes()
+    for size in range(len(blob)):
+        entry.write_bytes(blob[:size])
+        assert_same_runs(read_runs(path), expected)
+        assert entry.read_bytes() == blob
+
+
+def test_every_edited_byte_is_another_log(cached_log, monkeypatch):
+    """No byte of a log is left out of its key: once any one byte changes,
+    a read gives what parsing the new bytes gives, never the cached runs."""
+    monkeypatch.setattr(runlog, "CACHE_ENTRIES", 10**6)
+    path, _, _ = cached_log
+    original = path.read_bytes()
+    for i in range(len(original)):
+        data = bytearray(original)
+        data[i] ^= 1  # a digit stays a digit; most other bytes break the line
+        path.write_bytes(data)
+        expected = _outcome(parse_runs, bytes(data).splitlines())
+        assert_same_runs(_outcome(read_runs, path), expected)
+
+
+def test_unwritable_cache_directory_is_skipped(tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    expected = parse_runs(path.read_bytes().splitlines())
+    for _ in range(2):
+        assert_same_runs(read_runs(path), expected)
+    assert blocker.read_text() == ""
+
+
+def test_cache_directory_without_xdg_cache_home(tmp_path, monkeypatch):
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    expected = parse_runs(path.read_bytes().splitlines())
+    # a relative XDG_CACHE_HOME is no cache directory: the home's .cache is used
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert_same_runs(read_runs(path), expected)
+    assert len(list((tmp_path / "home" / ".cache" / "scalelaw").iterdir())) == 1
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(Path, "home", staticmethod(no_home))
+    for _ in range(2):
+        assert_same_runs(read_runs(path), expected)
+
+
+def test_lenient_read_with_rejections_writes_no_entry(tmp_path, run_log_cache):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(f"{MINIMAL_LINE}\n{{oops\n")
+    for _ in range(2):
+        runset = read_runs(path, strict=False)
+        assert list(runset.runs) == ["a"]
+        assert [line_no for line_no, _ in runset.rejected] == [2]
+    with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+        read_runs(path)
+    assert not run_log_cache.exists()
+
+
+def test_entry_count_is_held_at_the_cap(tmp_path, run_log_cache, monkeypatch):
+    monkeypatch.setattr(runlog, "CACHE_ENTRIES", 3)
+    paths = []
+    for i in range(5):
+        paths.append(tmp_path / f"{i}.jsonl")
+        paths[-1].write_text(serialize_runs(RunSet(runs={f"r{i}": make_run(f"r{i}")}))[0] + "\n")
+    for path in paths[:3]:
+        read_runs(path)
+    run_log_cache.joinpath("notes.txt").write_text("not an entry")
+    with _no_decoding():
+        read_runs(paths[0])
+    for path in paths[3:]:
+        read_runs(path)
+    assert len(list(run_log_cache.glob("runs-*"))) == 3
+    assert run_log_cache.joinpath("notes.txt").exists()
+    # log 0 was used after logs 1 and 2, so they were dropped first
+    with _no_decoding():
+        for path in (paths[0], paths[3], paths[4]):
+            read_runs(path)
+
+
+def test_non_utf8_line_is_parse_error(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(MINIMAL_LINE.encode() + b'\n{"run_id": "a\xff"}\n')
+    message = "line 2: invalid UTF-8 at byte 13: invalid start byte"
+    with pytest.raises(ParseError) as info:
+        read_runs(path)
+    assert str(info.value) == message
+    lenient = read_runs(path, strict=False)
+    assert list(lenient.runs) == ["a"] and lenient.rejected == [(2, message)]
+    assert parse_runs([b'{"run_id": "a\xff"}'], strict=False).rejected == [
+        (1, message.replace("line 2", "line 1"))
+    ]
+
+
+def test_read_runs_numbers_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(
+        MINIMAL_LINE.encode() + b"\r{oops\r\n\n" + MINIMAL_LINE.encode() + b"\r\rnull"
+    )
+    runset = read_runs(path, strict=False)
+    assert list(runset.runs) == ["a"]
+    assert [line_no for line_no, _ in runset.rejected] == [2, 4, 6]
 
 
 # ---------------------------------------------------------------------------
