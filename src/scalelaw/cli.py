@@ -80,10 +80,22 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
     write_atomic(path, [buf.getvalue()])
 
 
-def _write_runs(path: str, runset) -> None:
-    """Write a run log a line at a time; an empty one is a single blank line."""
-    lines = runlog.serialize_runs(runset) or [""]
-    write_atomic(path, (line + "\n" for line in lines))
+def _write_runs(path: str, runs) -> int:
+    """Write the runs of an iterable as a run log, a run at a time, and
+    count them; a log of no runs is a single blank line."""
+    count = 0
+
+    def chunks():
+        nonlocal count
+        for run in runs:
+            yield from runlog.line_chunks(run)
+            yield "\n"
+            count += 1
+        if not count:
+            yield "\n"
+
+    write_atomic(path, chunks())
+    return count
 
 
 def _load_laws(spec: str) -> artifact.LawArtifact:
@@ -234,11 +246,10 @@ def _cmd_simulate(args) -> None:
     seed = _resolve_seed(args, truth.seed)
     if seed != truth.seed:
         truth = dataclasses.replace(truth, seed=seed)
-    runset = synth.simulate_grid(sweep, truth)
-    _write_runs(args.out, runset)
-    _emit(args, [f"simulated {len(runset)} runs (seed {seed}) -> {args.out}"], {
+    count = _write_runs(args.out, synth.iter_grid(sweep, truth))
+    _emit(args, [f"simulated {count} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
-        "runs": len(runset),
+        "runs": count,
         "seed": seed,
         "out": args.out,
     })

@@ -341,6 +341,12 @@ def _parse_lines(
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no)
+            # the decoder's own limits: integer digits, and nesting depth
+            except ValueError:
+                raise ParseError("invalid JSON: an integer has too many digits",
+                                 line_no=line_no) from None
+            except RecursionError:
+                raise ParseError("invalid JSON: nested too deeply", line_no=line_no) from None
             _add_record(runset, obj, line_no)
             if accepted is not None:
                 del obj["points"]
@@ -478,28 +484,48 @@ def _touch(entry: Path) -> None:
         os.utime(entry, ns=(now, now))
 
 
-def serialize_runs(runset: RunSet) -> list[str]:
+# Point rows serialized by one json.dumps call: a run's line is written a
+# block of rows at a time, so its writer never holds the whole line.
+_ROWS_PER_CHUNK = 4096
+
+
+def line_chunks(run: RunRecord) -> Iterator[str]:
+    """The canonical JSON line of one run, without its newline, as chunks of text.
+
+    The line is ``json.dumps`` of the run's fields with sorted keys.  The
+    keys before "points", each block of point rows and the keys after
+    "points" are separate chunks.
+    """
+    fields = {
+        "run_id": run.run_id,
+        "n_params": run.model.n_params,
+        "batch_size_tokens": run.batch_size_tokens,
+        "lr_peak": run.lr_peak,
+        "lr_scheme": run.lr_scheme.value,
+        "lr_scale": run.lr_scale,
+        "warmup_steps": run.warmup_steps,
+        "decay_steps": run.decay_steps,
+    }
+    if run.model.label:
+        fields["label"] = run.model.label
+    if run.model.seq_len is not None:
+        fields["seq_len"] = run.model.seq_len
+    head = json.dumps({k: v for k, v in fields.items() if k < "points"}, sort_keys=True)
+    yield head[:-1] + ', "points": ['
+    pts = run.points
+    for start in range(0, len(pts), _ROWS_PER_CHUNK):
+        if start:
+            yield ", "
+        block = slice(start, start + _ROWS_PER_CHUNK)
+        rows = zip(pts.step[block].tolist(), pts.tokens[block].tolist(), pts.loss[block].tolist())
+        yield json.dumps(list(rows))[1:-1]
+    tail = json.dumps({k: v for k, v in fields.items() if k > "points"}, sort_keys=True)
+    yield "], " + tail[1:]
+
+
+def serialize_runs(runset: Iterable[RunRecord]) -> list[str]:
     """Emit one canonical JSON line per run; inverse of parse_runs."""
-    lines = []
-    for run in runset:
-        pts = run.points
-        obj = {
-            "run_id": run.run_id,
-            "n_params": run.model.n_params,
-            "batch_size_tokens": run.batch_size_tokens,
-            "lr_peak": run.lr_peak,
-            "lr_scheme": run.lr_scheme.value,
-            "lr_scale": run.lr_scale,
-            "warmup_steps": run.warmup_steps,
-            "decay_steps": run.decay_steps,
-            "points": list(zip(pts.step.tolist(), pts.tokens.tolist(), pts.loss.tolist())),
-        }
-        if run.model.label:
-            obj["label"] = run.model.label
-        if run.model.seq_len is not None:
-            obj["seq_len"] = run.model.seq_len
-        lines.append(json.dumps(obj, sort_keys=True))
-    return lines
+    return ["".join(line_chunks(run)) for run in runset]
 
 
 def _take(curve: Curve, index) -> Curve:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import Iterator
 
 from ._lazy import np
-from .errors import ParseError, ValidationError
+from .errors import ConflictError, ParseError, ValidationError
 from .laws import REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
 from .runlog import Curve, ModelSpec, RunRecord, RunSet
@@ -310,9 +311,14 @@ def _format_batch(b: float) -> str:
     return f"{b / 1e6:g}M"
 
 
-def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
-    """All runs of the sweep, deterministic in content and order."""
-    runset = RunSet()
+def iter_grid(config: SynthConfig, gt: GroundTruth) -> Iterator[RunRecord]:
+    """The runs of the sweep one at a time, in simulate_grid's order.
+
+    Each run is validated as RunSet.add validates it, and a run id met
+    before raises ConflictError, so a writer can stream the sweep without
+    holding it.
+    """
+    seen = set()
     for model in config.models:
         label = model.label or f"{model.n_params:.3g}"
         for b in config.batch_sizes:
@@ -332,8 +338,16 @@ def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
                         scheme=scheme,
                         lr_scale=lr / config.base_lr,
                     )
-                    runset.add(run)
-    return runset
+                    if run_id in seen:
+                        raise ConflictError(f"duplicate run_id {run_id!r}")
+                    run.validate()
+                    seen.add(run_id)
+                    yield run
+
+
+def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
+    """All runs of the sweep, deterministic in content and order."""
+    return RunSet(runs={run.run_id: run for run in iter_grid(config, gt)})
 
 
 def default_ground_truth(seed: int = 1, observation_noise: float = 0.005) -> GroundTruth:

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,10 @@ from scalelaw import (
     default_sweep_config,
     parse_runs,
     serialize_runs,
+    simulate_grid,
 )
 import scalelaw
-from scalelaw import lawfit
+from scalelaw import lawfit, runlog, synth
 from scalelaw.cli import main
 
 BASE_LR = 4.4e-4
@@ -491,6 +494,120 @@ def test_simulate_seed_precedence(tmp_path, capsys, monkeypatch):
     assert env_wins.read_bytes() != flagged.read_bytes()
 
 
+def simulate_config(tmp_path, points, lr_factors=(1.0,), models=None):
+    """A simulate config file: 125M runs at the base batch, default truth."""
+    sweep = dict(
+        models=models or [{"n_params": 1.25e8, "label": "125M"}],
+        batch_sizes=[5e5],
+        schemes=["origin"],
+        lr_factors=list(lr_factors),
+        base_batch=5e5,
+        base_lr=BASE_LR,
+        tokens_per_run=3e11,
+        points_per_run=points,
+    )
+    path = tmp_path / f"config-{points}-{len(sweep['models'])}.json"
+    path.write_text(json.dumps({"sweep": sweep}))
+    return path
+
+
+def expected_log(runs) -> bytes:
+    return ("\n".join(serialize_runs(runs)) + "\n").encode()
+
+
+CHUNK = runlog._ROWS_PER_CHUNK
+
+
+@pytest.mark.parametrize("points", [None, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_streamed_logs_match_serialize_runs(tmp_path, capsys, points):
+    """simulate and ingest --out write, a run at a time, the bytes of
+    serialize_runs; a sweep at 3x the base LR holds a diverged run, whose
+    last loss is Infinity."""
+    truth = default_ground_truth(seed=7)
+    if points is None:  # the README's seed-7 sweep
+        argv = []
+        grid = simulate_grid(default_sweep_config(), truth)
+    else:
+        config = simulate_config(tmp_path, points, lr_factors=(1.0, 3.0))
+        argv = ["--config", str(config)]
+        grid = simulate_grid(
+            synth.SynthConfig.from_dict(json.loads(config.read_text())["sweep"]), truth
+        )
+        converged, diverged = grid
+        assert len(converged.points) == points and diverged.points.loss[-1] == math.inf
+    runs, copy = tmp_path / "runs.jsonl", tmp_path / "copy.jsonl"
+    code, payload = run_json(capsys, "simulate", *argv, "--out", str(runs), "--seed", "7")
+    assert code == 0 and payload["runs"] == len(grid)
+    assert runs.read_bytes() == expected_log(grid)
+    assert main(["ingest", "--runs", str(runs), "--out", str(copy)]) == 0
+    assert copy.read_bytes() == runs.read_bytes()
+    capsys.readouterr()
+
+
+def test_ingest_out_writes_optional_fields_as_serialize_runs(five_model_runs, tmp_path, capsys):
+    runset = parse_runs(five_model_runs.read_text().splitlines())
+    run_ids = list(runset.runs)
+    for run_id, label, seq_len in zip(run_ids, ("", "", "760M"), (None, 2048, 2048)):
+        run = runset[run_id]
+        runset.runs[run_id] = dataclasses.replace(
+            run, model=ModelSpec(run.model.n_params, label, seq_len)
+        )
+    given, out = tmp_path / "given.jsonl", tmp_path / "out.jsonl"
+    # a log as a user may hand it in: keys in any order, blank lines
+    given.write_text("\n\n".join(json.dumps(json.loads(line)) for line in serialize_runs(runset)))
+    assert main(["ingest", "--runs", str(given), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected_log(runset)
+    assert b'"seq_len": 2048' in out.read_bytes()
+    capsys.readouterr()
+
+
+def test_empty_lenient_ingest_writes_one_blank_line(tmp_path, capsys):
+    runs, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+    runs.write_text("{not json\n")
+    code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient", "--out", str(out))
+    assert code == 0 and payload["runs"] == 0 and len(payload["rejected"]) == 1
+    assert out.read_bytes() == b"\n"
+
+
+def _simulate_peak(tmp_path, config) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o.jsonl")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_the_run_count(tmp_path, capsys):
+    """Generated, validated and written a run at a time: four times the runs
+    of the same length do not add one run's line to the peak."""
+    def config(k):
+        models = [{"n_params": 1.25e8 * (1 + i / 8), "label": f"m{i}"} for i in range(k)]
+        return simulate_config(tmp_path, 2000, models=models)
+
+    small, large = config(4), config(16)
+    _simulate_peak(tmp_path, small)  # the first call loads the layers
+    growth = _simulate_peak(tmp_path, large) - _simulate_peak(tmp_path, small)
+    line = (tmp_path / "o.jsonl").read_text().splitlines()[0]
+    assert growth < len(line)
+    capsys.readouterr()
+
+
+def test_simulate_duplicate_run_ids_write_nothing(tmp_path, capsys):
+    models = [{"n_params": 1.25e8, "label": "m"}, {"n_params": 3.5e8, "label": "m"}]
+    config = simulate_config(tmp_path, 50, models=models)
+    out = tmp_path / "runs.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "scalelaw: error: ConflictError: duplicate run_id 'm-0.5M-origin-x1'\n"
+    assert list(tmp_path.iterdir()) == [config]
+    out.write_bytes(b"kept\n")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"kept\n"
+    assert sorted(tmp_path.iterdir()) == sorted([config, out])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
     out = tmp_path / "runs.jsonl"
@@ -621,6 +738,21 @@ def test_non_utf8_run_log_is_parse_error(tmp_path, capsys):
     code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient")
     assert code == 0 and payload["runs"] == 0
     assert payload["rejected"] == [[1, message]]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+    ('{"n_params": ' + "1" * 5000 + "}", "invalid JSON: an integer has too many digits"),
+], ids=["deep", "digits"])
+def test_line_past_json_decoder_limits_is_parse_error(tmp_path, capsys, line, message):
+    runs = tmp_path / "bad.jsonl"
+    runs.write_text(line + "\n")
+    assert main(["ingest", "--runs", str(runs)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"scalelaw: error: ParseError: line 1: {message}\n"
+    code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient")
+    assert code == 0 and payload["runs"] == 0
+    assert payload["rejected"] == [[1, f"line 1: {message}"]]
 
 
 def test_non_utf8_laws_file_and_config_are_input_errors(tmp_path, capsys):

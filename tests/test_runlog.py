@@ -402,6 +402,31 @@ def test_roundtrip_identity():
     assert serialize_runs(parsed) == lines
 
 
+CHUNK = runlog._ROWS_PER_CHUNK
+
+
+@pytest.mark.parametrize("n_points", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("label, seq_len", [("", None), ("125M", 2048)])
+def test_line_chunks_join_to_the_canonical_line(n_points, label, seq_len):
+    losses = [3.0 - 1e-4 * i for i in range(n_points)]
+    losses[-1] = math.inf
+    run = make_run(losses=losses, model=ModelSpec(n_params=1.25e8, label=label, seq_len=seq_len))
+    fields_ = {
+        "run_id": "r", "n_params": 1.25e8, "batch_size_tokens": 5e5, "lr_peak": 3e-4,
+        "lr_scheme": "origin", "lr_scale": 1.0, "warmup_steps": 0, "decay_steps": 0,
+        "points": rows(run.points),
+    }
+    if label:
+        fields_.update(label=label, seq_len=seq_len)
+    chunks = list(runlog.line_chunks(run))
+    assert "".join(chunks) == json.dumps(fields_, sort_keys=True)
+    assert chunks[-2].endswith(", Infinity]")
+    # head, tail and one chunk per block of rows, with a separator between blocks
+    blocks = -(-n_points // CHUNK)
+    assert len(chunks) == 2 + 2 * blocks - 1
+    assert serialize_runs(iter([run])) == ["".join(chunks)]
+
+
 # ---------------------------------------------------------------------------
 # curve inversion
 
@@ -795,6 +820,22 @@ def test_non_utf8_line_is_parse_error(tmp_path):
     assert parse_runs([b'{"run_id": "a\xff"}'], strict=False).rejected == [
         (1, message.replace("line 2", "line 1"))
     ]
+
+
+# lines the JSON decoder itself gives up on: nested past its recursion
+# limit, and an integer past the int-string conversion limit
+DEEP_LINE = "[" * 100_000 + "]" * 100_000
+LONG_INT_LINE = MINIMAL_LINE.replace("125000000.0", "1" * 5000)
+
+
+@pytest.mark.parametrize("line", [DEEP_LINE, LONG_INT_LINE], ids=["deep", "digits"])
+def test_line_past_decoder_limits_is_parse_error(tmp_path, line):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(MINIMAL_LINE + "\n" + line + "\n")
+    with pytest.raises(ParseError, match="^line 2: ") as info:
+        read_runs(path)
+    lenient = read_runs(path, strict=False)
+    assert list(lenient.runs) == ["a"] and lenient.rejected == [(2, str(info.value))]
 
 
 def test_read_runs_numbers_lines_as_text_mode_does(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 
 from scalelaw import (
     ChinchillaLaw,
+    ConflictError,
     FrontierConstraint,
     InfeasibleTargetError,
     LrScheme,
     ModelSpec,
     NoiseParams,
     ParseError,
+    RunRecord,
     ValidationError,
     eta_opt_adam,
     fit_loss_law,
@@ -28,6 +30,7 @@ from scalelaw.synth import (
     d_required,
     default_ground_truth,
     default_sweep_config,
+    iter_grid,
     simulate_curve,
     simulate_grid,
 )
@@ -323,6 +326,50 @@ def test_grid_is_deterministic():
     for run_id in first.runs:
         assert replace(first[run_id], points=None) == replace(second[run_id], points=None)
         assert rows(first[run_id]) == rows(second[run_id])
+
+
+def test_iter_grid_streams_the_runs_of_simulate_grid(monkeypatch):
+    cfg = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8, label="125M"),),
+        batch_sizes=(5e5, 2e6),
+        lr_factors=(1.0, 3.0),
+        tokens_per_run=2e9,
+        points_per_run=25,
+    )
+    gt = default_ground_truth(seed=11, observation_noise=0.01)
+    grid = simulate_grid(cfg, gt)
+    validated = []
+    check = RunRecord.validate
+
+    def validate(run):
+        validated.append(run.run_id)
+        check(run)
+
+    monkeypatch.setattr(RunRecord, "validate", validate)
+    streamed = iter_grid(cfg, gt)
+    first = next(streamed)
+    # a run at a time: the first comes out validated before the next is made
+    assert first.run_id == next(iter(grid.runs)) and len(validated) == 1
+    streamed = [first, *streamed]
+    assert [run.run_id for run in streamed] == validated == list(grid.runs)
+    assert len(grid) == 4
+    assert serialize_runs(streamed) == serialize_runs(grid)
+
+
+def test_grid_duplicate_run_id_is_conflict():
+    cfg = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8, label="m"), ModelSpec(n_params=3.5e8, label="m")),
+        batch_sizes=(5e5,),
+        tokens_per_run=1e9,
+        points_per_run=10,
+    )
+    message = "duplicate run_id 'm-0.5M-origin-x1'"
+    streamed = iter_grid(cfg, quiet_truth())
+    assert next(streamed).run_id == "m-0.5M-origin-x1"
+    with pytest.raises(ConflictError, match=message):
+        next(streamed)
+    with pytest.raises(ConflictError, match=message):
+        simulate_grid(cfg, quiet_truth())
 
 
 def test_grid_seed_changes_losses_not_grids():
