@@ -80,24 +80,6 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]
     write_atomic(path, [buf.getvalue()])
 
 
-def _write_runs(path: str, runs) -> int:
-    """Write the runs of an iterable as a run log, a run at a time, and
-    count them; a log of no runs is a single blank line."""
-    count = 0
-
-    def chunks():
-        nonlocal count
-        for run in runs:
-            yield from runlog.line_chunks(run)
-            yield "\n"
-            count += 1
-        if not count:
-            yield "\n"
-
-    write_atomic(path, chunks())
-    return count
-
-
 def _load_laws(spec: str) -> artifact.LawArtifact:
     if spec == "reference":
         return artifact.reference_artifact()
@@ -177,7 +159,7 @@ def _fmt(value, precision: int = 6) -> str:
 def _cmd_ingest(args) -> None:
     runset = runlog.read_runs(args.runs, strict=not args.lenient)
     if args.out:
-        _write_runs(args.out, runset)
+        runlog.write_runs(args.out, runset)
     models = runset.model_sizes()
     batches = sorted({run.batch_size_tokens for run in runset})
     n_points = sum(len(run.points) for run in runset)
@@ -246,7 +228,7 @@ def _cmd_simulate(args) -> None:
     seed = _resolve_seed(args, truth.seed)
     if seed != truth.seed:
         truth = dataclasses.replace(truth, seed=seed)
-    count = _write_runs(args.out, synth.iter_grid(sweep, truth))
+    count = runlog.write_runs(args.out, synth.iter_grid(sweep, truth))
     _emit(args, [f"simulated {count} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
         "runs": count,

@@ -156,6 +156,12 @@ class RunRecord:
             )
 
 
+def check_new_run_id(seen, run_id: str) -> None:
+    """Raise ConflictError if run_id is in seen, the run ids (or runs by id) so far."""
+    if run_id in seen:
+        raise ConflictError(f"duplicate run_id {run_id!r}")
+
+
 @dataclass
 class RunSet:
     """An ordered collection of runs with unique ids."""
@@ -176,8 +182,7 @@ class RunSet:
         return self.runs[run_id]
 
     def add(self, run: RunRecord) -> None:
-        if run.run_id in self.runs:
-            raise ConflictError(f"duplicate run_id {run.run_id!r}")
+        check_new_run_id(self.runs, run.run_id)
         run.validate()
         self.runs[run.run_id] = run
 
@@ -341,12 +346,9 @@ def _parse_lines(
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no)
-            # the decoder's own limits: integer digits, and nesting depth
-            except ValueError:
-                raise ParseError("invalid JSON: an integer has too many digits",
-                                 line_no=line_no) from None
-            except RecursionError:
-                raise ParseError("invalid JSON: nested too deeply", line_no=line_no) from None
+            # the decoder's own limits: nesting depth, and integer digits
+            except (RecursionError, ValueError) as exc:
+                raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from None
             _add_record(runset, obj, line_no)
             if accepted is not None:
                 del obj["points"]
@@ -489,7 +491,7 @@ def _touch(entry: Path) -> None:
 _ROWS_PER_CHUNK = 4096
 
 
-def line_chunks(run: RunRecord) -> Iterator[str]:
+def _line_chunks(run: RunRecord) -> Iterator[str]:
     """The canonical JSON line of one run, without its newline, as chunks of text.
 
     The line is ``json.dumps`` of the run's fields with sorted keys.  The
@@ -525,7 +527,29 @@ def line_chunks(run: RunRecord) -> Iterator[str]:
 
 def serialize_runs(runset: Iterable[RunRecord]) -> list[str]:
     """Emit one canonical JSON line per run; inverse of parse_runs."""
-    return ["".join(line_chunks(run)) for run in runset]
+    return ["".join(_line_chunks(run)) for run in runset]
+
+
+def write_runs(path: str | Path, runs: Iterable[RunRecord]) -> int:
+    """Write the runs as a run log, the lines of serialize_runs, and count them.
+
+    The runs are taken and written one at a time, each line a block of
+    point rows at a time, so the writer holds one run and one block, not
+    the log or its text.  A log of no runs is a single blank line.
+    """
+    count = 0
+
+    def chunks():
+        nonlocal count
+        for run in runs:
+            yield from _line_chunks(run)
+            yield "\n"
+            count += 1
+        if not count:
+            yield "\n"
+
+    write_atomic(path, chunks())
+    return count
 
 
 def _take(curve: Curve, index) -> Curve:

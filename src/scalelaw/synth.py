@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterator
 
 from ._lazy import np
-from .errors import ConflictError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .laws import REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, scale_lr
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, ModelSpec, RunRecord, RunSet
+from .runlog import Curve, ModelSpec, RunRecord, RunSet, check_new_run_id
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -126,6 +126,17 @@ class SynthConfig:
             "tokens_per_run": self.tokens_per_run,
             "points_per_run": self.points_per_run,
         }
+
+    def cells(self) -> Iterator[SynthConfig]:
+        """One one-run sweep per run of this sweep, in run order."""
+        for model in self.models:
+            for b in self.batch_sizes:
+                for scheme in self.schemes:
+                    for factor in self.lr_factors:
+                        yield replace(
+                            self, models=(model,), batch_sizes=(b,), schemes=(scheme,),
+                            lr_factors=(factor,),
+                        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
@@ -311,43 +322,48 @@ def _format_batch(b: float) -> str:
     return f"{b / 1e6:g}M"
 
 
-def iter_grid(config: SynthConfig, gt: GroundTruth) -> Iterator[RunRecord]:
-    """The runs of the sweep one at a time, in simulate_grid's order.
-
-    Each run is validated as RunSet.add validates it, and a run id met
-    before raises ConflictError, so a writer can stream the sweep without
-    holding it.
-    """
-    seen = set()
-    for model in config.models:
-        label = model.label or f"{model.n_params:.3g}"
-        for b in config.batch_sizes:
-            for scheme in config.schemes:
-                for factor in config.lr_factors:
-                    lr = factor * scale_lr(config.base_lr, config.base_batch, b, scheme)
-                    run_id = f"{label}-{_format_batch(b)}-{scheme.value}-x{factor:g}"
-                    run = simulate_curve(
-                        gt,
-                        n_params=model.n_params,
-                        B=b,
-                        lr_peak=lr,
-                        total_tokens=config.tokens_per_run,
-                        points=config.points_per_run,
-                        run_id=run_id,
-                        label=label,
-                        scheme=scheme,
-                        lr_scale=lr / config.base_lr,
-                    )
-                    if run_id in seen:
-                        raise ConflictError(f"duplicate run_id {run_id!r}")
-                    run.validate()
-                    seen.add(run_id)
-                    yield run
+def _cell_run(cell: SynthConfig, gt: GroundTruth) -> RunRecord:
+    """The run of a one-run sweep."""
+    (model,), (b,) = cell.models, cell.batch_sizes
+    (scheme,), (factor,) = cell.schemes, cell.lr_factors
+    label = model.label or f"{model.n_params:.3g}"
+    lr = factor * scale_lr(cell.base_lr, cell.base_batch, b, scheme)
+    return simulate_curve(
+        gt,
+        n_params=model.n_params,
+        B=b,
+        lr_peak=lr,
+        total_tokens=cell.tokens_per_run,
+        points=cell.points_per_run,
+        run_id=f"{label}-{_format_batch(b)}-{scheme.value}-x{factor:g}",
+        label=label,
+        scheme=scheme,
+        lr_scale=lr / cell.base_lr,
+    )
 
 
 def simulate_grid(config: SynthConfig, gt: GroundTruth) -> RunSet:
     """All runs of the sweep, deterministic in content and order."""
-    return RunSet(runs={run.run_id: run for run in iter_grid(config, gt)})
+    runset = RunSet()
+    for cell in config.cells():
+        runset.add(_cell_run(cell, gt))
+    return runset
+
+
+def iter_grid(config: SynthConfig, gt: GroundTruth) -> Iterator[RunRecord]:
+    """The runs of the sweep one at a time, in simulate_grid's order.
+
+    Each run is simulate_grid of its one-run cell, so it is made and
+    validated as in the whole grid, and a run id met before raises
+    RunSet.add's ConflictError: a writer can stream the sweep without
+    holding it.
+    """
+    seen: set[str] = set()
+    for cell in config.cells():
+        (run,) = simulate_grid(cell, gt)
+        check_new_run_id(seen, run.run_id)
+        seen.add(run.run_id)
+        yield run
 
 
 def default_ground_truth(seed: int = 1, observation_noise: float = 0.005) -> GroundTruth:

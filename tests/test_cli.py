@@ -740,19 +740,20 @@ def test_non_utf8_run_log_is_parse_error(tmp_path, capsys):
     assert payload["rejected"] == [[1, message]]
 
 
-@pytest.mark.parametrize("line, message", [
-    ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
-    ('{"n_params": ' + "1" * 5000 + "}", "invalid JSON: an integer has too many digits"),
+@pytest.mark.parametrize("line", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"n_params": ' + "1" * 5000 + "}",
 ], ids=["deep", "digits"])
-def test_line_past_json_decoder_limits_is_parse_error(tmp_path, capsys, line, message):
+def test_line_past_json_decoder_limits_is_parse_error(tmp_path, capsys, line):
     runs = tmp_path / "bad.jsonl"
     runs.write_text(line + "\n")
     assert main(["ingest", "--runs", str(runs)]) == 1
     err = capsys.readouterr().err
-    assert err == f"scalelaw: error: ParseError: line 1: {message}\n"
+    prefix = "line 1: invalid JSON: "
+    assert err.startswith(f"scalelaw: error: ParseError: {prefix}") and err.count("\n") == 1
     code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient")
     assert code == 0 and payload["runs"] == 0
-    assert payload["rejected"] == [[1, f"line 1: {message}"]]
+    assert payload["rejected"] == [[1, err.removeprefix("scalelaw: error: ParseError: ")[:-1]]]
 
 
 def test_non_utf8_laws_file_and_config_are_input_errors(tmp_path, capsys):

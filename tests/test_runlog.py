@@ -418,7 +418,7 @@ def test_line_chunks_join_to_the_canonical_line(n_points, label, seq_len):
     }
     if label:
         fields_.update(label=label, seq_len=seq_len)
-    chunks = list(runlog.line_chunks(run))
+    chunks = list(runlog._line_chunks(run))
     assert "".join(chunks) == json.dumps(fields_, sort_keys=True)
     assert chunks[-2].endswith(", Infinity]")
     # head, tail and one chunk per block of rows, with a separator between blocks
@@ -832,7 +832,7 @@ LONG_INT_LINE = MINIMAL_LINE.replace("125000000.0", "1" * 5000)
 def test_line_past_decoder_limits_is_parse_error(tmp_path, line):
     path = tmp_path / "runs.jsonl"
     path.write_text(MINIMAL_LINE + "\n" + line + "\n")
-    with pytest.raises(ParseError, match="^line 2: ") as info:
+    with pytest.raises(ParseError, match="^line 2: invalid JSON: ") as info:
         read_runs(path)
     lenient = read_runs(path, strict=False)
     assert list(lenient.runs) == ["a"] and lenient.rejected == [(2, str(info.value))]

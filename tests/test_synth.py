@@ -22,6 +22,7 @@ from scalelaw import (
     samples_from_runs,
     serialize_runs,
 )
+from scalelaw import synth
 from scalelaw.synth import (
     GroundTruth,
     SynthConfig,
@@ -353,6 +354,36 @@ def test_iter_grid_streams_the_runs_of_simulate_grid(monkeypatch):
     streamed = [first, *streamed]
     assert [run.run_id for run in streamed] == validated == list(grid.runs)
     assert len(grid) == 4
+    assert serialize_runs(streamed) == serialize_runs(grid)
+
+
+def test_iter_grid_makes_each_run_through_simulate_grid(monkeypatch):
+    """A wrapper around simulate_grid (a profiler's, say) sees every
+    streamed run: each is simulate_grid of its one-run cell."""
+    cfg = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8, label="125M"), ModelSpec(n_params=3.5e8)),
+        batch_sizes=(5e5, 2e6),
+        schemes=(LrScheme.ORIGIN, LrScheme.LINEAR),
+        tokens_per_run=2e9,
+        points_per_run=25,
+    )
+    gt = default_ground_truth(seed=11, observation_noise=0.01)
+    grid = simulate_grid(cfg, gt)
+    made = []
+    simulate = synth.simulate_grid
+
+    def wrapped(config, truth):
+        runset = simulate(config, truth)
+        made.extend(runset.runs)
+        return runset
+
+    monkeypatch.setattr(synth, "simulate_grid", wrapped)
+    streamed = list(iter_grid(cfg, gt))
+    assert made == [run.run_id for run in streamed] == list(grid.runs)
+    assert [cell.to_dict() for cell in cfg.cells()] == [
+        replace(cfg, models=(m,), batch_sizes=(b,), schemes=(s,)).to_dict()
+        for m in cfg.models for b in cfg.batch_sizes for s in cfg.schemes
+    ]
     assert serialize_runs(streamed) == serialize_runs(grid)
 
 
