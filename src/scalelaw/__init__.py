@@ -41,7 +41,6 @@ _EXPORTS = {
         "FrontierPoint",
         "FrontierReport",
         "ChinchillaLaw",
-        "KaplanLaw",
         "BoptLaw",
         "LrLawFit",
     ),

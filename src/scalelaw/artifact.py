@@ -2,9 +2,9 @@
 
 One document can bundle a parametric loss law with its fit diagnostics, the
 frontier power laws, the batch-size law, an LR law block, presets, and
-published comparison laws.  reference_artifact() builds an artifact of
-well-known published constants, so advice queries work without any fitting
-step.
+published comparison laws, carried as data that nothing evaluates.
+reference_artifact() builds an artifact of well-known published constants,
+so advice queries work without any fitting step.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from .laws import (
     BoptLaw,
     ChinchillaLaw,
     FrontierReport,
-    KaplanLaw,
     LrLawFit,
     PowerLaw,
+    decode_json,
+    reading,
 )
 
 FORMAT_TAG = "scalelaw-laws/1"
@@ -43,17 +44,6 @@ class LawArtifact:
     presets: Presets | None = None
     comparisons: tuple[dict, ...] = ()
     provenance: str | None = None
-
-    def comparison_law(self, label: str) -> ChinchillaLaw | KaplanLaw:
-        """Look up a published comparison law by its label."""
-        for entry in self.comparisons:
-            if entry["label"] == label:
-                if entry["form"] == "chinchilla":
-                    return ChinchillaLaw.from_dict(entry["params"])
-                if entry["form"] == "kaplan":
-                    return KaplanLaw.from_dict(entry["params"])
-                raise ParseError(f"unknown law form {entry['form']!r}")
-        raise KeyError(f"no comparison law labeled {label!r}")
 
     def to_json_dict(self) -> dict:
         doc: dict = {"format": FORMAT_TAG}
@@ -99,12 +89,7 @@ class LawArtifact:
 
     @classmethod
     def load(cls, path: str | Path) -> "LawArtifact":
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc.msg}")
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(decode_json(Path(path).read_text(), f"{path}: "))
 
 
 def _parse_block(doc: dict, name: str, parse):
@@ -112,12 +97,8 @@ def _parse_block(doc: dict, name: str, parse):
     wrong-typed value is a ParseError naming the block."""
     if name not in doc:
         return None
-    try:
+    with reading(f"{name} block"):
         return parse(doc[name])
-    except KeyError as exc:
-        raise ParseError(f"{name} block is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ParseError(f"{name} block is malformed: {exc}") from None
 
 
 def _loss_law_block(block: dict) -> tuple[ChinchillaLaw, dict | None]:

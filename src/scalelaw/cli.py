@@ -201,11 +201,7 @@ def _resolve_seed(args, config_seed: int) -> int:
 
 def _cmd_simulate(args) -> None:
     if args.config:
-        try:
-            with open(args.config) as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.config}: invalid JSON: {exc.msg}")
+        doc = laws.decode_json(Path(args.config).read_text(), f"{args.config}: ")
         if not isinstance(doc, dict):
             raise ParseError(f"{args.config}: config must be a JSON object")
         truth = (

@@ -142,7 +142,6 @@ class FitReport:
     r_squared: float
     huber_delta: float
     n_points: int
-    init_grid_winner: tuple[float, float, float]
     objective_value: float
     n_starts: int
     n_converged: int
@@ -155,7 +154,6 @@ class FitReport:
             "delta": self.huber_delta,
             "n_points": self.n_points,
             "objective_value": self.objective_value,
-            "init_grid_winner": list(self.init_grid_winner),
             "n_starts": self.n_starts,
             "n_converged": self.n_converged,
             "objective_spread": self.objective_spread,
@@ -421,7 +419,6 @@ def fit_loss_law(
         r_squared=r_squared(law.eval(n, d), obs),
         huber_delta=delta,
         n_points=int(n.size),
-        init_grid_winner=grid[polished[best_idx]],
         objective_value=float(res.fun),
         n_starts=len(results),
         n_converged=len(converged),

@@ -4,18 +4,21 @@ Fitting (lawfit, frontier, bslaw, lrlaw) produces these records, the
 artifact module reads and writes them, and the advisor evaluates them.
 They depend on nothing but the error types and numpy, which they load only
 for array arguments, so a process that just reads a laws file and evaluates
-it never loads the fitting code.
+it never loads the fitting code.  The readers of outside JSON documents
+(run-log lines, laws files, sweep configs) share this module's decoder and
+field rules.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from ._lazy import np
-from .errors import InfeasibleTargetError, ValidationError
+from .errors import InfeasibleTargetError, ParseError, ValidationError
 
 # Forward-pass-plus-backward cost per parameter per token.
 FLOPS_PER_PARAM_TOKEN = 6.0
@@ -53,6 +56,37 @@ def _as_kind(value, name: str, kind: type):
     if not ok:
         raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return kind(value)
+
+
+def decode_json(text: str, where: int | str):
+    """json.loads(text) of an outside document.
+
+    Each way the decoder gives up is a ParseError "invalid JSON: <reason>"
+    at line ``where`` (an int) or after the prefix ``where`` (a str): a
+    syntax error, nesting past the recursion limit, and an integer past
+    the int-string conversion limit.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    except (RecursionError, ValueError) as exc:
+        reason = str(exc)
+    if isinstance(where, int):
+        raise ParseError(f"invalid JSON: {reason}", line_no=where)
+    raise ParseError(f"{where}invalid JSON: {reason}")
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """Context for reading the decoded document named what: a missing key
+    or a wrong-typed value inside is a ParseError naming what."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what} is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{what} is malformed: {exc}") from None
 
 
 class LrScheme(str, Enum):
@@ -267,37 +301,6 @@ class ChinchillaLaw:
 # Published fit of the 125M-2.6B batch-size study: the reference artifact's
 # loss law and the synthetic generator's planted truth.
 REFERENCE_LOSS_LAW = ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
-
-
-@dataclass(frozen=True)
-class KaplanLaw:
-    """Power-form loss law [(Nc/N)^(alpha_N/alpha_D) + Dc/D]^alpha_D."""
-
-    Nc: float
-    Dc: float
-    alpha_N: float
-    alpha_D: float
-
-    def __post_init__(self) -> None:
-        if not all(0 < v < math.inf for v in (self.Nc, self.Dc, self.alpha_N, self.alpha_D)):
-            raise ValidationError("all KaplanLaw fields must be positive and finite")
-
-    def eval(self, n, d):
-        """Loss at n parameters and d tokens; broadcasts over arrays."""
-        n_arr = np.asarray(n, dtype=float)
-        d_arr = np.asarray(d, dtype=float)
-        if np.any(n_arr <= 0) or np.any(d_arr <= 0):
-            raise ValidationError("n and d must be positive")
-        inner = (self.Nc / n_arr) ** (self.alpha_N / self.alpha_D) + self.Dc / d_arr
-        out = inner**self.alpha_D
-        return out.item() if out.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, params: dict) -> "KaplanLaw":
-        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ from .errors import (
     UnreachableLossError,
     ValidationError,
 )
-from .laws import LrScheme, read_field
+from .laws import LrScheme, decode_json, read_field
 
 try:
-    # hashlib's own blake2b; importing hashlib itself loads OpenSSL, about
-    # 5 ms of every verb that reads a run log
+    # hashlib's own blake2b, also the generator's noise hash; importing
+    # hashlib itself loads OpenSSL, about 5 ms of every verb
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b
@@ -342,13 +342,7 @@ def _parse_lines(
             stripped = _text(line, line_no).strip()
             if not stripped:
                 continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no)
-            # the decoder's own limits: nesting depth, and integer digits
-            except (RecursionError, ValueError) as exc:
-                raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from None
+            obj = decode_json(stripped, line_no)
             _add_record(runset, obj, line_no)
             if accepted is not None:
                 del obj["points"]

@@ -12,16 +12,17 @@ richer than this closure.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterator
 
 from ._lazy import np
-from .errors import ParseError, ValidationError
-from .laws import REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, scale_lr
+from .errors import ValidationError
+from .laws import (
+    REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
+)
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, ModelSpec, RunRecord, RunSet, check_new_run_id
+from .runlog import Curve, ModelSpec, RunRecord, RunSet, blake2b, check_new_run_id
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -67,7 +68,7 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
-        try:
+        with reading("ground truth document"):
             return cls(
                 law=ChinchillaLaw.from_dict(d["law"]),
                 noise=NoiseParams(
@@ -80,10 +81,6 @@ class GroundTruth:
                 observation_noise=read_field(d, "observation_noise", float),
                 seed=read_field(d, "seed", int),
             )
-        except KeyError as exc:
-            raise ParseError(f"ground truth document missing field {exc.args[0]!r}")
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ParseError(f"ground truth document is malformed: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        try:
+        with reading("sweep config document"):
             return cls(
                 models=tuple(
                     ModelSpec(read_field(m, "n_params", float), read_field(m, "label", str, ""))
@@ -154,10 +151,6 @@ class SynthConfig:
                 tokens_per_run=read_field(d, "tokens_per_run", float),
                 points_per_run=read_field(d, "points_per_run", int),
             )
-        except KeyError as exc:
-            raise ParseError(f"sweep config document missing field {exc.args[0]!r}")
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ParseError(f"sweep config document is malformed: {exc}") from None
 
 
 def d_required(gt: GroundTruth, n_params: float, target_loss: float, B: float) -> float:
@@ -215,7 +208,7 @@ def _noise_factors(seed: int, run_id: str, steps: np.ndarray, sigma: float) -> n
     n = len(steps)
     if sigma == 0.0:
         return np.ones(n)
-    prefix = hashlib.blake2b(f"{seed}|{run_id}|".encode(), digest_size=16)
+    prefix = blake2b(f"{seed}|{run_id}|".encode(), digest_size=16)
     digests = bytearray(16 * n)
     for i, step in enumerate(steps.tolist()):
         h = prefix.copy()

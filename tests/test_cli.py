@@ -740,10 +740,12 @@ def test_non_utf8_run_log_is_parse_error(tmp_path, capsys):
     assert payload["rejected"] == [[1, message]]
 
 
-@pytest.mark.parametrize("line", [
-    "[" * 100_000 + "]" * 100_000,
-    '{"n_params": ' + "1" * 5000 + "}",
-], ids=["deep", "digits"])
+# documents the JSON decoder itself gives up on: nested past its recursion
+# limit, and an integer past the int-string conversion limit
+DECODER_LIMIT_DOCS = ["[" * 100_000 + "]" * 100_000, '{"n_params": ' + "1" * 5000 + "}"]
+
+
+@pytest.mark.parametrize("line", DECODER_LIMIT_DOCS, ids=["deep", "digits"])
 def test_line_past_json_decoder_limits_is_parse_error(tmp_path, capsys, line):
     runs = tmp_path / "bad.jsonl"
     runs.write_text(line + "\n")
@@ -754,6 +756,27 @@ def test_line_past_json_decoder_limits_is_parse_error(tmp_path, capsys, line):
     code, payload = run_json(capsys, "ingest", "--runs", str(runs), "--lenient")
     assert code == 0 and payload["runs"] == 0
     assert payload["rejected"] == [[1, err.removeprefix("scalelaw: error: ParseError: ")[:-1]]]
+
+
+@pytest.mark.parametrize("doc", DECODER_LIMIT_DOCS, ids=["deep", "digits"])
+@pytest.mark.parametrize("argv", [
+    ["advise", "--compute", "1e21", "--laws"],
+    ["fit-law", "--constrain", "frontier", "--laws"],
+    ["simulate", "--out", "runs.jsonl", "--config"],
+], ids=["advise", "fit-law", "simulate"])
+def test_laws_file_and_config_past_json_decoder_limits_are_parse_errors(
+    five_model_runs, tmp_path, capsys, monkeypatch, argv, doc
+):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    if argv[0] == "fit-law":
+        argv = [*argv[:1], "--runs", str(five_model_runs), *argv[1:]]
+    assert main([*argv, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scalelaw: error: ParseError: {bad}: invalid JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "runs.jsonl").exists()
 
 
 def test_non_utf8_laws_file_and_config_are_input_errors(tmp_path, capsys):

@@ -9,7 +9,6 @@ from scalelaw import (
     DegenerateVarianceError,
     FitFailureError,
     FrontierConstraint,
-    KaplanLaw,
     ValidationError,
     apply_constraint,
     fit_loss_law,
@@ -69,27 +68,6 @@ def test_law_parameter_validation():
             ChinchillaLaw(E=bad, A=100.0, alpha=0.3, Bcoef=100.0, beta=0.3)
         with pytest.raises(ValidationError, match="finite"):
             ChinchillaLaw(E=1.5, A=100.0, alpha=0.3, Bcoef=bad, beta=0.3)
-        with pytest.raises(ValidationError, match="finite"):
-            KaplanLaw(Nc=8.8e13, Dc=bad, alpha_N=0.076, alpha_D=0.095)
-
-
-# ---------------------------------------------------------------------------
-# power-form law
-
-GPT3_ROW = KaplanLaw(Nc=8.8e13, Dc=5.4e13, alpha_N=0.8 * 0.095, alpha_D=0.095)
-
-
-def test_kaplan_infinite_data_limit():
-    n = 1e9
-    assert GPT3_ROW.eval(n, 1e30) == pytest.approx((8.8e13 / n) ** 0.076, rel=1e-9)
-
-
-def test_kaplan_at_both_scale_constants():
-    assert GPT3_ROW.eval(8.8e13, 5.4e13) == pytest.approx(2**0.095, rel=1e-12)
-
-
-def test_kaplan_collapses_to_one():
-    assert GPT3_ROW.eval(8.8e13, 1e30) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +414,6 @@ def test_d_for_loss_round_trip(ref_law):
 
 def test_law_dict_round_trip(ref_law):
     assert ChinchillaLaw.from_dict(ref_law.to_dict()) == ref_law
-    assert KaplanLaw.from_dict(GPT3_ROW.to_dict()) == GPT3_ROW
 
 
 @pytest.mark.parametrize("smooth", [True, False], ids=["smoothed", "raw"])

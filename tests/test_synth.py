@@ -257,8 +257,10 @@ def test_ground_truth_dict_round_trip():
     assert doc["seed"] == 7
     assert GroundTruth.from_dict(doc) == gt
     missing = {k: v for k, v in doc.items() if k != "seed"}
-    with pytest.raises(ParseError, match="seed"):
+    with pytest.raises(ParseError, match="^ground truth document is missing field 'seed'$"):
         GroundTruth.from_dict(missing)
+    with pytest.raises(ParseError, match="^ground truth document is malformed: seed must be"):
+        GroundTruth.from_dict({**doc, "seed": "7"})
 
 
 def test_sweep_config_dict_round_trip():
@@ -266,8 +268,10 @@ def test_sweep_config_dict_round_trip():
     doc = cfg.to_dict()
     assert SynthConfig.from_dict(doc) == cfg
     missing = {k: v for k, v in doc.items() if k != "batch_sizes"}
-    with pytest.raises(ParseError, match="batch_sizes"):
+    with pytest.raises(ParseError, match="^sweep config document is missing field 'batch_sizes'$"):
         SynthConfig.from_dict(missing)
+    with pytest.raises(ParseError, match="^sweep config document is malformed: 'diagonal'"):
+        SynthConfig.from_dict({**doc, "schemes": ["diagonal"]})
 
 
 def test_sweep_config_validation():
