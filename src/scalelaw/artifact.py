@@ -79,7 +79,7 @@ class LawArtifact:
                 name: _parse_block(doc, name, record.from_dict)
                 for name, record in _RECORD_BLOCKS.items()
             },
-            comparisons=_parse_block(doc, "comparisons", tuple) or (),
+            comparisons=_parse_block(doc, "comparisons", _comparisons_block) or (),
             provenance=doc.get("provenance"),
         )
 
@@ -105,6 +105,12 @@ def _loss_law_block(block: dict) -> tuple[ChinchillaLaw, dict | None]:
     if block.get("form") != "chinchilla":
         raise ParseError(f"unsupported loss law form {block.get('form')!r}")
     return ChinchillaLaw.from_dict(block["params"]), block.get("fit") or None
+
+
+def _comparisons_block(block: list) -> tuple[dict, ...]:
+    if not isinstance(block, list) or not all(isinstance(c, dict) for c in block):
+        raise TypeError("expected a list of objects")
+    return tuple(block)
 
 
 def reference_artifact() -> LawArtifact:

@@ -10,8 +10,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -735,6 +737,25 @@ def _report_failure(args, exc: Exception, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # A verb is one short process, and the cyclic collector only frees
+    # memory that the process returns at exit anyway: its passes while
+    # numpy and the layers load, and its full passes over every live object
+    # at shutdown.  So pause it for the verb, and freeze what is alive at
+    # exit (atexit handlers run before module teardown) so that the shutdown
+    # passes skip it.  Safe because every output file is written and closed
+    # before main returns, and no object here needs a finalizer in a cycle.
+    atexit.unregister(gc.freeze)  # one handler a process, however many calls
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = getattr(args, "handler", None)

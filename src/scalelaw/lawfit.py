@@ -176,9 +176,10 @@ def default_init_grid() -> list[tuple[float, float, float]]:
 def _check_span(n: np.ndarray, d: np.ndarray) -> None:
     if n.size < 8:
         raise InsufficientDataError(f"need at least 8 samples, got {n.size}")
-    if np.unique(n).size < 2:
+    # a set, not np.unique, which loads numpy.ma on first use (numpy 2.x)
+    if len(set(n.tolist())) < 2:
         raise InsufficientDataError("samples must span at least 2 distinct model sizes")
-    if np.unique(d).size < 4:
+    if len(set(d.tolist())) < 4:
         raise InsufficientDataError("samples must span at least 4 distinct token counts")
 
 

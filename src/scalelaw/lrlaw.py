@@ -165,7 +165,7 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
         raise ValidationError("refinement must be >= 1")
     log_b_nodes = np.log(surface.grid_B)
     n_cells = surface.grid_B.size - 1
-    refined = np.unique(
+    refined = np.sort(
         np.concatenate(
             [
                 np.linspace(log_b_nodes[i], log_b_nodes[i + 1], refinement + 1)
@@ -173,6 +173,9 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
             ]
         )
     )
+    # np.unique's result (the shared nodes once) without np.unique, which
+    # loads numpy.ma on first use (numpy 2.x)
+    refined = refined[np.concatenate(([True], np.diff(refined) != 0))]
     log_lr = np.log(surface.grid_LR)
     samples = []
     for lb in refined:

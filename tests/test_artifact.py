@@ -166,6 +166,9 @@ _POINT = {"C": 1.2e20, "loss": 2.5, "N": 1e9, "D": 2e10, "S": 2e4, "B": 1e6, "ed
             {"frontier": dict(_FRONTIER, consistency_residuals={"B_opt": True})},
             "frontier block is malformed: B_opt",
         ),
+        ({"comparisons": "ab"}, "comparisons block is malformed"),
+        ({"comparisons": [1, 2]}, "comparisons block is malformed"),
+        ({"comparisons": {"label": "x"}}, "comparisons block is malformed"),
     ],
 )
 def test_malformed_blocks_are_parse_errors(blocks, message):

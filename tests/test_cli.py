@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -424,6 +425,22 @@ def test_advise_malformed_laws_file_is_parse_error(tmp_path, capsys, blocks, que
     captured = capsys.readouterr()
     assert f"scalelaw: error: ParseError: {block} block" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("comparisons", ["ab", [1, 2], {"label": "x"}])
+def test_malformed_comparisons_block_leaves_laws_file_alone(
+    five_model_runs, tmp_path, capsys, comparisons
+):
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps({"format": "scalelaw-laws/1", "comparisons": comparisons}))
+    before = laws.read_bytes()
+    assert main(["frontier", "--runs", str(five_model_runs), "--laws", str(laws)]) == 1
+    errors = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("scalelaw: error: ParseError:")
+    ]
+    assert len(errors) == 1 and "comparisons block is malformed" in errors[0], errors
+    assert laws.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -1092,3 +1109,90 @@ def test_help_exits_zero(capsys):
             main([verb, "--help"])
         assert excinfo.value.code == 0
         assert option in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# process lifecycle: the cyclic garbage collector
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_the_caller_had_it(tmp_path, capsys, monkeypatch, enabled):
+    during = []
+    real_emit = scalelaw.cli._emit
+
+    def emit(*args):
+        during.append(gc.isenabled())
+        real_emit(*args)
+
+    monkeypatch.setattr(scalelaw.cli, "_emit", emit)
+    calls = [
+        (["tradeoff", "--gamma", "1"], 0),  # succeeds
+        (["advise", "--compute", "nan"], 1),  # InputError
+        (["transmogrify"], SystemExit),  # argparse usage error
+        (["--help"], SystemExit),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, outcome in calls:
+            gc.enable() if enabled else gc.disable()
+            if outcome is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == outcome
+            assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+    assert during == [False]  # the verb ran with the collector paused
+
+
+def test_exit_freeze_runs_after_earlier_exit_handlers():
+    # atexit handlers run last in, first out: this one, registered before
+    # main, runs after main's gc.freeze
+    script = (
+        "import atexit, gc\n"
+        "from scalelaw.cli import main\n"
+        "before = []\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > before[0]))\n"
+        "for _ in range(2):\n"
+        "    assert main(['tradeoff', '--gamma', '1']) == 0\n"
+        "before.append(gc.get_freeze_count())\n"
+    )
+    assert run_fresh(script).stdout.splitlines()[-1] == "frozen True"
+
+
+def test_main_registers_one_exit_handler_per_process():
+    # count the exit freezes through a stand-in for gc.freeze; the handler
+    # registered first runs last, after every freeze
+    script = (
+        "import atexit, gc\n"
+        "freezes = []\n"
+        "atexit.register(lambda: print('freezes', len(freezes)))\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (freezes.append(1), freeze())\n"
+        "from scalelaw.cli import main\n"
+        "for _ in range(3):\n"
+        "    assert main(['tradeoff', '--gamma', '1']) == 0\n"
+    )
+    assert run_fresh(script).stdout.splitlines()[-1] == "freezes 1"
+
+
+def test_fit_verbs_leave_numpy_ma_unloaded(tmp_path, five_model_runs):
+    if run_fresh("import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip() == "True":
+        pytest.skip("import numpy loads numpy.ma here")
+    laws = str(tmp_path / "laws.json")
+    lr_runs = str(lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3))
+    verbs = [
+        ["fit-law", "--runs", str(five_model_runs), "--laws", laws, "--raw"],
+        ["fit-lr", "--runs", lr_runs, "--laws", laws, "--checkpoint-tokens", "2e7"],
+    ]
+    script = (
+        "import sys, warnings\n"
+        "from scalelaw.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"for argv in {verbs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    run_fresh(script)
