@@ -43,6 +43,8 @@ _EXPORTS = {
         "ChinchillaLaw",
         "BoptLaw",
         "LrLawFit",
+        "PresetRow",
+        "Presets",
     ),
     "runlog": (
         "ModelSpec",
@@ -111,8 +113,6 @@ _EXPORTS = {
         "default_sweep_config",
     ),
     "advisor": (
-        "PresetRow",
-        "Presets",
         "Recommendation",
         "advise_compute",
         "advise_data",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 
+from ._record import Record, asdict, field
 from .errors import ValidationError
 from .laws import (
     FLOPS_PER_PARAM_TOKEN,
@@ -21,79 +21,14 @@ from .laws import (
     ChinchillaLaw,
     FrontierReport,
     LrLawFit,
-    read_field,
     scale_lr,
 )
+# re-exported: the preset table is a laws-file block, kept in laws, and
+# scalelaw.advisor.Presets and the rest still resolve
+from .laws import DEFAULT_PRESETS, PresetRow, Presets  # noqa: F401
 
 
-@dataclass(frozen=True)
-class PresetRow:
-    """Tuned defaults for one model size: global batch, peak LR, schedule."""
-
-    n_params: float
-    label: str
-    batch_size: float
-    max_lr: float
-    warmup_steps: int
-    decay_steps: int
-
-    def __post_init__(self) -> None:
-        if min(self.n_params, self.batch_size, self.max_lr) <= 0:
-            raise ValidationError("preset sizes and rates must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PresetRow":
-        return cls(
-            n_params=read_field(d, "n_params", float),
-            label=read_field(d, "label", str),
-            batch_size=read_field(d, "batch_size", float),
-            max_lr=read_field(d, "max_lr", float),
-            warmup_steps=read_field(d, "warmup_steps", int),
-            decay_steps=read_field(d, "decay_steps", int),
-        )
-
-
-DEFAULT_PRESETS: tuple[PresetRow, ...] = (
-    PresetRow(1.25e8, "125M", 5e5, 6.0e-4, 715, 500000),
-    PresetRow(3.5e8, "350M", 5e5, 3.0e-4, 715, 500000),
-    PresetRow(7.6e8, "760M", 5e5, 2.5e-4, 715, 500000),
-    PresetRow(1.3e9, "1.3B", 1e6, 2.0e-4, 350, 300000),
-    PresetRow(2.6e9, "2.6B", 1e6, 1.6e-4, 350, 300000),
-)
-
-
-@dataclass(frozen=True)
-class Presets:
-    """Preset table, extensible with user rows."""
-
-    rows: tuple[PresetRow, ...] = DEFAULT_PRESETS
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise ValidationError("preset table must not be empty")
-
-    def lookup(self, n_params: float) -> PresetRow:
-        """Nearest row by log model size; ties go to the larger model."""
-        if not (math.isfinite(n_params) and n_params > 0):
-            raise ValidationError(f"n_params must be finite and positive, got {n_params}")
-        return min(
-            self.rows,
-            key=lambda r: (abs(math.log(n_params) - math.log(r.n_params)), -r.n_params),
-        )
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Presets":
-        return cls(rows=tuple(PresetRow.from_dict(r) for r in d["rows"]))
-
-
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Record, frozen=True):
     """A recommended training configuration with per-field provenance.
 
     provenance names the law or identity each field came from;

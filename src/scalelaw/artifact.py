@@ -10,11 +10,10 @@ so advice queries work without any fitting step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._atomic import write_atomic
-from .advisor import Presets
+from ._record import Record
 from .errors import ParseError
 from .laws import (
     REFERENCE_LOSS_LAW,
@@ -23,6 +22,7 @@ from .laws import (
     FrontierReport,
     LrLawFit,
     PowerLaw,
+    Presets,
     decode_json,
     reading,
 )
@@ -32,8 +32,7 @@ FORMAT_TAG = "scalelaw-laws/1"
 _RECORD_BLOCKS = dict(frontier=FrontierReport, bopt=BoptLaw, lr_law=LrLawFit, presets=Presets)
 
 
-@dataclass(frozen=True)
-class LawArtifact:
+class LawArtifact(Record, frozen=True):
     """Deserialized law-artifact document; every block is optional."""
 
     loss_law: ChinchillaLaw | None = None

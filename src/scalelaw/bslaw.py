@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import (
     EmptyContourError,
     InsufficientDataError,
@@ -38,8 +38,7 @@ S_FLOOR_BAND = (2500.0, 6000.0)
 DEFAULT_S_FLOOR = 4000.0
 
 
-@dataclass(frozen=True)
-class ContourPoint:
+class ContourPoint(Record, frozen=True):
     """Tokens needed to reach one loss level at one batch size."""
 
     loss_level: float
@@ -53,8 +52,7 @@ class ContourPoint:
             raise ValidationError("D_required below one batch of tokens")
 
 
-@dataclass(frozen=True)
-class ContourVertex:
+class ContourVertex(Record, frozen=True):
     """Minimum of one contour's parabola in (log B, log D) space."""
 
     loss_level: float
@@ -80,8 +78,26 @@ def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> lis
         finals.append(float(smoothed.points.loss[-1]))
     if not finals:
         raise InsufficientDataError("no converged runs to pick loss levels from")
-    lo, hi = np.percentile(finals, LEVEL_PERCENTILES)
+    lo, hi = (_percentile(finals, q) for q in LEVEL_PERCENTILES)
     return [float(v) for v in np.linspace(lo, hi, n_levels)]
+
+
+def _percentile(values: list[float], q: float) -> float:
+    """np.percentile(values, q) of finite values, bit for bit, without the
+    numpy.ma import that np.percentile's np.unique costs a process.
+
+    numpy's default "linear" method: the virtual index (n - 1) * q/100 falls
+    between two sorted values a and b, weight t apart, and the lerp is
+    taken from b's side when t >= 0.5 (numpy's ``_lerp``).
+    """
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (q / 100)
+    below = math.floor(index)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def iso_loss_contour(

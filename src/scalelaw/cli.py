@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
-import dataclasses
 import gc
 import io
 import json
@@ -36,6 +34,7 @@ from . import (
     synth,
 )
 from ._atomic import write_atomic
+from ._record import asdict, replace
 from .errors import (
     EmptyContourError,
     FitFailureError,
@@ -75,6 +74,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    import csv  # only the verbs that write CSV files pay for it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -94,8 +95,8 @@ def _update_laws(path: str, **blocks) -> None:
     if target.exists():
         doc = artifact.LawArtifact.load(target)
     else:
-        doc = artifact.LawArtifact(presets=advisor.Presets(), provenance=f"scalelaw {__version__}")
-    dataclasses.replace(doc, **blocks).save(target)
+        doc = artifact.LawArtifact(presets=laws.Presets(), provenance=f"scalelaw {__version__}")
+    replace(doc, **blocks).save(target)
 
 
 def _filter_runs(runset, model_size=None, batch=None, scheme=None):
@@ -220,12 +221,12 @@ def _cmd_simulate(args) -> None:
         truth = synth.default_ground_truth()
         sweep = synth.default_sweep_config()
     if args.tokens_per_run is not None:
-        sweep = dataclasses.replace(sweep, tokens_per_run=args.tokens_per_run)
+        sweep = replace(sweep, tokens_per_run=args.tokens_per_run)
     if args.points_per_run is not None:
-        sweep = dataclasses.replace(sweep, points_per_run=args.points_per_run)
+        sweep = replace(sweep, points_per_run=args.points_per_run)
     seed = _resolve_seed(args, truth.seed)
     if seed != truth.seed:
-        truth = dataclasses.replace(truth, seed=seed)
+        truth = replace(truth, seed=seed)
     count = runlog.write_runs(args.out, synth.iter_grid(sweep, truth))
     _emit(args, [f"simulated {count} runs (seed {seed}) -> {args.out}"], {
         "verb": "simulate",
@@ -348,7 +349,7 @@ def _cmd_fit_bopt(args) -> None:
     _emit(args, lines, {
         "verb": "fit-bopt",
         "bopt": law.to_dict(),
-        "vertices": [dataclasses.asdict(v) for v in vertices],
+        "vertices": [asdict(v) for v in vertices],
         "laws": args.laws,
     })
 
@@ -357,7 +358,7 @@ def _cmd_fit_lr(args) -> None:
     runset = _filtered_runs(args)
     surface = lrlaw.build_surface(runset, args.checkpoint_tokens)
     samples = lrlaw.extract_lr_opt(surface, refinement=args.refinement)
-    fit = dataclasses.replace(
+    fit = replace(
         lrlaw.fit_gamma(samples, plateau_tolerance=args.plateau_tol),
         base_lr=surface.base_lr,
         d_checkpoint=args.checkpoint_tokens,
@@ -396,7 +397,7 @@ def _cmd_tradeoff(args) -> None:
     _emit(args, lines, {
         "verb": "tradeoff",
         "gamma": args.gamma,
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [asdict(r) for r in rows],
     })
 
 

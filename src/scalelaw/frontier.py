@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import (
     EmptyEnvelopeError,
     InsufficientDataError,
@@ -31,8 +31,7 @@ GRID_POINTS_PER_DECADE = 64
 ENVELOPE_HALF_LIFE_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class EnvelopeSample:
+class EnvelopeSample(Record, frozen=True):
     """One grid point of the frontier envelope."""
 
     C: float

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import (
     DegenerateVarianceError,
     FitFailureError,
@@ -82,8 +82,7 @@ def r_squared(predicted, observed) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-@dataclass(frozen=True)
-class FrontierConstraint:
+class FrontierConstraint(Record, frozen=True):
     """Compute-allocation frontier N_opt = p*C^a, D_opt = q*C^b used to pin
     (A, alpha) during fitting.
 
@@ -129,8 +128,7 @@ def apply_constraint(
     return A, alpha
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record, frozen=True):
     """Outcome of one loss-law fit.
 
     n_starts counts the grid starts polished by the minimizer, n_converged
@@ -238,8 +236,7 @@ def _objective_and_grad(
     return value, np.asarray(grad)
 
 
-@dataclass(frozen=True)
-class _Polished:
+class _Polished(Record, frozen=True):
     """Where one polished start stopped, and whether a convergence test stopped it."""
 
     x: np.ndarray

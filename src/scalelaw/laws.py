@@ -1,8 +1,9 @@
 """The fitted laws: the value types a laws file holds and advice evaluates.
 
 Fitting (lawfit, frontier, bslaw, lrlaw) produces these records, the
-artifact module reads and writes them, and the advisor evaluates them.
-They depend on nothing but the error types and numpy, which they load only
+artifact module reads and writes them, and the advisor evaluates them with
+the preset table, the one block no fit produces.  They depend on nothing
+but the error types, the record base and numpy, which they load only
 for array arguments, so a process that just reads a laws file and evaluates
 it never loads the fitting code.  The readers of outside JSON documents
 (run-log lines, laws files, sweep configs) share this module's decoder and
@@ -14,10 +15,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from ._lazy import np
+from ._record import Record, asdict, fields
 from .errors import InfeasibleTargetError, ParseError, ValidationError
 
 # Forward-pass-plus-backward cost per parameter per token.
@@ -117,8 +118,7 @@ def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme
     raise ValidationError(f"unknown scaling scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Record, frozen=True):
     """y = k * x^p with the regressor range the fit actually covered."""
 
     k: float
@@ -155,8 +155,7 @@ class PowerLaw:
         return cls(**{f.name: read_field(d, f.name, float) for f in fields(cls)})
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(Record, frozen=True):
     """The compute-optimal operating point of one model size.
 
     edge_clipped marks points whose winning interval was cut off by the end
@@ -191,8 +190,7 @@ class FrontierPoint:
 _LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
 
 
-@dataclass(frozen=True)
-class FrontierReport:
+class FrontierReport(Record, frozen=True):
     """Frontier points and the five fitted/derived power laws of compute."""
 
     points: tuple[FrontierPoint, ...]
@@ -230,8 +228,7 @@ class FrontierReport:
         )
 
 
-@dataclass(frozen=True)
-class ChinchillaLaw:
+class ChinchillaLaw(Record, frozen=True):
     """Additive-form loss law L(N, D) = E + A/N^alpha + Bcoef/D^beta.
 
     E is the irreducible loss in nats; A and Bcoef scale the parameter- and
@@ -303,8 +300,7 @@ class ChinchillaLaw:
 REFERENCE_LOSS_LAW = ChinchillaLaw(E=1.48, A=314.35, alpha=0.331, Bcoef=460.51, beta=0.286)
 
 
-@dataclass(frozen=True)
-class BoptLaw:
+class BoptLaw(Record, frozen=True):
     """Two-regime optimal batch size: B_opt(D) = min(D/s_floor, k*D^p).
 
     Below crossover_D the minimum step count s_floor binds and the optimal
@@ -368,8 +364,7 @@ class BoptLaw:
 _LR_ANCHOR_KEYS = ("base_lr", "base_B", "d_checkpoint")
 
 
-@dataclass(frozen=True)
-class LrLawFit:
+class LrLawFit(Record, frozen=True):
     """Fitted LR-vs-batch exponent with its ceiling plateau, if any, and
     optionally where it was anchored (base LR and batch, checkpoint tokens)."""
 
@@ -398,3 +393,67 @@ class LrLawFit:
 
 def _optional_float(d: dict, name: str) -> float | None:
     return None if d[name] is None else read_field(d, name, float)
+
+
+class PresetRow(Record, frozen=True):
+    """Tuned defaults for one model size: global batch, peak LR, schedule."""
+
+    n_params: float
+    label: str
+    batch_size: float
+    max_lr: float
+    warmup_steps: int
+    decay_steps: int
+
+    def __post_init__(self) -> None:
+        if min(self.n_params, self.batch_size, self.max_lr) <= 0:
+            raise ValidationError("preset sizes and rates must be positive")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PresetRow":
+        return cls(
+            n_params=read_field(d, "n_params", float),
+            label=read_field(d, "label", str),
+            batch_size=read_field(d, "batch_size", float),
+            max_lr=read_field(d, "max_lr", float),
+            warmup_steps=read_field(d, "warmup_steps", int),
+            decay_steps=read_field(d, "decay_steps", int),
+        )
+
+
+DEFAULT_PRESETS: tuple[PresetRow, ...] = (
+    PresetRow(1.25e8, "125M", 5e5, 6.0e-4, 715, 500000),
+    PresetRow(3.5e8, "350M", 5e5, 3.0e-4, 715, 500000),
+    PresetRow(7.6e8, "760M", 5e5, 2.5e-4, 715, 500000),
+    PresetRow(1.3e9, "1.3B", 1e6, 2.0e-4, 350, 300000),
+    PresetRow(2.6e9, "2.6B", 1e6, 1.6e-4, 350, 300000),
+)
+
+
+class Presets(Record, frozen=True):
+    """Preset table, extensible with user rows."""
+
+    rows: tuple[PresetRow, ...] = DEFAULT_PRESETS
+
+    def __post_init__(self) -> None:
+        if not self.rows:
+            raise ValidationError("preset table must not be empty")
+
+    def lookup(self, n_params: float) -> PresetRow:
+        """Nearest row by log model size; ties go to the larger model."""
+        if not (math.isfinite(n_params) and n_params > 0):
+            raise ValidationError(f"n_params must be finite and positive, got {n_params}")
+        return min(
+            self.rows,
+            key=lambda r: (abs(math.log(n_params) - math.log(r.n_params)), -r.n_params),
+        )
+
+    def to_dict(self) -> dict:
+        return {"rows": [r.to_dict() for r in self.rows]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Presets":
+        return cls(rows=tuple(PresetRow.from_dict(r) for r in d["rows"]))

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
+from ._record import Record
 from .errors import (
     GammaUndefinedError,
     InsufficientDataError,
@@ -32,8 +32,7 @@ PLATEAU_MIN_SPAN = 1.5
 DEFAULT_REFINEMENT = 4
 
 
-@dataclass(frozen=True, eq=False)
-class LossSurface:
+class LossSurface(Record, frozen=True, eq=False):
     """Losses at one token checkpoint over a (batch, LR-factor) grid.
 
     grid_LR holds scale factors relative to base_lr; cells from diverged or
@@ -83,8 +82,7 @@ class LossSurface:
         return (1.0 - t) * self.losses[i] + t * self.losses[i + 1]
 
 
-@dataclass(frozen=True)
-class LrSample:
+class LrSample(Record, frozen=True):
     """Optimal absolute LR at one batch size, read off the surface."""
 
     B: float

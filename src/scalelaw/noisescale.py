@@ -8,9 +8,9 @@ estimated from gradients.  Batch sizes are in tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import ValidationError
 
 # the classic seven-column trade-off grid; 1/9 prints as the familiar
@@ -18,8 +18,7 @@ from .errors import ValidationError
 TABLE_B_RATIOS = (1.0 / 9.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Record, frozen=True):
     """Noise-scale parameters of one optimizer family.
 
     SGD-style and Adam-style updates use different effective (eta_max,
@@ -37,8 +36,7 @@ class NoiseParams:
             raise ValidationError("all NoiseParams fields must be positive")
 
 
-@dataclass(frozen=True)
-class TradeoffRow:
+class TradeoffRow(Record, frozen=True):
     """One point on the iso-loss steps/data trade-off curve."""
 
     e_ratio: float  # E/E_min: data overhead

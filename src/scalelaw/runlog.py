@@ -14,12 +14,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from ._atomic import write_atomic
 from ._lazy import np
+from ._record import Record, field, replace
 from .errors import (
     ConflictError,
     InsufficientDataError,
@@ -50,8 +50,7 @@ CACHE_FORMAT = 1
 CACHE_ENTRIES = 64
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record, frozen=True):
     """Architecture summary attached to a run.
 
     ``n_params`` is the non-embedding parameter count including the logits
@@ -67,8 +66,7 @@ class ModelSpec:
             raise ValidationError(f"n_params must be positive and finite, got {self.n_params}")
 
 
-@dataclass(frozen=True, eq=False)
-class Curve:
+class Curve(Record, frozen=True, eq=False):
     """A loss curve: optimizer steps, cumulative tokens and observed losses.
 
     The three columns are equal-length 1-D read-only arrays (int64 steps,
@@ -94,8 +92,7 @@ class Curve:
         return self.loss.size
 
 
-@dataclass
-class RunRecord:
+class RunRecord(Record):
     """One training run and its loss curve."""
 
     run_id: str
@@ -162,8 +159,7 @@ def check_new_run_id(seen, run_id: str) -> None:
         raise ConflictError(f"duplicate run_id {run_id!r}")
 
 
-@dataclass
-class RunSet:
+class RunSet(Record):
     """An ordered collection of runs with unique ids."""
 
     runs: dict[str, RunRecord] = field(default_factory=dict)

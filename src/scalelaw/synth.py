@@ -13,10 +13,10 @@ richer than this closure.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterator
 
 from ._lazy import np
+from ._record import Record, asdict, fields, replace
 from .errors import ValidationError
 from .laws import (
     REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
@@ -30,8 +30,7 @@ _DIVERGENCE_GROWTH = 1.5
 _DIVERGENCE_CAP = 10.0
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Record, frozen=True):
     """Planted generative model for synthetic runs.
 
     noise holds the sign-update (Adam-family) noise parameters driving
@@ -83,8 +82,7 @@ class GroundTruth:
             )
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Record, frozen=True):
     """Sweep layout: which runs to generate and how densely to checkpoint.
 
     Every (model, batch, scheme, factor) combination becomes one run whose
@@ -208,12 +206,11 @@ def _noise_factors(seed: int, run_id: str, steps: np.ndarray, sigma: float) -> n
     n = len(steps)
     if sigma == 0.0:
         return np.ones(n)
-    prefix = blake2b(f"{seed}|{run_id}|".encode(), digest_size=16)
-    digests = bytearray(16 * n)
-    for i, step in enumerate(steps.tolist()):
-        h = prefix.copy()
-        h.update(b"%d" % step)
-        digests[16 * i : 16 * i + 16] = h.digest()
+    # the key with its "%" escaped, as a bytes format taking the step
+    key_format = f"{seed}|{run_id}|".encode().replace(b"%", b"%%") + b"%d"
+    digests = b"".join(
+        [blake2b(key_format % step, digest_size=16).digest() for step in steps.tolist()]
+    )
     # uint64 -> float64 rounds to nearest, as Python's int -> float does
     u = (np.frombuffer(digests, ">u8").reshape(-1, 2).astype(np.float64) + 0.5) / 2.0**64
     log_u1 = np.fromiter(map(math.log, u[:, 0].tolist()), np.float64, n)

@@ -199,6 +199,28 @@ def test_default_loss_levels_span_final_loss_percentiles(master_runs):
             default_loss_levels(master_runs, n_levels=n_levels)
 
 
+def _percentile_cases():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3, 5, 7, 10, 33, 105):
+        yield rng.normal(2.6, 0.2, n)  # unsorted
+        yield np.round(rng.normal(2.6, 0.2, n), 1)  # ties
+        yield np.sort(rng.uniform(1.5, 4.0, n))[::-1]  # descending
+    yield np.full(4, 2.5)
+    yield np.array([3.0, 1.0, 3.0, 1.0, 2.0])
+    # with 7 values the weights are 0.2 at q = 20 and 0.8 at q = 80; on
+    # these draws the lerp from the wrong end differs in the last bit
+    yield np.random.default_rng(10).uniform(1.5, 4.0, 7)
+    yield np.random.default_rng(14).uniform(1.5, 4.0, 7)
+
+
+@pytest.mark.parametrize("values", list(_percentile_cases()), ids=lambda v: f"n{v.size}")
+def test_percentile_matches_numpy_bit_for_bit(values):
+    for q in (*scalelaw.bslaw.LEVEL_PERCENTILES, 0.0, 50.0, 37.5, 100.0):
+        got = scalelaw.bslaw._percentile(values.tolist(), q)
+        assert got == float(np.percentile(values, q)), (q, values)
+        assert type(got) is float
+
+
 # ---------------------------------------------------------------------------
 # parabola vertex
 

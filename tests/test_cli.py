@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import json
 import math
@@ -28,6 +27,7 @@ from scalelaw import (
 )
 import scalelaw
 from scalelaw import lawfit, runlog, synth
+from scalelaw._record import replace
 from scalelaw.cli import main
 
 BASE_LR = 4.4e-4
@@ -295,6 +295,10 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
         ["advise", "--data", "1e12", "--model-size", "2.6e9", "--laws", str(laws), "--json"],
         ["tradeoff", "--gamma", "1"],
     ]
+    # inspect is only checked where a bare interpreter does not load it
+    unwanted = ["dataclasses", "csv"]
+    if run_fresh("import sys; print('inspect' in sys.modules)").stdout.strip() == "False":
+        unwanted.append("inspect")
     # `import numpy` may bind the lazy module; any numpy.* submodule means it ran
     script = (
         "import sys\n"
@@ -303,6 +307,8 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
         "    assert main(argv) == 0, argv\n"
         "    loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
         "    assert not loaded, (argv, loaded[:3])\n"
+        f"    loaded = [m for m in {unwanted!r} if m in sys.modules]\n"
+        "    assert not loaded, (argv, loaded)\n"
     )
     proc = run_fresh(script)
     assert proc.stdout.count("batch size B") == 1 and '"B": ' in proc.stdout
@@ -329,6 +335,8 @@ def test_each_verb_executes_only_its_layers(tmp_path, reference, five_model_runs
         ),
         ([["ingest", "--runs", str(five_model_runs)]],
          ("lawfit", "frontier", "bslaw", "lrlaw", "synth", "advisor")),
+        ([["frontier", "--runs", str(five_model_runs), "--laws", str(tmp_path / "new.json")]],
+         ("lawfit", "bslaw", "lrlaw", "synth", "advisor")),
     ]
     for queries, unused in cases:
         # a layer waiting for its lazy load is a ModuleType subclass until it runs
@@ -566,7 +574,7 @@ def test_ingest_out_writes_optional_fields_as_serialize_runs(five_model_runs, tm
     run_ids = list(runset.runs)
     for run_id, label, seq_len in zip(run_ids, ("", "", "760M"), (None, 2048, 2048)):
         run = runset[run_id]
-        runset.runs[run_id] = dataclasses.replace(
+        runset.runs[run_id] = replace(
             run, model=ModelSpec(run.model.n_params, label, seq_len)
         )
     given, out = tmp_path / "given.jsonl", tmp_path / "out.jsonl"
@@ -1178,21 +1186,31 @@ def test_main_registers_one_exit_handler_per_process():
     assert run_fresh(script).stdout.splitlines()[-1] == "freezes 1"
 
 
-def test_fit_verbs_leave_numpy_ma_unloaded(tmp_path, five_model_runs):
+def test_fit_verbs_leave_numpy_ma_unloaded(tmp_path, five_model_runs, batch_sweep_runs):
     if run_fresh("import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip() == "True":
         pytest.skip("import numpy loads numpy.ma here")
     laws = str(tmp_path / "laws.json")
     lr_runs = str(lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3))
+    bopt = ["fit-bopt", "--runs", str(batch_sweep_runs), "--laws", laws, "--s-floor", "1500"]
+    levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
+    # (argv, exit code): fit-bopt and export-plot without --levels pick their
+    # loss levels by percentile, and on this sweep those levels' vertices
+    # span too little D for a batch law, so that fit-bopt ends in exit 1
     verbs = [
-        ["fit-law", "--runs", str(five_model_runs), "--laws", laws, "--raw"],
-        ["fit-lr", "--runs", lr_runs, "--laws", laws, "--checkpoint-tokens", "2e7"],
+        (["fit-law", "--runs", str(five_model_runs), "--laws", laws, "--raw"], 0),
+        (["fit-lr", "--runs", lr_runs, "--laws", laws, "--checkpoint-tokens", "2e7"], 0),
+        ([*bopt, "--levels", levels], 0),
+        (bopt, 1),
+        (["export-plot", "--runs", str(batch_sweep_runs), "--kind", "contour",
+          "--out", str(tmp_path / "contour.csv")], 0),
     ]
     script = (
         "import sys, warnings\n"
         "from scalelaw.cli import main\n"
         "warnings.simplefilter('ignore')\n"
-        f"for argv in {verbs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
+        f"for argv, code in {verbs!r}:\n"
+        "    assert main(argv) == code, argv\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
-    run_fresh(script)
+    proc = run_fresh(script)
+    assert proc.stderr.count("vertices must span at least one decade of D") == 1

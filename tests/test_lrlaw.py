@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -24,6 +23,7 @@ from scalelaw import (
     fit_gamma,
     scale_lr,
 )
+from scalelaw._record import replace
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_grid
 
 BASE_LR = 4.4e-4
@@ -161,7 +161,7 @@ def test_surface_checkpoint_in_discarded_head_is_missing():
     runset = separable_sweep(lambda i, j: 2.5)
     runs = dict(runset.runs)
     # 15 of 20 warm-up steps: smoothing drops the first 75% of r00's 2e7 tokens
-    runs["r00"] = dataclasses.replace(runs["r00"], warmup_steps=15)
+    runs["r00"] = replace(runs["r00"], warmup_steps=15)
     with pytest.warns(UserWarning, match="run r00 missing at checkpoint"):
         surface = build_surface(RunSet(runs=runs), d_checkpoint=1.2e7)
     assert math.isnan(surface.losses[0, 0])

@@ -5,7 +5,6 @@ import os
 import random
 import struct
 import tempfile
-from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalelaw import runlog
+from scalelaw._record import fields, replace
 from scalelaw import (
     ConflictError,
     Curve,

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from scalelaw import (
     serialize_runs,
 )
 from scalelaw import synth
+from scalelaw._record import replace
 from scalelaw.synth import (
     GroundTruth,
     SynthConfig,
@@ -493,7 +493,12 @@ def _reference_checkpoint_steps(total_steps, points):
 
 @pytest.mark.parametrize(
     "seed, run_id, sigma",
-    [(7, "125M-0.5M-origin-x1", 0.005), (3, "2.6B-32M-linear-x2.5", 0.005), (0, "", 0.3)],
+    [
+        (7, "125M-0.5M-origin-x1", 0.005),
+        (3, "2.6B-32M-linear-x2.5", 0.005),
+        (0, "", 0.3),
+        (5, "50%-width-%d%%", 0.01),  # a label may hold "%"
+    ],
 )
 def test_noise_factors_match_scalar_definition_bit_for_bit(seed, run_id, sigma):
     steps = np.arange(1, 40_000, 3)
