@@ -1,0 +1,116 @@
+"""What the verbs that read a run log share: run filters, the laws-file
+update, the CSV writer and their common options."""
+
+from __future__ import annotations
+
+import io
+import math
+from pathlib import Path
+from typing import Sequence
+
+from .. import __version__, artifact, bslaw, laws, runlog
+from .._atomic import write_atomic
+from .._record import replace
+from ..errors import ValidationError
+from . import csv_floats
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    import csv  # only the verbs that write CSV files pay for it
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, [buf.getvalue()])
+
+
+def update_laws(path: str, **blocks) -> None:
+    """Replace blocks of the artifact at path, creating it if absent."""
+    target = Path(path)
+    if target.exists():
+        doc = artifact.LawArtifact.load(target)
+    else:
+        doc = artifact.LawArtifact(presets=laws.Presets(), provenance=f"scalelaw {__version__}")
+    replace(doc, **blocks).save(target)
+
+
+def filter_runs(runset, model_size=None, batch=None, scheme=None):
+    def keep(run) -> bool:
+        if model_size is not None and not math.isclose(
+            run.model.n_params, model_size, rel_tol=1e-6
+        ):
+            return False
+        if batch is not None and not math.isclose(
+            run.batch_size_tokens, batch, rel_tol=1e-6
+        ):
+            return False
+        if scheme is not None and run.lr_scheme != scheme:
+            return False
+        return True
+
+    ids = [run.run_id for run in runset if keep(run)]
+    if not ids:
+        raise ValidationError("no runs match the requested filters")
+    if len(ids) == len(runset):
+        return runset
+    return runset.subset(ids)
+
+
+def filtered_runs(args):
+    scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
+    return filter_runs(
+        runlog.read_runs(args.runs),
+        model_size=getattr(args, "model_size", None),
+        batch=getattr(args, "batch", None),
+        scheme=scheme,
+    )
+
+
+def contour_levels(args, runset) -> list[float]:
+    if args.levels is not None:
+        return args.levels
+    return bslaw.default_loss_levels(runset, args.n_levels)
+
+
+def add_fit_io_flags(parser, runs_help: str = "input run log (JSONL)") -> None:
+    parser.add_argument("--runs", required=True, help=runs_help)
+    parser.add_argument("--laws", required=True, help="law artifact to update (created if absent)")
+
+
+def add_filter_flags(parser) -> None:
+    parser.add_argument(
+        "--model-size", type=float, help="keep only runs of this model size (params)"
+    )
+    parser.add_argument(
+        "--batch", type=float, help="keep only runs with this batch size (tokens)"
+    )
+    parser.add_argument(
+        "--only-scheme",
+        choices=[s.value for s in laws.LrScheme],
+        help="keep only runs trained under this LR scheme",
+    )
+
+
+def add_contour_flags(parser) -> None:
+    parser.add_argument(
+        "--levels", type=csv_floats, help="comma-separated iso-loss levels"
+    )
+    parser.add_argument(
+        "--n-levels",
+        type=int,
+        default=bslaw.DEFAULT_N_LEVELS,
+        help="number of automatic loss levels without --levels "
+        f"(default {bslaw.DEFAULT_N_LEVELS})",
+    )
+    parser.add_argument(
+        "--policy",
+        choices=["best_of_schemes", "fixed_scheme"],
+        default="best_of_schemes",
+        help="which LR variants feed each contour",
+    )
+    parser.add_argument(
+        "--scheme",
+        choices=[s.value for s in laws.LrScheme],
+        help="LR scheme to hold fixed (with --policy fixed_scheme)",
+    )

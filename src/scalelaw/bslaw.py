@@ -219,6 +219,8 @@ def fit_bopt_law(
         InsufficientDataError: fewer than 4 usable vertices or under one
             decade of D coverage.
     """
+    if s_floor_hint is not None and not 0 < s_floor_hint < math.inf:
+        raise ValidationError(f"s_floor_hint must be positive and finite, got {s_floor_hint!r}")
     all_vertices = list(vertices)
     usable = [v for v in all_vertices if not v.extrapolated]
     if len(usable) < len(all_vertices):
@@ -231,8 +233,6 @@ def fit_bopt_law(
     if d_vals.max() / d_vals.min() < 10.0:
         raise InsufficientDataError("vertices must span at least one decade of D")
 
-    if s_floor_hint is not None and s_floor_hint <= 0:
-        raise ValidationError("s_floor_hint must be positive")
     band_top = 1.5 * s_floor_hint if s_floor_hint is not None else S_FLOOR_BAND[1]
     floor_limited = [v for v in usable if v.D_star / v.B_star <= band_top]
     power_regime = [v for v in usable if v not in floor_limited]

@@ -50,8 +50,11 @@ class LossSurface(Record, frozen=True, eq=False):
         object.__setattr__(self, "grid_B", np.asarray(self.grid_B, dtype=float))
         object.__setattr__(self, "grid_LR", np.asarray(self.grid_LR, dtype=float))
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
-        if self.d_checkpoint <= 0 or self.base_lr <= 0:
-            raise ValidationError("d_checkpoint and base_lr must be positive")
+        # "not 0 < v < inf" also rejects NaN, which fails every comparison
+        for name in ("d_checkpoint", "base_lr"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
         for grid in (self.grid_B, self.grid_LR):
             if grid.ndim != 1 or grid.size < 2:
                 raise ValidationError("grids must be 1-D with at least 2 values")
@@ -226,8 +229,10 @@ def fit_gamma(
         InsufficientDataError: fewer than 4 non-boundary samples.
         GammaUndefinedError: everything is plateau; carries the ceiling.
     """
-    if plateau_tolerance <= 0:
-        raise ValidationError("plateau_tolerance must be positive")
+    if not 0 < plateau_tolerance < math.inf:
+        raise ValidationError(
+            f"plateau_tolerance must be positive and finite, got {plateau_tolerance!r}"
+        )
     usable = sorted(
         (s for s in samples if not s.boundary), key=lambda s: s.B
     )

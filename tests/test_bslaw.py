@@ -371,6 +371,16 @@ def test_bopt_floor_hint_overrides_band():
         fit_bopt_law(vertices, s_floor_hint=-1.0)
 
 
+@pytest.mark.parametrize("hint", [0.0, -1.0, math.nan, math.inf])
+def test_bopt_floor_hint_must_be_positive_and_finite(hint):
+    vertices = published_vertices(np.geomspace(1e10, 1e12, 6))
+    with pytest.raises(ValidationError, match="^s_floor_hint must be positive and finite, got "):
+        fit_bopt_law(vertices, s_floor_hint=hint)
+    # the hint is checked before the vertices
+    with pytest.raises(ValidationError, match="^s_floor_hint must be positive and finite"):
+        fit_bopt_law([], s_floor_hint=hint)
+
+
 def test_bopt_all_floor_vertices_has_no_power_branch():
     vertices = [
         ContourVertex(loss_level=3.0 - 0.05 * i, B_star=d / 3000.0, D_star=d, extrapolated=False)

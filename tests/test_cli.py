@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from scalelaw import (
 import scalelaw
 from scalelaw import lawfit, runlog, synth
 from scalelaw._record import replace
+from scalelaw._verbs import tradeoff as tradeoff_verb
 from scalelaw.cli import main
 
 BASE_LR = 4.4e-4
@@ -323,25 +325,32 @@ FIT_LAYERS = ("synth", "runlog", "lawfit", "frontier", "bslaw", "lrlaw")
 def test_each_verb_executes_only_its_layers(tmp_path, reference, five_model_runs):
     laws = tmp_path / "laws.json"
     reference.save(laws)
+    # (queries, layers that must not run, the scalelaw._verbs modules that run)
     cases = [
         (
             [
                 ["advise", "--compute", "8.16e21"],
                 ["advise", "--data", "1e12", "--laws", str(laws), "--model-size", "2.6e9",
                  "--json"],
-                ["tradeoff", "--gamma", "1"],
             ],
             FIT_LAYERS,
+            ["scalelaw._verbs", "scalelaw._verbs.advise"],
         ),
+        ([["tradeoff", "--gamma", "1"]], (*FIT_LAYERS, "artifact", "advisor"),
+         ["scalelaw._verbs", "scalelaw._verbs.tradeoff"]),
         ([["ingest", "--runs", str(five_model_runs)]],
-         ("lawfit", "frontier", "bslaw", "lrlaw", "synth", "advisor")),
+         ("lawfit", "frontier", "bslaw", "lrlaw", "synth", "advisor"),
+         ["scalelaw._verbs", "scalelaw._verbs.ingest"]),
         ([["frontier", "--runs", str(five_model_runs), "--laws", str(tmp_path / "new.json")]],
-         ("lawfit", "bslaw", "lrlaw", "synth", "advisor")),
+         ("lawfit", "bslaw", "lrlaw", "synth", "advisor"),
+         ["scalelaw._verbs", "scalelaw._verbs._runs", "scalelaw._verbs.frontier"]),
+        # the usage lists every verb without importing any verb module
+        ([["--help"]], (*FIT_LAYERS, "artifact", "advisor"), []),
     ]
-    for queries, unused in cases:
+    for queries, unused, verb_modules in cases:
         # a layer waiting for its lazy load is a ModuleType subclass until it runs
         script = (
-            "import sys, types\n"
+            "import contextlib, io, sys, types\n"
             "import scalelaw\n"
             "def executed():\n"
             "    return [m for m in sorted(sys.modules) if m.startswith('scalelaw.')\n"
@@ -351,10 +360,18 @@ def test_each_verb_executes_only_its_layers(tmp_path, reference, five_model_runs
             "from scalelaw.cli import main\n"
             f"missing = [n for n in {TRACED_LAYERS!r} if 'scalelaw.' + n not in sys.modules]\n"
             "assert not missing, missing\n"
+            "assert not [m for m in sys.modules if m.startswith('scalelaw._verbs')]\n"
             f"for argv in {queries!r}:\n"
-            "    assert main(argv) == 0, argv\n"
+            "    try:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            code = main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    assert code == 0, argv\n"
             f"    ran = [n for n in {unused!r} if 'scalelaw.' + n in executed()]\n"
             "    assert not ran, (argv, ran)\n"
+            "    verbs = [m for m in executed() if m.startswith('scalelaw._verbs')]\n"
+            f"    assert verbs == {verb_modules!r}, (argv, verbs)\n"
         )
         run_fresh(script)
 
@@ -1087,6 +1104,42 @@ def test_contour_verbs_reject_non_positive_n_levels(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "verb, flag, value, parameter",
+    [
+        ("fit-lr", "--plateau-tol", "nan", "plateau_tolerance"),
+        ("fit-lr", "--plateau-tol", "inf", "plateau_tolerance"),
+        ("fit-lr", "--checkpoint-tokens", "nan", "d_checkpoint"),
+        ("fit-lr", "--checkpoint-tokens", "inf", "d_checkpoint"),
+        ("fit-bopt", "--s-floor", "nan", "s_floor_hint"),
+        ("fit-bopt", "--s-floor", "inf", "s_floor_hint"),
+    ],
+)
+def test_non_finite_fit_parameters_are_validation_errors(
+    tmp_path, capsys, batch_sweep_runs, verb, flag, value, parameter
+):
+    # each of these passed a "<= 0" check: a NaN plateau tolerance fitted a
+    # different law (exit 0), the others failed later under another name
+    laws = tmp_path / "laws.json"
+    if verb == "fit-lr":
+        runs = lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3)
+        argv = ["fit-lr", "--runs", str(runs), "--laws", str(laws),
+                "--checkpoint-tokens", "2e7"]
+    else:
+        levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
+        argv = ["fit-bopt", "--runs", str(batch_sweep_runs), "--laws", str(laws),
+                "--levels", levels]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, flag, value]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("scalelaw: error:")]
+    assert errors == [
+        f"scalelaw: error: ValidationError: {parameter} must be positive and finite, got {value}"
+    ]
+    assert not laws.exists()
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -1126,13 +1179,13 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_the_caller_had_it(tmp_path, capsys, monkeypatch, enabled):
     during = []
-    real_emit = scalelaw.cli._emit
+    real_emit = tradeoff_verb.emit
 
     def emit(*args):
         during.append(gc.isenabled())
         real_emit(*args)
 
-    monkeypatch.setattr(scalelaw.cli, "_emit", emit)
+    monkeypatch.setattr(tradeoff_verb, "emit", emit)
     calls = [
         (["tradeoff", "--gamma", "1"], 0),  # succeeds
         (["advise", "--compute", "nan"], 1),  # InputError

@@ -224,6 +224,28 @@ def test_surface_type_validation():
         LossSurface(**{**good, "losses": np.full((3, 3), -1.0)})
 
 
+@pytest.mark.parametrize("name", ["d_checkpoint", "base_lr"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_surface_refuses_non_positive_and_non_finite_scalars(name, value):
+    good = dict(
+        d_checkpoint=1e9,
+        grid_B=[1e6, 2e6, 4e6],
+        grid_LR=[0.5, 1.0, 2.0],
+        losses=np.full((3, 3), 2.0),
+        base_lr=3e-4,
+    )
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got "):
+        LossSurface(**{**good, name: value})
+
+
+@pytest.mark.parametrize("checkpoint", [math.nan, math.inf])
+def test_surface_at_non_finite_checkpoint_names_it(checkpoint):
+    # at such a checkpoint every cell reads NaN; the checkpoint is the fault
+    runset = separable_sweep(lambda i, j: 2.0 + 0.3 * i + 0.1 * j)
+    with pytest.raises(ValidationError, match="d_checkpoint must be positive and finite"):
+        build_surface(runset, d_checkpoint=checkpoint)
+
+
 def test_surface_log_b_blend():
     grid_b = [1e6, 4e6, 1.6e7]
     surface = LossSurface(
@@ -468,6 +490,17 @@ def test_gamma_input_requirements():
         fit_gamma(samples[:3])
     with pytest.raises(ValidationError):
         fit_gamma(samples, plateau_tolerance=0.0)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.05, math.nan, math.inf])
+def test_gamma_refuses_non_positive_and_non_finite_plateau_tolerance(tolerance):
+    # a NaN tolerance fails every comparison, so no suffix would count as
+    # the plateau and gamma would be fitted through the ceiling
+    samples = power_samples(1e-5, 0.8, np.geomspace(1e5, 1e8, 10), ceiling=4e-3)
+    with pytest.raises(
+        ValidationError, match="^plateau_tolerance must be positive and finite, got "
+    ):
+        fit_gamma(samples, plateau_tolerance=tolerance)
 
 
 def test_lr_law_fit_to_dict():
