@@ -8,12 +8,13 @@ defaults, exactly as a standard-library data class does::
         p: float = 1.0
 
 and gets an ``__init__`` taking the fields positionally or by keyword (then
-calling ``__post_init__``), a data-class ``__repr__``, and ``__eq__`` and
-``__hash__`` over the tuple of field values.  The class keywords are the
-data-class decorator's: ``frozen=True`` refuses assignment after ``__init__``
-(``object.__setattr__`` still works inside ``__post_init__``), ``eq=False``
-keeps identity equality and hashing, and an ``eq`` class that is not
-frozen is unhashable.  ``fields``, ``asdict`` and ``replace`` behave as
+calling ``__post_init__``), a data-class ``__repr__``, ``__eq__`` and
+``__hash__`` over the tuple of field values, and ``to_dict``, which is
+``asdict`` unless the subclass overrides it.  The class keywords are the
+data-class decorator's: ``frozen=True`` refuses assignment after
+``__init__`` (``object.__setattr__`` still works inside ``__post_init__``),
+``eq=False`` keeps identity equality and hashing, and an ``eq`` class that
+is not frozen is unhashable.  ``fields``, ``asdict`` and ``replace`` behave as
 their namesakes in the standard library's data-class module.
 
 Unlike that decorator, this generates no code: every subclass shares the
@@ -93,6 +94,9 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_names__)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .. import bslaw, laws
-from .._record import asdict
 from . import add_json_flag, emit
 from ._runs import (
     add_contour_flags,
@@ -50,6 +49,6 @@ def run(args) -> None:
     emit(args, lines, {
         "verb": "fit-bopt",
         "bopt": law.to_dict(),
-        "vertices": [asdict(v) for v in vertices],
+        "vertices": [v.to_dict() for v in vertices],
         "laws": args.laws,
     })

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .. import noisescale
-from .._record import asdict
 from . import add_json_flag, csv_floats, emit
 
 
@@ -32,5 +31,5 @@ def run(args) -> None:
     emit(args, lines, {
         "verb": "tradeoff",
         "gamma": args.gamma,
-        "rows": [asdict(r) for r in rows],
+        "rows": [r.to_dict() for r in rows],
     })

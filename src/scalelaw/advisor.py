@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._record import Record, asdict, field
+from ._record import Record, field
 from .errors import ValidationError
 from .laws import (
     FLOPS_PER_PARAM_TOKEN,
@@ -47,9 +47,6 @@ class Recommendation(Record, frozen=True):
     loss_crosscheck: float | None = None
     provenance: dict[str, str] = field(default_factory=dict)
     flags: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _anchor_lr(

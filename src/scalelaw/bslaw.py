@@ -204,6 +204,11 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
     )
 
 
+def _check_s_floor_hint(s_floor_hint: float | None) -> None:
+    if s_floor_hint is not None and not 0 < s_floor_hint < math.inf:
+        raise ValidationError(f"s_floor_hint must be positive and finite, got {s_floor_hint!r}")
+
+
 def fit_bopt_law(
     vertices: Sequence[ContourVertex],
     s_floor_hint: float | None = None,
@@ -219,8 +224,7 @@ def fit_bopt_law(
         InsufficientDataError: fewer than 4 usable vertices or under one
             decade of D coverage.
     """
-    if s_floor_hint is not None and not 0 < s_floor_hint < math.inf:
-        raise ValidationError(f"s_floor_hint must be positive and finite, got {s_floor_hint!r}")
+    _check_s_floor_hint(s_floor_hint)
     all_vertices = list(vertices)
     usable = [v for v in all_vertices if not v.extrapolated]
     if len(usable) < len(all_vertices):
@@ -281,7 +285,9 @@ def bopt_law_from_runs(
     """Full pipeline: contours, parabola vertices, two-regime fit.
 
     Levels whose contour has no interior minimum are skipped with a warning.
+    A bad s_floor_hint is refused before any contour work.
     """
+    _check_s_floor_hint(s_floor_hint)
     levels = list(loss_levels) if loss_levels is not None else default_loss_levels(runset)
     contours = iso_loss_contour(
         runset,

@@ -3,8 +3,8 @@
 Every verb reads and writes plain files (JSONL run logs, JSON law
 artifacts, CSV exports) and prints a short human summary, or a single
 machine-readable JSON document with --json.  Output files are written
-atomically.  Exit codes: 0 success, 1 input/validation error, 2 numerical
-failure.
+atomically.  Exit codes: 0 success, 1 input/validation error or a closed
+stdout (which prints nothing), 2 numerical failure.
 
 This module only dispatches.  Each verb's options and handler are in its
 own module of ``scalelaw._verbs``, imported when the verb parses, so a
@@ -17,6 +17,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -135,6 +136,13 @@ def _run(argv: Sequence[str] | None) -> int:
         return 1
     try:
         handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # stdout's reader has gone (as in "| head"), which is no input error
+        # to report; stdout now points at devnull, so the flush at exit stays
+        # quiet, as the signal module's documentation recommends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         return _report_failure(args, exc, 1)
     except NumericalError as exc:

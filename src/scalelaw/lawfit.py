@@ -26,7 +26,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .laws import ChinchillaLaw
+from .laws import FLOPS_PER_PARAM_TOKEN, ChinchillaLaw
 from .runlog import RunSet, has_divergence, smooth_run
 
 DEFAULT_HUBER_DELTA = 1e-3
@@ -105,7 +105,7 @@ class FrontierConstraint(Record, frozen=True):
             )
         if abs(self.a + self.b - 1.0) > 1e-9:
             raise ValidationError(f"exponents must sum to 1, got {self.a + self.b}")
-        if abs(6.0 * self.p * self.q - 1.0) > 0.01:
+        if abs(FLOPS_PER_PARAM_TOKEN * self.p * self.q - 1.0) > 0.01:
             raise ValidationError(
                 f"coefficients must satisfy p*q = 1/6 (C = 6ND), got p*q = {self.p * self.q:.6g}"
             )
@@ -147,7 +147,7 @@ class FitReport(Record, frozen=True):
     constraint: FrontierConstraint | None = None
 
     def to_dict(self) -> dict:
-        fit = {
+        return {
             "r_squared": self.r_squared,
             "delta": self.huber_delta,
             "n_points": self.n_points,
@@ -155,12 +155,8 @@ class FitReport(Record, frozen=True):
             "n_starts": self.n_starts,
             "n_converged": self.n_converged,
             "objective_spread": self.objective_spread,
-            "constraint": None,
+            "constraint": None if self.constraint is None else self.constraint.to_dict(),
         }
-        if self.constraint is not None:
-            c = self.constraint
-            fit["constraint"] = {"a": c.a, "b": c.b, "p": c.p, "q": c.q}
-        return fit
 
 
 def default_init_grid() -> list[tuple[float, float, float]]:

@@ -18,7 +18,7 @@ import math
 from enum import Enum
 
 from ._lazy import np
-from ._record import Record, asdict, fields
+from ._record import MISSING, Record, fields
 from .errors import InfeasibleTargetError, ParseError, ValidationError
 
 # Forward-pass-plus-backward cost per parameter per token.
@@ -45,6 +45,25 @@ def read_items(doc: dict, name: str, kind: type, default=_REQUIRED) -> tuple:
     read_field's rules for kind."""
     items = doc[name] if default is _REQUIRED else doc.get(name, default)
     return tuple(_as_kind(value, f"{name} entry", kind) for value in items)
+
+
+_KINDS = {"float": float, "int": int, "str": str, "bool": bool}
+
+
+def read_record(cls, doc: dict):
+    """A record of class cls from doc, read field by field in order.
+
+    Each field is held to read_field's rules for the kind its annotation
+    names: float, int, str or bool.  A field with a default may be absent,
+    and a field annotated "<kind> | None" may be null.  The flat law records
+    below bind it as their from_dict.
+    """
+    values = {}
+    for f in fields(cls):
+        kind, _, none = f.type.partition(" | ")
+        value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+        values[f.name] = None if value is None and none else _as_kind(value, f.name, _KINDS[kind])
+    return cls(**values)
 
 
 def _as_kind(value, name: str, kind: type):
@@ -118,6 +137,22 @@ def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme
     raise ValidationError(f"unknown scaling scheme {scheme!r}")
 
 
+def _check_positive_finite(record: Record, names: tuple[str, ...]) -> None:
+    """Refuse the first named field that is not positive and finite, NaN
+    included (it fails every comparison); a field that is None passes."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_non_negative(record: Record, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not value >= 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
+
+
 class PowerLaw(Record, frozen=True):
     """y = k * x^p with the regressor range the fit actually covered."""
 
@@ -147,12 +182,7 @@ class PowerLaw(Record, frozen=True):
     def extrapolates(self, x: float) -> bool:
         return x < self.x_min or x > self.x_max
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PowerLaw":
-        return cls(**{f.name: read_field(d, f.name, float) for f in fields(cls)})
+    from_dict = classmethod(read_record)
 
 
 class FrontierPoint(Record, frozen=True):
@@ -174,17 +204,13 @@ class FrontierPoint(Record, frozen=True):
     def __post_init__(self) -> None:
         if min(self.C, self.loss, self.N, self.D, self.S, self.B) <= 0:
             raise ValidationError("all FrontierPoint fields must be positive")
+        _check_positive_finite(self, ("C", "loss", "N", "D", "S", "B"))
         if abs(self.C / (FLOPS_PER_PARAM_TOKEN * self.N * self.D) - 1.0) > 0.005:
             raise ValidationError("C must equal 6*N*D within 0.5%")
         if abs(self.D - self.S * self.B) > self.B:
             raise ValidationError("D must equal S*B within one batch")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrontierPoint":
-        return cls(
-            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
-            edge_clipped=read_field(d, "edge_clipped", bool, False),
-        )
+    from_dict = classmethod(read_record)
 
 
 _LAW_NAMES = ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt")
@@ -211,7 +237,7 @@ class FrontierReport(Record, frozen=True):
             excluded_model_sizes=list(self.excluded),
         )
         if self.points:
-            doc["points"] = [asdict(pt) for pt in self.points]
+            doc["points"] = [pt.to_dict() for pt in self.points]
         return doc
 
     @classmethod
@@ -287,12 +313,7 @@ class ChinchillaLaw(Record, frozen=True):
             )
         return (self.Bcoef / remainder) ** (1.0 / self.beta)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, params: dict) -> "ChinchillaLaw":
-        return cls(**{f.name: read_field(params, f.name, float) for f in fields(cls)})
+    from_dict = classmethod(read_record)
 
 
 # Published fit of the 125M-2.6B batch-size study: the reference artifact's
@@ -349,15 +370,7 @@ class BoptLaw(Record, frozen=True):
     def extrapolates(self, d: float) -> bool:
         return d < self.d_min or d > self.d_max
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoptLaw":
-        return cls(
-            **{f.name: read_field(d, f.name, float) for f in fields(cls) if f.type == "float"},
-            power_fitted=read_field(d, "power_fitted", bool, True),
-        )
+    from_dict = classmethod(read_record)
 
 
 # Optional LrLawFit fields naming where the law was anchored.
@@ -371,28 +384,23 @@ class LrLawFit(Record, frozen=True):
     gamma: float
     lr_ceiling: float | None
     plateau_onset_B: float | None
-    n_fit: int
+    n_fit: int = 0
     base_lr: float | None = None
     base_B: float | None = None
     d_checkpoint: float | None = None
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.gamma):
+            raise ValidationError(f"gamma must be finite, got {self.gamma}")
+        _check_positive_finite(self, ("lr_ceiling", "plateau_onset_B", *_LR_ANCHOR_KEYS))
+        _check_non_negative(self, ("n_fit",))
+
     def to_dict(self) -> dict:
         """Every field, except anchor fields that are unset."""
-        return {k: v for k, v in asdict(self).items() if v is not None or k not in _LR_ANCHOR_KEYS}
+        doc = super().to_dict()
+        return {k: v for k, v in doc.items() if v is not None or k not in _LR_ANCHOR_KEYS}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LrLawFit":
-        return cls(
-            gamma=read_field(d, "gamma", float),
-            lr_ceiling=_optional_float(d, "lr_ceiling"),
-            plateau_onset_B=_optional_float(d, "plateau_onset_B"),
-            n_fit=read_field(d, "n_fit", int, 0),
-            **{key: _optional_float(d, key) for key in _LR_ANCHOR_KEYS if key in d},
-        )
-
-
-def _optional_float(d: dict, name: str) -> float | None:
-    return None if d[name] is None else read_field(d, name, float)
+    from_dict = classmethod(read_record)
 
 
 class PresetRow(Record, frozen=True):
@@ -408,20 +416,10 @@ class PresetRow(Record, frozen=True):
     def __post_init__(self) -> None:
         if min(self.n_params, self.batch_size, self.max_lr) <= 0:
             raise ValidationError("preset sizes and rates must be positive")
+        _check_positive_finite(self, ("n_params", "batch_size", "max_lr"))
+        _check_non_negative(self, ("warmup_steps", "decay_steps"))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PresetRow":
-        return cls(
-            n_params=read_field(d, "n_params", float),
-            label=read_field(d, "label", str),
-            batch_size=read_field(d, "batch_size", float),
-            max_lr=read_field(d, "max_lr", float),
-            warmup_steps=read_field(d, "warmup_steps", int),
-            decay_steps=read_field(d, "decay_steps", int),
-        )
+    from_dict = classmethod(read_record)
 
 
 DEFAULT_PRESETS: tuple[PresetRow, ...] = (

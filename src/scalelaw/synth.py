@@ -16,7 +16,7 @@ import math
 from typing import Iterator
 
 from ._lazy import np
-from ._record import Record, asdict, fields, replace
+from ._record import Record, fields, replace
 from .errors import ValidationError
 from .laws import (
     REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
@@ -61,9 +61,6 @@ class GroundTruth(Record, frozen=True):
         if self.bcrit_mode == "constant":
             return self.bcrit_b0
         return self.bcrit_b0 * self.bcrit_loss_ref / loss
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
@@ -370,11 +367,13 @@ def default_ground_truth(seed: int = 1, observation_noise: float = 0.005) -> Gro
 
 
 def default_sweep_config(
-    tokens_per_run: float = 3e11, points_per_run: int = 400
+    tokens_per_run: float = SynthConfig.tokens_per_run,
+    points_per_run: int = SynthConfig.points_per_run,
 ) -> SynthConfig:
-    """Five model sizes, seven batch sizes, three LR scaling schemes.
+    """Five model sizes, seven batch sizes, three LR scaling schemes, and
+    SynthConfig's defaults for the rest.
 
-    The base LR is anchored below eta_opt at the base batch so that
+    The default base LR is anchored below eta_opt at the base batch so that
     linear-rule runs stay convergent over several doublings.
     """
     return SynthConfig(
@@ -387,9 +386,6 @@ def default_sweep_config(
         ),
         batch_sizes=(5e5, 1e6, 2e6, 4e6, 8e6, 1.6e7, 3.2e7),
         schemes=(LrScheme.ORIGIN, LrScheme.SQRT, LrScheme.LINEAR),
-        lr_factors=(1.0,),
-        base_batch=5e5,
-        base_lr=4.4e-4,
         tokens_per_run=tokens_per_run,
         points_per_run=points_per_run,
     )

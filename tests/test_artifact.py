@@ -13,6 +13,7 @@ from scalelaw import (
 )
 from scalelaw.advisor import DEFAULT_PRESETS
 from scalelaw.artifact import FORMAT_TAG
+from scalelaw.laws import FrontierPoint
 
 # sha256 of the saved reference artifact: every published constant, the
 # presets and the JSON layout feed these bytes
@@ -190,3 +191,84 @@ def test_out_of_range_block_values_stay_validation_errors():
     for block in blocks:
         with pytest.raises(ValidationError):
             LawArtifact.from_json_dict({"format": FORMAT_TAG, **block})
+    # each of these loaded and gave advice such as "peak LR: nan" (exit 0)
+    for block, message in _NAMED_OUT_OF_RANGE:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            LawArtifact.from_json_dict({"format": FORMAT_TAG, **block})
+
+
+_LR_LAW = {"gamma": 0.875, "lr_ceiling": 2.4e-3, "plateau_onset_B": 5.4e6, "n_fit": 6}
+
+
+def _preset(**changes):
+    return {"presets": {"rows": [dict(DEFAULT_PRESETS[3].to_dict(), **changes)]}}
+
+
+def _frontier_point(**changes):
+    return {"frontier": dict(_FRONTIER, points=[dict(_POINT, **changes)])}
+
+
+_NAMED_OUT_OF_RANGE = [
+    (_preset(max_lr=math.nan), "max_lr must be positive and finite, got nan"),
+    (_preset(batch_size=math.inf), "batch_size must be positive and finite, got inf"),
+    (_preset(n_params=math.nan), "n_params must be positive and finite, got nan"),
+    (_preset(warmup_steps=-1), "warmup_steps must be non-negative, got -1"),
+    (_preset(decay_steps=-5), "decay_steps must be non-negative, got -5"),
+    (
+        {"lr_law": dict(_LR_LAW, lr_ceiling=-1.0)},
+        "lr_ceiling must be positive and finite, got -1.0",
+    ),
+    ({"lr_law": dict(_LR_LAW, gamma=math.nan)}, "gamma must be finite, got nan"),
+    ({"lr_law": dict(_LR_LAW, gamma=-math.inf)}, "gamma must be finite, got -inf"),
+    (
+        {"lr_law": dict(_LR_LAW, plateau_onset_B=math.inf)},
+        "plateau_onset_B must be positive and finite, got inf",
+    ),
+    ({"lr_law": dict(_LR_LAW, base_lr=0.0)}, "base_lr must be positive and finite, got 0.0"),
+    ({"lr_law": dict(_LR_LAW, base_B=math.nan)}, "base_B must be positive and finite, got nan"),
+    (
+        {"lr_law": dict(_LR_LAW, d_checkpoint=-2e10)},
+        "d_checkpoint must be positive and finite, got -20000000000.0",
+    ),
+    ({"lr_law": dict(_LR_LAW, n_fit=-1)}, "n_fit must be non-negative, got -1"),
+    (_frontier_point(C=math.nan), "C must be positive and finite, got nan"),
+    (_frontier_point(loss=math.inf), "loss must be positive and finite, got inf"),
+    (
+        _frontier_point(C=math.inf, N=math.inf, D=math.inf, S=math.inf),
+        "C must be positive and finite, got inf",
+    ),
+]
+
+
+def test_absent_fields_take_the_record_defaults():
+    point = {k: v for k, v in _POINT.items() if k != "edge_clipped"}
+    artifact = LawArtifact.from_json_dict({
+        "format": FORMAT_TAG,
+        "bopt": _BOPT,
+        "frontier": dict(_FRONTIER, points=[point]),
+        "lr_law": {"gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None},
+    })
+    assert artifact.bopt.power_fitted is True
+    assert artifact.frontier.points[0].edge_clipped is False
+    # n_fit 0 and no anchors
+    assert artifact.lr_law == LrLawFit(0.5, None, None, 0, None, None, None)
+
+
+def test_null_fields_need_a_none_annotation():
+    # lr_ceiling and an anchor may be null; gamma, and a bopt field, may not
+    assert LrLawFit.from_dict(dict(_LR_LAW, lr_ceiling=None, base_lr=None)) == LrLawFit(
+        0.875, None, 5.4e6, 6
+    )
+    with pytest.raises(ParseError, match="lr_law block is malformed: gamma must be a number"):
+        LawArtifact.from_json_dict({"format": FORMAT_TAG, "lr_law": dict(_LR_LAW, gamma=None)})
+    with pytest.raises(ParseError, match="bopt block is malformed: power_fitted"):
+        LawArtifact.from_json_dict({"format": FORMAT_TAG, "bopt": dict(_BOPT, power_fitted=None)})
+
+
+def test_flat_records_read_back_what_they_write(reference):
+    for record in (
+        reference.loss_law, reference.bopt, reference.lr_law, reference.frontier.B_opt,
+        *reference.presets.rows, FrontierPoint.from_dict(_POINT),
+        LrLawFit(0.5, None, None, 3, base_lr=1e-3, base_B=5e5, d_checkpoint=1e10),
+    ):
+        assert type(record).from_dict(record.to_dict()) == record

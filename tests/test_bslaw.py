@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -379,6 +380,19 @@ def test_bopt_floor_hint_must_be_positive_and_finite(hint):
     # the hint is checked before the vertices
     with pytest.raises(ValidationError, match="^s_floor_hint must be positive and finite"):
         fit_bopt_law([], s_floor_hint=hint)
+
+
+def test_bopt_law_from_runs_checks_the_hint_before_contour_work(monkeypatch):
+    def no_contours(*args, **kwargs):
+        raise AssertionError("contour work before the s_floor_hint check")
+
+    monkeypatch.setattr(scalelaw.bslaw, "iso_loss_contour", no_contours)
+    monkeypatch.setattr(scalelaw.bslaw, "default_loss_levels", no_contours)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match="^s_floor_hint must be positive and finite"):
+            scalelaw.bslaw.bopt_law_from_runs(RunSet(), s_floor_hint=math.nan)
+    assert caught == []
 
 
 def test_bopt_all_floor_vertices_has_no_power_branch():

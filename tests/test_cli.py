@@ -248,17 +248,36 @@ def test_tradeoff_rejects_bad_gamma(capsys, gamma):
     assert captured.out == ""
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run a Python script in a new interpreter on this checkout; it must exit 0."""
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports this checkout."""
     src = str(Path(scalelaw.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a new interpreter on this checkout; it must exit 0."""
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def test_closed_stdout_exits_1_silently():
+    # the table is larger than a pipe holds, so the writer meets the
+    # closed pipe mid-table
+    ratios = ",".join(str(1 + i / 1000) for i in range(3000))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scalelaw.cli", "tradeoff", "--b-ratios", ratios],
+        env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert b"B/B_crit" in proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_cli_verbs_never_import_scipy(tmp_path):
@@ -414,6 +433,44 @@ def test_advise_non_finite_law_field_is_validation_error(
     assert main(["advise", *query, "--laws", str(laws)]) == 1
     captured = capsys.readouterr()
     assert "scalelaw: error: ValidationError" in captured.err
+    assert captured.out == ""
+
+
+def _edit_preset(doc, **changes):
+    doc["presets"]["rows"][3].update(changes)
+
+
+def _edit_lr_law(doc, **changes):
+    doc["lr_law"].update(changes)
+
+
+def _add_frontier_point(doc, **changes):
+    point = {"C": 1.2e20, "loss": 2.5, "N": 1e9, "D": 2e10, "S": 2e4, "B": 1e6}
+    doc["frontier"]["points"] = [dict(point, **changes)]
+
+
+@pytest.mark.parametrize(
+    "edit, changes, message",
+    [
+        (_edit_preset, {"max_lr": math.nan}, "max_lr must be positive and finite, got nan"),
+        (_edit_preset, {"batch_size": math.inf},
+         "batch_size must be positive and finite, got inf"),
+        (_edit_lr_law, {"lr_ceiling": -1}, "lr_ceiling must be positive and finite, got -1.0"),
+        (_edit_lr_law, {"gamma": math.nan}, "gamma must be finite, got nan"),
+        (_add_frontier_point, {"C": math.nan}, "C must be positive and finite, got nan"),
+    ],
+)
+def test_advise_refuses_laws_that_give_nonsense_advice(
+    tmp_path, capsys, reference, edit, changes, message
+):
+    # each of these gave advice such as "peak LR: nan" or "peak LR: -1" (exit 0)
+    doc = json.loads(json.dumps(reference.to_json_dict()))
+    edit(doc, **changes)
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps(doc))
+    assert main(["advise", "--compute", "1e21", "--laws", str(laws)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"scalelaw: error: ValidationError: {message}"]
     assert captured.out == ""
 
 
@@ -1138,6 +1195,18 @@ def test_non_finite_fit_parameters_are_validation_errors(
         f"scalelaw: error: ValidationError: {parameter} must be positive and finite, got {value}"
     ]
     assert not laws.exists()
+
+
+def test_fit_bopt_refuses_a_bad_s_floor_before_contour_work(tmp_path, capsys, batch_sweep_runs):
+    laws = tmp_path / "laws.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit-bopt", "--runs", str(batch_sweep_runs), "--laws", str(laws),
+                     "--n-levels", "16", "--s-floor", "nan"]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "scalelaw: error: ValidationError: s_floor_hint must be positive and finite, got nan"
+    ]
 
 
 # ---------------------------------------------------------------------------
