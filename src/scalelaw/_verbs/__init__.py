@@ -14,6 +14,8 @@ import argparse
 import json
 from typing import Sequence
 
+from ..errors import NumericalError
+
 
 def add_json_flag(parser) -> None:
     parser.add_argument(
@@ -33,7 +35,11 @@ def csv_floats(text: str) -> list[float]:
 
 def emit(args, human_lines: Sequence[str], payload: dict) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # NaN or infinity, which JSON has no word for
+            raise NumericalError(f"the --json payload holds NaN or infinity: {exc}") from None
+        print(text)
     else:
         for line in human_lines:
             print(line)

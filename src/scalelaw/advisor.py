@@ -155,6 +155,10 @@ def advise_data(
         raise ValidationError(f"D must be finite and positive, got {D}")
     if n_params is not None and not (math.isfinite(n_params) and n_params > 0):
         raise ValidationError(f"n_params must be finite and positive, got {n_params}")
+    if n_params is not None and not math.isfinite(FLOPS_PER_PARAM_TOKEN * n_params * D):
+        raise ValidationError(
+            f"compute C = 6*N*D overflows a float for N = {n_params:g} and D = {D:g}"
+        )
     presets = presets or Presets()
     b = bopt.eval(D)
     if b < sys.float_info.min:

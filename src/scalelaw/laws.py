@@ -55,14 +55,18 @@ def read_record(cls, doc: dict):
 
     Each field is held to read_field's rules for the kind its annotation
     names: float, int, str or bool.  A field with a default may be absent,
-    and a field annotated "<kind> | None" may be null.  The flat law records
-    below bind it as their from_dict.
+    and a field annotated "<kind> | None" may be null.  A key that no field
+    declares is a TypeError, so a misspelt field never takes its default
+    silently.  The flat law records below bind it as their from_dict.
     """
     values = {}
     for f in fields(cls):
         kind, _, none = f.type.partition(" | ")
         value = doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
         values[f.name] = None if value is None and none else _as_kind(value, f.name, _KINDS[kind])
+    for key in doc:
+        if key not in values:
+            raise TypeError(f"unknown field {key!r}")
     return cls(**values)
 
 

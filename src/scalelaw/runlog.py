@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import stat
 import time
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -375,7 +376,7 @@ def _add_record(runset: RunSet, obj, line_no: int) -> None:
 def read_runs(path: str | Path, strict: bool = True) -> RunSet:
     """parse_runs of the run log at path, decoding each log content once.
 
-    The file's bytes are read once, split into lines as text mode splits
+    The file is read a line at a time, its lines split as text mode splits
     them (at ``\\n``, ``\\r\\n`` and ``\\r``) and decoded as UTF-8.  A log
     that parses without a rejected line leaves an entry, named by the
     blake2b digest of its bytes, under ``$XDG_CACHE_HOME/scalelaw`` (or
@@ -386,33 +387,64 @@ def read_runs(path: str | Path, strict: bool = True) -> RunSet:
     that cannot be located or written: the log is parsed, so the cache
     never changes the result.  The CACHE_ENTRIES most recently used entries
     are kept.
+
+    A regular file is digested through a fixed buffer first, so a hit never
+    holds the log's bytes; a miss then parses the file again from the
+    start, and its entry is named by the digest of the bytes it parsed.  A
+    log that is not a regular file (a pipe, ``/dev/stdin``) would be drained
+    by the first pass, so its bytes are read once and both passes run on
+    them.
     """
-    data = Path(path).read_bytes()
-    entry = _entry_path(data)
-    runset = None if entry is None else _load_entry(entry)
-    if runset is None:
+    cache = _cache_dir()
+    with open(path, "rb") as handle:
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            log = handle
+        else:
+            log = io.BytesIO(handle.read())
+        if cache is not None:
+            runset = _load_entry(cache / _entry_name(_digest(log)))
+            if runset is not None:
+                return runset
+            log.seek(0)
+        digest = blake2b(digest_size=16)
         accepted: list = []
-        runset = _parse_lines(_split_lines(data), strict, accepted)
-        if entry is not None and len(runset) and not runset.rejected:
-            _store_entry(entry, accepted, runset)
+        runset = _parse_lines(_split_lines(log, digest), strict, accepted)
+    if cache is not None and len(runset) and not runset.rejected:
+        _store_entry(cache / _entry_name(digest.hexdigest()), accepted, runset)
     return runset
 
 
-def _split_lines(data: bytes) -> Iterator[bytes]:
-    """The lines of data, one at a time, split where text mode splits them."""
-    for chunk in io.BytesIO(data):
+def _split_lines(log, digest) -> Iterator[bytes]:
+    """The lines of a binary stream, one at a time, split where text mode
+    splits them; each chunk read is fed to digest."""
+    for chunk in log:
+        digest.update(chunk)
         yield from chunk.splitlines()
 
 
-def _entry_path(data: bytes) -> Path | None:
-    """The cache entry of a log of these bytes; None without a cache directory."""
+def _digest(log) -> str:
+    """The blake2b digest of the rest of a binary stream, read through one
+    fixed buffer."""
+    digest = blake2b(digest_size=16)
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    while size := log.readinto(buffer):
+        digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _cache_dir() -> Path | None:
+    """The run-log cache directory; None without a home directory."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     try:
         base = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
     except RuntimeError:  # no home directory
         return None
-    digest = blake2b(data, digest_size=16).hexdigest()
-    return base / "scalelaw" / f"runs-v{CACHE_FORMAT}-{digest}"
+    return base / "scalelaw"
+
+
+def _entry_name(digest: str) -> str:
+    return f"runs-v{CACHE_FORMAT}-{digest}"
 
 
 # An entry is the byte length of its header (8 bytes, little-endian), the
@@ -453,14 +485,19 @@ def _store_entry(entry: Path, accepted: list, runset: RunSet) -> None:
     header = json.dumps(
         [[line_no, len(run.points), obj] for (line_no, obj), run in zip(accepted, runset)]
     ).encode()
-    columns = [
-        np.concatenate([getattr(run.points, name) for run in runset]).astype(dtype, copy=False)
-        for name, dtype in (("step", "<i8"), ("tokens", "<f8"), ("loss", "<f8"))
-    ]
+
+    def chunks():
+        yield len(header).to_bytes(8, "little")
+        yield header
+        # each column of all runs end to end, written a run at a time
+        for name, dtype in (("step", "<i8"), ("tokens", "<f8"), ("loss", "<f8")):
+            for run in runset:
+                yield np.ascontiguousarray(getattr(run.points, name), dtype)
+
     # an unwritable cache only costs the next read a parse
     with contextlib.suppress(OSError):
         entry.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(entry, [len(header).to_bytes(8, "little"), header, *columns], binary=True)
+        write_atomic(entry, chunks(), binary=True)
         _touch(entry)
         entries = sorted(
             entry.parent.glob("runs-v*"), key=lambda p: p.stat().st_mtime_ns, reverse=True
@@ -573,7 +610,9 @@ def smooth_curve(
     exponential moving average whose weight halves every ``half_life_tokens``
     tokens, so with a half-life much longer than the curve the result tends
     to the running mean.  Steps and token counts are left untouched.  The
-    recurrence runs on Python floats, one checkpoint at a time.
+    recurrence runs on Python floats, one checkpoint at a time, over one
+    block of _ROWS_PER_CHUNK checkpoints at a time, so it never holds the
+    whole curve as lists.
 
     Args:
         curve: strictly increasing checkpoints with finite losses.
@@ -600,16 +639,19 @@ def smooth_curve(
             f"only {len(curve)} points remain after discarding the first "
             f"{discard_fraction:.0%} of tokens; need at least 2"
         )
-    tokens = curve.tokens.tolist()
-    losses = curve.loss.tolist()
-    out = [losses[0]]
-    weighted = losses[0]
+    out = np.empty(len(curve))
+    weighted = out[0] = float(curve.loss[0])
     weight = 1.0
-    for prev_tokens, cur_tokens, loss in zip(tokens, tokens[1:], losses[1:]):
-        decay = 0.5 ** ((cur_tokens - prev_tokens) / half_life_tokens)
-        weighted = weighted * decay + loss
-        weight = weight * decay + 1.0
-        out.append(weighted / weight)
+    for start in range(1, len(curve), _ROWS_PER_CHUNK):
+        block = slice(start, start + _ROWS_PER_CHUNK)
+        tokens = curve.tokens[start - 1 : block.stop].tolist()
+        smoothed = []
+        for prev_tokens, cur_tokens, loss in zip(tokens, tokens[1:], curve.loss[block].tolist()):
+            decay = 0.5 ** ((cur_tokens - prev_tokens) / half_life_tokens)
+            weighted = weighted * decay + loss
+            weight = weight * decay + 1.0
+            smoothed.append(weighted / weight)
+        out[block] = smoothed
     return Curve(curve.step, curve.tokens, out)
 
 

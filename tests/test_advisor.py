@@ -198,6 +198,11 @@ def test_advise_identities_hold_for_every_budget(law_sets, laws, budget):
     # ratios first, so that the products cannot overflow near the float maximum
     assert 6.0 * rec.N * (rec.D / budget) == pytest.approx(1.0, rel=1e-12)
     assert rec.S * (rec.B / rec.D) == pytest.approx(1.0, rel=1e-12)
+    # a budget whose compute C = 6*N*D overflows a float is refused
+    if not math.isfinite(6.0 * 3.5e8 * budget):
+        with pytest.raises(ValidationError, match="overflows"):
+            advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
+        return
     # a budget whose advised batch underflows to a subnormal or zero is refused
     if artifact.bopt.eval(budget) < sys.float_info.min:
         with pytest.raises(ValidationError, match="underflows"):
@@ -205,6 +210,7 @@ def test_advise_identities_hold_for_every_budget(law_sets, laws, budget):
         return
     rec = advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
     assert rec.S * (rec.B / budget) == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(rec.C)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -272,3 +272,46 @@ def test_flat_records_read_back_what_they_write(reference):
         LrLawFit(0.5, None, None, 3, base_lr=1e-3, base_B=5e5, d_checkpoint=1e10),
     ):
         assert type(record).from_dict(record.to_dict()) == record
+
+
+_CHINCHILLA = {"E": 1.5, "A": 400.0, "alpha": 0.3, "Bcoef": 400.0, "beta": 0.3}
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (
+            {"loss_law": {"form": "chinchilla", "params": dict(_CHINCHILLA, Bcoeff=400.0)}},
+            "loss_law block is malformed: unknown field 'Bcoeff'",
+        ),
+        ({"bopt": dict(_BOPT, power_fited=False)}, "bopt block is malformed: unknown field 'power_fited'"),
+        (
+            {"lr_law": dict(_LR_LAW, lr_cieling=1e-3)},
+            "lr_law block is malformed: unknown field 'lr_cieling'",
+        ),
+        (_preset(max_Lr=1e-3), "presets block is malformed: unknown field 'max_Lr'"),
+        (
+            _frontier_point(edge_cliped=True),
+            "frontier block is malformed: unknown field 'edge_cliped'",
+        ),
+        (
+            {"frontier": dict(_FRONTIER, B_opt=dict(_FRONTIER["B_opt"], x_mx=1e22))},
+            "frontier block is malformed: unknown field 'x_mx'",
+        ),
+        # the first undeclared key is the one named
+        (
+            {"bopt": dict(_BOPT, power_fited=False, kk=1.0)},
+            "bopt block is malformed: unknown field 'power_fited'",
+        ),
+    ],
+    ids=["ChinchillaLaw", "BoptLaw", "LrLawFit", "PresetRow", "FrontierPoint", "PowerLaw", "first"],
+)
+def test_undeclared_keys_of_a_flat_record_are_parse_errors(blocks, message):
+    """A misspelt optional field used to take its default silently."""
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        LawArtifact.from_json_dict({"format": FORMAT_TAG, **blocks})
+
+
+def test_undeclared_top_level_keys_stay_ignored(reference):
+    doc = dict(reference.to_json_dict(), notes="written by hand")
+    assert LawArtifact.from_json_dict(doc).to_json_dict() == reference.to_json_dict()

@@ -474,6 +474,68 @@ def test_advise_refuses_laws_that_give_nonsense_advice(
     assert captured.out == ""
 
 
+def test_advise_refuses_misspelt_laws_file_keys(tmp_path, capsys, reference):
+    # each misspelt key took its field's default: exit 0 with the power
+    # regime and the 0.0024 ceiling
+    doc = json.loads(json.dumps(reference.to_json_dict()))
+    del doc["bopt"]["power_fitted"]
+    doc["bopt"]["power_fited"] = False
+    doc["lr_law"]["lr_cieling"] = 1e-3
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps(doc))
+    assert main(["advise", "--data", "1e12", "--model-size", "3.5e8", "--laws", str(laws)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "scalelaw: error: ParseError: bopt block is malformed: unknown field 'power_fited'"
+    ]
+    assert captured.out == ""
+
+
+def _refuse_json_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("budget", [
+    ["--data", "1.7e308", "--model-size", "1e9"],
+    ["--data", "1e300", "--model-size", "1e300"],
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_advise_refuses_a_budget_whose_compute_overflows(capsys, budget, as_json):
+    # each printed "C": Infinity (or "compute C: inf FLOPs") and exited 0
+    assert main(["advise", *budget, *(["--json"] if as_json else [])]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scalelaw: error: ValidationError: compute C = 6*N*D overflows")
+    if as_json:
+        doc = json.loads(captured.out, parse_constant=_refuse_json_constant)
+        assert doc["error"] == "ValidationError"
+    else:
+        assert captured.out == ""
+
+
+def test_emit_refuses_a_payload_json_cannot_carry(capsys):
+    from argparse import Namespace
+
+    from scalelaw._verbs import emit
+
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(scalelaw.NumericalError, match="^the --json payload holds NaN or infinity"):
+            emit(Namespace(json=True), ["text mode prints this"], {"C": [1.0, value]})
+    assert capsys.readouterr().out == ""
+
+
+def test_a_non_finite_json_result_exits_2(capsys, monkeypatch):
+    nan_advice = scalelaw.advisor.Recommendation(N=None, D=1e10, S=math.nan, B=1e6)
+    monkeypatch.setattr(scalelaw.advisor, "advise_data", lambda *args, **kwargs: nan_advice)
+    assert main(["advise", "--data", "1e10", "--json"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scalelaw: error: NumericalError: the --json payload holds NaN")
+    # stdout holds the error document alone, not the payload
+    doc = json.loads(captured.out, parse_constant=_refuse_json_constant)
+    assert doc["error"] == "NumericalError"
+
+
 def test_advise_missing_block_fails_cleanly(tmp_path, capsys, ref_law):
     partial = tmp_path / "partial.json"
     LawArtifact(loss_law=ref_law).save(partial)

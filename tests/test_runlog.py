@@ -1,10 +1,13 @@
 import contextlib
+import hashlib
 import json
 import math
 import os
 import random
 import struct
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -808,6 +811,127 @@ def test_entry_count_is_held_at_the_cap(tmp_path, run_log_cache, monkeypatch):
             read_runs(path)
 
 
+def _through_fifo(fifo: Path, data: bytes, read):
+    """read(fifo) while a thread writes data into the named pipe fifo."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def test_a_pipe_reads_as_its_file_on_a_miss_and_a_hit(tmp_path, run_log_cache):
+    """A pipe is drained by its first pass, so it is read once; a reader that
+    digested it and then parsed it again would find no runs."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    data = path.read_bytes()
+    expected = parse_runs(data.splitlines())
+    assert_same_runs(_through_fifo(tmp_path / "miss", data, read_runs), expected)
+    (entry,) = run_log_cache.iterdir()
+    blob = entry.read_bytes()
+    with _no_decoding():
+        assert_same_runs(_through_fifo(tmp_path / "hit", data, read_runs), expected)
+        assert_same_runs(read_runs(path), expected)
+    # the regular file's own miss writes the same entry
+    entry.unlink()
+    assert_same_runs(read_runs(path), expected)
+    assert entry.read_bytes() == blob
+
+
+def test_a_pipe_with_rejected_lines_reads_as_its_file(tmp_path, run_log_cache):
+    data = f"{MINIMAL_LINE}\n{{oops\n\n{MINIMAL_LINE}\n".encode()
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(data)
+    expected = read_runs(path, strict=False)
+    assert [line_no for line_no, _ in expected.rejected] == [2, 4]
+    assert_same_runs(
+        _through_fifo(tmp_path / "lenient", data, lambda p: read_runs(p, strict=False)), expected
+    )
+    assert _through_fifo(tmp_path / "strict", data, lambda p: _outcome(read_runs, p)) == (
+        _outcome(read_runs, path)
+    )
+    assert not run_log_cache.exists()
+
+
+def _per_step_log(path: Path) -> Path:
+    """4 runs of 20,000 checkpoints, about 3.3 MB."""
+    steps = np.arange(1, 20_001)
+    losses = 2.0 + 10.0 / np.sqrt(steps)
+    path.write_text("".join(line + "\n" for line in serialize_runs(RunSet(runs={
+        f"r{i}": replace(make_run(f"r{i}", batch=5e5), points=Curve(steps, steps * 5e5, losses))
+        for i in range(4)
+    }))))
+    return path
+
+
+def test_a_hit_never_holds_the_log_bytes(tmp_path, monkeypatch):
+    path = _per_step_log(tmp_path / "runs.jsonl")
+    expected = read_runs(path)
+    size = path.stat().st_size
+
+    read_bytes = Path.read_bytes
+
+    def refuse_the_log(self):
+        assert self != path, "the log was read whole"
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_the_log)
+    tracemalloc.start()
+    try:
+        with _no_decoding():
+            runset = read_runs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_runs(runset, expected)
+    # the entry holds 24 bytes a point against the log's 42: a hit that also
+    # held the log's bytes would peak at about 1.8 times its size
+    assert peak < size
+
+
+def test_an_entry_is_named_by_the_bytes_it_was_parsed_from(tmp_path, run_log_cache, monkeypatch):
+    """A log rewritten between the digest pass and the parse pass leaves an
+    entry under the digest of what was parsed, never of what was digested."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    old = path.read_bytes()
+    new = old.replace(b'"lr_peak": 0.0003', b'"lr_peak": 0.0004')
+    assert new != old
+    digest = runlog._digest
+
+    def digest_then_rewrite(log):
+        name = digest(log)
+        path.write_bytes(new)
+        return name
+
+    monkeypatch.setattr(runlog, "_digest", digest_then_rewrite)
+    expected = parse_runs(new.splitlines())
+    assert_same_runs(read_runs(path), expected)
+    (entry,) = run_log_cache.iterdir()
+    assert entry.name == f"runs-v1-{runlog.blake2b(new, digest_size=16).hexdigest()}"
+    monkeypatch.setattr(runlog, "_digest", digest)
+    with _no_decoding():
+        assert_same_runs(read_runs(path), expected)
+    path.write_bytes(old)
+    assert_same_runs(read_runs(path), parse_runs(old.splitlines()))
+
+
+def test_entry_bytes_are_pinned(tmp_path, run_log_cache):
+    """The cache format: entry name and bytes of a small fixed log."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5d25437cb8240ad94abc1934b69ddd6368ad33d2aa29fa9df8bc476718b94f51"
+    )
+    read_runs(path)
+    (entry,) = run_log_cache.iterdir()
+    assert entry.name == "runs-v1-14b0819cf860e20b4ce43c275883b52e"
+    assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
+        "064684932ebdb297665ce8a7ecd265017fba6aca6c4a7ad91bf088c720529066"
+    )
+
+
 def test_non_utf8_line_is_parse_error(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_bytes(MINIMAL_LINE.encode() + b'\n{"run_id": "a\xff"}\n')
@@ -906,6 +1030,30 @@ def test_smooth_rejects_bad_arguments():
         smooth_curve(curve([(1, 1e6, math.inf)]), half_life_tokens=1e6)
     with pytest.raises(InsufficientDataError):
         smooth_curve(curve([]), half_life_tokens=1e6)
+
+
+def test_smooth_curve_over_blocks_matches_the_pointwise_recurrence():
+    """Three blocks and a part, irregular token gaps, a non-zero discard:
+    the same bits as the recurrence run over whole lists."""
+    rng = np.random.default_rng(5)
+    n = 3 * runlog._ROWS_PER_CHUNK + 1234
+    steps = np.cumsum(rng.integers(1, 40, n))
+    tokens = steps * 5e5
+    losses = 2.0 + 10.0 / np.sqrt(steps) + rng.normal(0.0, 0.01, n)
+    discard = 0.07
+    out = smooth_curve(Curve(steps, tokens, losses), 3.3e8, discard)
+    keep = tokens >= discard * tokens[-1]
+    assert 0 < n - keep.sum() and keep.sum() > 2 * runlog._ROWS_PER_CHUNK
+    kept_tokens, kept_losses = tokens[keep].tolist(), losses[keep].tolist()
+    expected = [kept_losses[0]]
+    weighted, weight = kept_losses[0], 1.0
+    for prev, cur, loss in zip(kept_tokens, kept_tokens[1:], kept_losses[1:]):
+        decay = 0.5 ** ((cur - prev) / 3.3e8)
+        weighted = weighted * decay + loss
+        weight = weight * decay + 1.0
+        expected.append(weighted / weight)
+    assert out.loss.tobytes() == np.array(expected).tobytes()
+    assert np.array_equal(out.step, steps[keep]) and np.array_equal(out.tokens, tokens[keep])
 
 
 def test_smooth_run_trims_diverged_tail():
