@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .. import __version__, artifact, bslaw, laws, runlog
 from .._atomic import write_atomic
@@ -15,14 +15,33 @@ from ..errors import ValidationError
 from . import csv_floats
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write the header and rows to path as CSV, and count the rows.
+
+    The rows are taken as they come and handed to write_atomic as text every
+    _ROWS_PER_CHUNK rows (runlog's block), so the writer holds one block of
+    text, not the file.
+    """
     import csv  # only the verbs that write CSV files pay for it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, [buf.getvalue()])
+    count = 0
+
+    def chunks():
+        nonlocal count
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+            if count % runlog._ROWS_PER_CHUNK == 0:
+                yield buf.getvalue()
+                # a fresh buffer: one emptied by truncate() grows 4 bytes a character
+                buf = io.StringIO()
+                writer = csv.writer(buf, lineterminator="\n")
+        yield buf.getvalue()
+
+    write_atomic(path, chunks())
+    return count
 
 
 def update_laws(path: str, **blocks) -> None:

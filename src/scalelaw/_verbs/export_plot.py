@@ -25,6 +25,18 @@ def add_arguments(p) -> None:
     add_json_flag(p)
 
 
+def _curve_rows(runset, raw: bool):
+    """Each run's (run_id, step, tokens, loss) rows, a block of checkpoints at a time."""
+    for run in runset:
+        curve = (run if raw else runlog.smooth_run(run)).points
+        for start in range(0, len(curve), runlog._ROWS_PER_CHUNK):
+            block = slice(start, start + runlog._ROWS_PER_CHUNK)
+            for row in zip(
+                curve.step[block].tolist(), curve.tokens[block].tolist(), curve.loss[block].tolist()
+            ):
+                yield (run.run_id, *row)
+
+
 def run(args) -> None:
     runset = filtered_runs(args)
     if args.kind == "envelope":
@@ -43,17 +55,11 @@ def run(args) -> None:
         ]
     else:
         header = ["run_id", "step", "tokens", "loss"]
-        rows = []
-        for run in runset:
-            curve = (run if args.raw else runlog.smooth_run(run)).points
-            rows.extend(
-                (run.run_id, *row)
-                for row in zip(curve.step.tolist(), curve.tokens.tolist(), curve.loss.tolist())
-            )
-    write_csv(args.out, header, rows)
-    emit(args, [f"wrote {len(rows)} rows to {args.out}"], {
+        rows = _curve_rows(runset, args.raw)
+    count = write_csv(args.out, header, rows)
+    emit(args, [f"wrote {count} rows to {args.out}"], {
         "verb": "export-plot",
         "kind": args.kind,
-        "rows": len(rows),
+        "rows": count,
         "out": args.out,
     })

@@ -12,6 +12,7 @@ import math
 import warnings
 from typing import Sequence
 
+from ._gauss import solve
 from ._lazy import np
 from ._record import Record
 from .errors import (
@@ -216,17 +217,30 @@ def extract_frontier_points(
 
 
 def fit_power_law(x, y) -> PowerLaw:
-    """Least-squares power law through (x, y): log y regressed on log x."""
+    """Least-squares power law through (x, y): log y regressed on log x.
+
+    The line is fitted in closed form on log x and log y centred at their
+    means, so it needs at least 2 distinct x.
+    """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.size != y_arr.size or x_arr.size < 2:
         raise InsufficientDataError("need at least 2 (x, y) points")
-    if np.any(x_arr <= 0) or np.any(y_arr <= 0):
-        raise ValidationError("power-law fits need positive values")
-    slope, intercept = np.polyfit(np.log(x_arr), np.log(y_arr), 1)
+    values = np.concatenate([x_arr, y_arr])
+    if not np.all((values > 0) & (values < math.inf)):
+        raise ValidationError("power-law fits need positive finite values")
+    log_x = np.log(x_arr).tolist()
+    log_y = np.log(y_arr).tolist()
+    distinct = len(set(log_x))
+    if distinct < 2:
+        raise InsufficientDataError(f"need at least 2 distinct x values, got {distinct}")
+    mean_x = math.fsum(log_x) / len(log_x)
+    mean_y = math.fsum(log_y) / len(log_y)
+    u = [v - mean_x for v in log_x]
+    slope = math.fsum(a * (b - mean_y) for a, b in zip(u, log_y)) / math.fsum(a * a for a in u)
     return PowerLaw(
-        k=float(np.exp(intercept)),
-        p=float(slope),
+        k=float(np.exp(mean_y - slope * mean_x)),
+        p=slope,
         x_min=float(x_arr.min()),
         x_max=float(x_arr.max()),
     )
@@ -234,12 +248,30 @@ def fit_power_law(x, y) -> PowerLaw:
 
 def parabola_vertex(x, y) -> tuple[float, float]:
     """(x, y) at the minimum of the least-squares parabola through (x, y);
-    NoMinimumError when the parabola is flat or concave."""
-    c2, c1, c0 = np.polyfit(x, y, 2)
-    if c2 <= 0:
+    NoMinimumError when the parabola is flat or concave.
+
+    The 3x3 normal equations of the quadratic in x centred at its mean are
+    solved in floats, so the fit needs at least 3 distinct x.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    ys = np.asarray(y, dtype=float).tolist()
+    if len(xs) != len(ys) or len(xs) < 3:
+        raise InsufficientDataError("need at least 3 (x, y) points")
+    distinct = len(set(xs))
+    if distinct < 3:
+        raise InsufficientDataError(f"need at least 3 distinct x values, got {distinct}")
+    mean = math.fsum(xs) / len(xs)
+    u = [v - mean for v in xs]
+    u2 = [v * v for v in u]
+    s1, s2 = math.fsum(u), math.fsum(u2)
+    s3 = math.fsum(a * b for a, b in zip(u, u2))
+    s4 = math.fsum(v * v for v in u2)
+    moments = [math.fsum(ys)] + [math.fsum(a * b for a, b in zip(w, ys)) for w in (u, u2)]
+    c0, c1, c2 = solve([[len(xs), s1, s2], [s1, s2, s3], [s2, s3, s4]], moments)
+    if not c2 > 0:
         raise NoMinimumError(f"no interior minimum (curvature {c2:.3g})")
-    xv = -c1 / (2.0 * c2)
-    return float(xv), float(c0 + c1 * xv + c2 * xv**2)
+    uv = -c1 / (2.0 * c2)
+    return mean + uv, c0 + c1 * uv + c2 * uv * uv
 
 
 def frontier_laws(

@@ -18,6 +18,7 @@ import itertools
 import math
 from typing import Sequence
 
+from ._gauss import solve
 from ._lazy import np
 from ._record import Record
 from .errors import (
@@ -270,13 +271,13 @@ def _arc_search(x, f, g, step, lo, hi, args):
 def _minimize_box(theta0: np.ndarray, lo: np.ndarray, hi: np.ndarray, args) -> _Polished:
     """Projected BFGS on the box [lo, hi] with the exact objective gradient.
 
-    Each step solves the dense quasi-Newton system on the free variables; a
-    variable is fixed for the step when it sits at a bound and its gradient
-    points out of the box.  _arc_search picks the step length, and a step it
-    cannot find restarts from steepest descent.  The stopping tests are
-    L-BFGS-B's: a relative objective reduction of at most _TOL, or a
-    projected-gradient infinity norm of at most _TOL; _MAX_ITER steps
-    without either is a failure.
+    Each step solves the dense quasi-Newton system on the free variables in
+    Python floats (_gauss.solve); a variable is fixed for the step when it
+    sits at a bound and its gradient points out of the box.  _arc_search
+    picks the step length, and a step it cannot find restarts from steepest
+    descent.  The stopping tests are L-BFGS-B's: a relative objective
+    reduction of at most _TOL, or a projected-gradient infinity norm of at
+    most _TOL; _MAX_ITER steps without either is a failure.
     """
     x = theta0
     f, g = _objective_and_grad(x, *args)
@@ -288,9 +289,10 @@ def _minimize_box(theta0: np.ndarray, lo: np.ndarray, hi: np.ndarray, args) -> _
         step = np.zeros_like(x)
         if hess is None:
             # unit length at most, as L-BFGS-B's first step
-            step[free] = -g[free] / max(1.0, float(np.linalg.norm(g[free])))
+            g_free = g[free]
+            step[free] = -g_free / max(1.0, math.sqrt(float(g_free @ g_free)))
         else:
-            step[free] = np.linalg.solve(hess[np.ix_(free, free)], -g[free])
+            step[free] = solve(hess[np.ix_(free, free)].tolist(), (-g[free]).tolist())
         found = _arc_search(x, f, g, step, lo, hi, args)
         if found is None:
             if hess is None:

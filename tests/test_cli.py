@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -1193,6 +1194,102 @@ def test_export_contour_default_levels(batch_sweep_runs, tmp_path, capsys):
     runset = parse_runs(batch_sweep_runs.read_text().splitlines())
     expected = default_loss_levels(runset, 8)
     assert sorted({float(row[0]) for row in rows[1:]}) == expected
+    capsys.readouterr()
+
+
+def seeded_sweep_file(tmp_path, capsys, points, models=(1.25e8, 3.5e8), batches=(5e5, 1e6, 2e6)):
+    """A seed-7 run log of the default truth: each model at each batch size."""
+    sweep = dict(
+        models=[{"n_params": n, "label": f"{n / 1e6:g}M"} for n in models],
+        batch_sizes=list(batches),
+        schemes=["origin"],
+        lr_factors=[1.0],
+        base_batch=5e5,
+        base_lr=BASE_LR,
+        tokens_per_run=3e11,
+        points_per_run=points,
+    )
+    config, runs = tmp_path / "sweep.json", tmp_path / "sweep.jsonl"
+    config.write_text(json.dumps({"sweep": sweep}))
+    assert main(["simulate", "--config", str(config), "--out", str(runs), "--seed", "7"]) == 0
+    capsys.readouterr()
+    return runs
+
+
+# sha256 of the CSV files that export-plot wrote before it streamed its rows
+# (6 runs of 5,000 points: each run's curve is 2 blocks of rows)
+EXPORT_SHA256 = {
+    "curves": "294f3aa7b7423b7c650b0c485b7c901b60af7b11ce094ff0a463c25555a86114",
+    "curves-raw": "e323cac05c02d418ee24ead1f33f8c037005f645444e6edc37034d9386fc6334",
+    "envelope": "ea131189a27fe7abf3d27727d1dd7ee1d5b756eb6ada73c31c4ad2d995a93e6a",
+    "contour": "92974f1ee37167fd5f31189626c4f509819998b442dbeebc0f60bbd96c6ff3c5",
+}
+EXPORT_ARGV = {
+    "curves": ["--kind", "curves"],
+    "curves-raw": ["--kind", "curves", "--raw"],
+    "envelope": ["--kind", "envelope"],
+    "contour": ["--kind", "contour", "--model-size", "1.25e8", "--levels", "2.6,2.8,3.0"],
+}
+
+
+def test_export_csv_bytes_are_pinned(tmp_path, capsys):
+    runs = seeded_sweep_file(tmp_path, capsys, 5000)
+    assert hashlib.sha256(runs.read_bytes()).hexdigest().startswith("c0ba2177")
+    for name, argv in EXPORT_ARGV.items():
+        out = tmp_path / f"{name}.csv"
+        code, payload = run_json(
+            capsys, "export-plot", "--runs", str(runs), *argv, "--out", str(out)
+        )
+        assert code == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == EXPORT_SHA256[name], name
+        assert payload["rows"] == data.count(b"\n") - 1
+
+
+def test_export_curves_holds_a_block_of_rows_not_the_file(tmp_path, capsys):
+    """The curve rows are smoothed a run at a time, then made and written a
+    block of checkpoints at a time: exporting 6 runs of 20,000 points from a
+    cached log peaks below the CSV's size, though the cached columns alone
+    are 40% of it."""
+    runs = seeded_sweep_file(
+        tmp_path, capsys, 20_000, models=(1.25e8, 3.5e8, 7.6e8), batches=(5e5, 1e6)
+    )
+    out = tmp_path / "curves.csv"
+    argv = ["export-plot", "--runs", str(runs), "--kind", "curves", "--out", str(out)]
+    assert main(argv) == 0  # loads the layers and caches the log
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < out.stat().st_size
+
+
+def test_fit_verbs_run_without_lapack(
+    five_model_runs, batch_sweep_runs, tmp_path, capsys, monkeypatch
+):
+    """The line, parabola and quasi-Newton step of every fit are the package's
+    own float kernels: with numpy's least squares, solve and norm made to
+    raise, each fit verb still exits 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit called into numpy's linear algebra")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in ("lstsq", "solve", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    laws = str(tmp_path / "laws.json")
+    levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
+    lr_runs = lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3)
+    for argv in (
+        ["frontier", "--runs", str(five_model_runs)],
+        ["fit-law", "--runs", str(five_model_runs), "--constrain", "frontier"],
+        ["fit-law", "--runs", str(five_model_runs)],
+        ["fit-bopt", "--runs", str(batch_sweep_runs), "--levels", levels, "--s-floor", "1500"],
+        ["fit-lr", "--runs", str(lr_runs), "--checkpoint-tokens", "2e7"],
+    ):
+        assert main([*argv, "--laws", laws]) == 0, argv
     capsys.readouterr()
 
 

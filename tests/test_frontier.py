@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelaw import (
     Curve,
@@ -15,6 +17,7 @@ from scalelaw import (
     InsufficientFrontierError,
     LrScheme,
     ModelSpec,
+    NoMinimumError,
     PowerLaw,
     RunRecord,
     RunSet,
@@ -28,6 +31,7 @@ from scalelaw import (
     frontier_report,
 )
 import scalelaw.frontier
+from scalelaw.frontier import parabola_vertex
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
 
@@ -154,6 +158,89 @@ def test_fit_rejects_degenerate_input():
         fit_power_law([1.0, -2.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         fit_power_law([1.0, 2.0], [0.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="positive finite"):
+        fit_power_law([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="positive finite"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
+
+def test_fit_needs_two_distinct_x():
+    # a line through one x is undetermined; a least-squares solver still
+    # returned a law for this input (k = 1.348, p = 0.431)
+    with pytest.raises(InsufficientDataError, match="2 distinct x values, got 1"):
+        fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_parabola_needs_three_distinct_x():
+    # a parabola through two x is undetermined; a least-squares solver still
+    # reported a curvature of -0.607 for this input
+    with pytest.raises(InsufficientDataError, match="3 distinct x values, got 2"):
+        parabola_vertex([1.0, 1.0, 2.0], [3.0, 2.0, 1.0])
+    with pytest.raises(InsufficientDataError, match="at least 3"):
+        parabola_vertex([1.0, 2.0], [3.0, 2.0])
+    with pytest.raises(NoMinimumError, match="curvature"):
+        parabola_vertex([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+def _spread(rng, lo, span, n):
+    """n jittered, evenly spread, distinct points over [lo, lo + span]."""
+    return lo + span * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / max(n - 1, 1)
+
+
+# sizes and ranges of the callers: 3 to 20 frontier points, contour vertices
+# or LR samples, log x from 0 (LR) to 50 (FLOPs); log-log slopes within +-2
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 20),
+    lo=st.floats(0.0, 50.0),
+    span=st.floats(1.0, 10.0),
+    slope=st.floats(-2.0, 2.0),
+    log_k=st.floats(-45.0, 45.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_matches_least_squares_reference(n, lo, span, slope, log_k, seed):
+    """The closed-form line is np.polyfit's within 1e-12: the slope relative to
+    its O(1) scale, log k relative to the terms it is the difference of."""
+    rng = np.random.default_rng(seed)
+    log_x = _spread(rng, lo, span, n)
+    log_y = log_k + slope * log_x + 0.05 * rng.standard_normal(n)
+    law = fit_power_law(np.exp(log_x), np.exp(log_y))
+    ref_slope, ref_intercept = np.polyfit(np.log(np.exp(log_x)), log_y, 1)
+    assert abs(law.p - ref_slope) <= 1e-12 * max(abs(ref_slope), 1.0)
+    scale = max(abs(ref_intercept), abs(ref_slope) * float(np.abs(log_x).max()), 1.0)
+    assert abs(math.log(law.k) - ref_intercept) <= 1e-12 * scale
+
+
+# contours fit log D against 3 to 12 log batch sizes (about 11 to 18), the
+# LR readout loss against 3 log learning rates (about -10 to -5)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 12),
+    lo=st.floats(-12.0, 18.0),
+    span=st.floats(0.5, 5.0),
+    where=st.floats(0.1, 0.9),
+    curvature=st.floats(0.05, 5.0),
+    floor=st.floats(-30.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parabola_matches_least_squares_reference(n, lo, span, where, curvature, floor, seed):
+    """The vertex of the centred normal-equation fit is np.polyfit's within
+    1e-12: x relative to its scale, y relative to the largest term of the
+    reference's polynomial at its vertex."""
+    rng = np.random.default_rng(seed)
+    x = _spread(rng, lo, span, n)
+    y = floor + curvature * (x - lo - where * span) ** 2
+    y += 1e-3 * curvature * span**2 * rng.standard_normal(n)
+    x_star, y_star = parabola_vertex(x, y)
+    c2, c1, c0 = np.polyfit(x, y, 2)
+    ref_x = -c1 / (2.0 * c2)
+    ref_y = c0 + c1 * ref_x + c2 * ref_x**2
+    assert abs(x_star - ref_x) <= 1e-12 * max(abs(ref_x), 1.0)
+    assert abs(y_star - ref_y) <= 1e-12 * max(abs(c0), abs(c1 * ref_x), abs(c2 * ref_x**2), 1.0)
 
 
 # ---------------------------------------------------------------------------
