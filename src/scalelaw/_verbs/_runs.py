@@ -1,17 +1,18 @@
-"""What the verbs that read a run log share: run filters, the laws-file
-update, the CSV writer and their common options."""
+"""What the verbs that read a run log share: the filtered read, the laws
+file to update, the CSV writer and their common options."""
 
 from __future__ import annotations
 
+import errno
 import io
 import math
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .. import __version__, artifact, bslaw, laws, runlog
 from .._atomic import write_atomic
-from .._record import replace
-from ..errors import ValidationError
+from ..errors import InsufficientDataError, ValidationError
 from . import csv_floats
 
 
@@ -44,46 +45,46 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     return count
 
 
-def update_laws(path: str, **blocks) -> None:
-    """Replace blocks of the artifact at path, creating it if absent."""
+def laws_to_update(path: str) -> artifact.LawArtifact:
+    """The laws document at path, or a new one if there is none.
+
+    A fit verb calls this before it reads its run log, so a laws file that
+    does not load, a directory, or a path in a missing directory fails
+    before the fit, not after it.
+    """
     target = Path(path)
     if target.exists():
-        doc = artifact.LawArtifact.load(target)
-    else:
-        doc = artifact.LawArtifact(presets=laws.Presets(), provenance=f"scalelaw {__version__}")
-    replace(doc, **blocks).save(target)
-
-
-def filter_runs(runset, model_size=None, batch=None, scheme=None):
-    def keep(run) -> bool:
-        if model_size is not None and not math.isclose(
-            run.model.n_params, model_size, rel_tol=1e-6
-        ):
-            return False
-        if batch is not None and not math.isclose(
-            run.batch_size_tokens, batch, rel_tol=1e-6
-        ):
-            return False
-        if scheme is not None and run.lr_scheme != scheme:
-            return False
-        return True
-
-    ids = [run.run_id for run in runset if keep(run)]
-    if not ids:
-        raise ValidationError("no runs match the requested filters")
-    if len(ids) == len(runset):
-        return runset
-    return runset.subset(ids)
+        return artifact.LawArtifact.load(target)
+    parent = target.parent
+    if not parent.is_dir():
+        # the error the atomic write of the file would meet
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return artifact.LawArtifact(presets=laws.Presets(), provenance=f"scalelaw {__version__}")
 
 
 def filtered_runs(args):
+    """The runs of the log args.runs that the verb's filter flags keep."""
+    model_size = getattr(args, "model_size", None)
+    batch = getattr(args, "batch", None)
     scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
-    return filter_runs(
-        runlog.read_runs(args.runs),
-        model_size=getattr(args, "model_size", None),
-        batch=getattr(args, "batch", None),
-        scheme=scheme,
-    )
+    seen = 0  # runs keep is asked about: none when the log holds none
+
+    def keep(n_params: float, batch_size_tokens: float, lr_scheme: laws.LrScheme) -> bool:
+        nonlocal seen
+        seen += 1
+        return (
+            (model_size is None or math.isclose(n_params, model_size, rel_tol=1e-6))
+            and (batch is None or math.isclose(batch_size_tokens, batch, rel_tol=1e-6))
+            and (scheme is None or lr_scheme == scheme)
+        )
+
+    runset = runlog.read_runs(args.runs, keep=keep)
+    if not len(runset):
+        if seen:
+            raise ValidationError("no runs match the requested filters")
+        raise InsufficientDataError(f"{args.runs} holds no runs")
+    return runset
 
 
 def contour_levels(args, runset) -> list[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .. import bslaw, laws
+from .._record import replace
 from . import add_json_flag, emit
 from ._runs import (
     add_contour_flags,
@@ -10,7 +11,7 @@ from ._runs import (
     add_fit_io_flags,
     contour_levels,
     filtered_runs,
-    update_laws,
+    laws_to_update,
 )
 
 
@@ -25,6 +26,7 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
+    doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     scheme = laws.LrScheme(args.scheme) if args.scheme else None
     law, vertices = bslaw.bopt_law_from_runs(
@@ -34,7 +36,7 @@ def run(args) -> None:
         scheme=scheme,
         s_floor_hint=args.s_floor,
     )
-    update_laws(args.laws, bopt=law)
+    replace(doc, bopt=law).save(args.laws)
     lines = [
         f"B_opt(D) = D/{law.s_floor:.6g} for D < {law.crossover_D:.6g}",
         (

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .. import artifact, lawfit
+from .._record import replace
 from ..errors import ValidationError
 from . import add_json_flag, emit
-from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, update_laws
+from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, laws_to_update
 
 
 def add_arguments(p) -> None:
@@ -28,10 +27,8 @@ def add_arguments(p) -> None:
     add_json_flag(p)
 
 
-def _constraint_from_artifact(laws_path: str) -> lawfit.FrontierConstraint:
-    target = Path(laws_path)
-    doc = artifact.LawArtifact.load(target) if target.exists() else None
-    if doc is None or doc.frontier is None:
+def _constraint_from_artifact(doc: artifact.LawArtifact) -> lawfit.FrontierConstraint:
+    if doc.frontier is None:
         raise ValidationError(
             "--constrain frontier needs a laws file with a frontier block; "
             "run the frontier verb first"
@@ -45,12 +42,11 @@ def _constraint_from_artifact(laws_path: str) -> lawfit.FrontierConstraint:
 
 
 def run(args) -> None:
-    runset = filtered_runs(args)
-    samples = lawfit.samples_from_runs(runset, smooth=not args.raw)
+    doc = laws_to_update(args.laws)
     constraint = None
     if args.constrain is not None:
         if args.constrain == "frontier":
-            constraint = _constraint_from_artifact(args.laws)
+            constraint = _constraint_from_artifact(doc)
         else:
             try:
                 parts = [float(v) for v in args.constrain.split(",")]
@@ -62,8 +58,9 @@ def run(args) -> None:
                     f"got {args.constrain!r}"
                 )
             constraint = lawfit.FrontierConstraint(*parts)
+    samples = lawfit.samples_from_runs(filtered_runs(args), smooth=not args.raw)
     report = lawfit.fit_loss_law(samples, constraint=constraint, delta=args.delta)
-    update_laws(args.laws, loss_law=report.law, loss_fit=report.to_dict())
+    replace(doc, loss_law=report.law, loss_fit=report.to_dict()).save(args.laws)
     law = report.law
     lines = [
         f"loss law: {law.E:.6g} + {law.A:.6g}/N^{law.alpha:.6g}"

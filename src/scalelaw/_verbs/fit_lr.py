@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import lrlaw
 from .._record import replace
 from . import add_json_flag, emit, fmt
-from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, update_laws
+from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, laws_to_update
 
 
 def add_arguments(p) -> None:
@@ -33,6 +33,7 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
+    doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     surface = lrlaw.build_surface(runset, args.checkpoint_tokens)
     samples = lrlaw.extract_lr_opt(surface, refinement=args.refinement)
@@ -41,7 +42,7 @@ def run(args) -> None:
         base_lr=surface.base_lr,
         d_checkpoint=args.checkpoint_tokens,
     )
-    update_laws(args.laws, lr_law=fit)
+    replace(doc, lr_law=fit).save(args.laws)
     lines = [f"LR_opt(B) ~ B^{fit.gamma:.4g} over {fit.n_fit} batch sizes"]
     if fit.lr_ceiling is not None:
         lines.append(

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .. import frontier
+from .._record import replace
 from . import add_json_flag, emit
-from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, update_laws
+from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, laws_to_update
 
 
 def add_arguments(p) -> None:
@@ -14,9 +15,10 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
+    doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     report = frontier.frontier_report(runset)
-    update_laws(args.laws, frontier=report)
+    replace(doc, frontier=report).save(args.laws)
     lines = []
     for name in ("L_opt", "N_opt", "D_opt", "S_opt", "B_opt"):
         law = getattr(report, name)

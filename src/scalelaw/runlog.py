@@ -16,7 +16,7 @@ import os
 import stat
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._atomic import write_atomic
 from ._lazy import np
@@ -373,20 +373,31 @@ def _add_record(runset: RunSet, obj, line_no: int) -> None:
     runset.runs[record.run_id] = record
 
 
-def read_runs(path: str | Path, strict: bool = True) -> RunSet:
+def read_runs(
+    path: str | Path,
+    strict: bool = True,
+    keep: Callable[[float, float, LrScheme], bool] | None = None,
+) -> RunSet:
     """parse_runs of the run log at path, decoding each log content once.
+
+    With ``keep``, only the runs for which ``keep(n_params,
+    batch_size_tokens, lr_scheme)`` is true are returned, in log order, as
+    if the whole log had been read and then filtered: every line is still
+    parsed and checked on a miss, and ``rejected`` still names every
+    refused line.
 
     The file is read a line at a time, its lines split as text mode splits
     them (at ``\\n``, ``\\r\\n`` and ``\\r``) and decoded as UTF-8.  A log
     that parses without a rejected line leaves an entry, named by the
     blake2b digest of its bytes, under ``$XDG_CACHE_HOME/scalelaw`` (or
-    ``~/.cache/scalelaw``).  A later read of the same bytes rebuilds the
-    runs from that entry: only the JSON decoding of the point rows is
-    skipped, and every record is still read and validated.  An entry that
-    is missing, damaged or refused is a miss, and so is a cache directory
-    that cannot be located or written: the log is parsed, so the cache
-    never changes the result.  The CACHE_ENTRIES most recently used entries
-    are kept.
+    ``~/.cache/scalelaw``), holding all of its runs.  A later read of the
+    same bytes rebuilds the runs from that entry: it reads the entry's
+    header of run fields and then only the curve points of the runs
+    ``keep`` takes, and it reads and validates those records alone.  An
+    entry that is missing, damaged or refused is a miss, and so is a cache
+    directory that cannot be located or written: the log is parsed, so the
+    cache never changes the result.  The CACHE_ENTRIES most recently used
+    entries are kept.
 
     A regular file is digested through a fixed buffer first, so a hit never
     holds the log's bytes; a miss then parses the file again from the
@@ -402,7 +413,7 @@ def read_runs(path: str | Path, strict: bool = True) -> RunSet:
         else:
             log = io.BytesIO(handle.read())
         if cache is not None:
-            runset = _load_entry(cache / _entry_name(_digest(log)))
+            runset = _load_entry(cache / _entry_name(_digest(log)), keep)
             if runset is not None:
                 return runset
             log.seek(0)
@@ -411,7 +422,13 @@ def read_runs(path: str | Path, strict: bool = True) -> RunSet:
         runset = _parse_lines(_split_lines(log, digest), strict, accepted)
     if cache is not None and len(runset) and not runset.rejected:
         _store_entry(cache / _entry_name(digest.hexdigest()), accepted, runset)
-    return runset
+    if keep is None:
+        return runset
+    runs = {
+        run_id: run for run_id, run in runset.runs.items()
+        if keep(run.model.n_params, run.batch_size_tokens, run.lr_scheme)
+    }
+    return RunSet(runs=runs, rejected=runset.rejected)
 
 
 def _split_lines(log, digest) -> Iterator[bytes]:
@@ -453,25 +470,42 @@ def _entry_name(digest: str) -> str:
 # (little-endian int64, float64 and float64).
 
 
-def _load_entry(entry: Path) -> RunSet | None:
+def _load_entry(entry: Path, keep) -> RunSet | None:
+    """The runs of an entry that keep takes, reading only their points."""
     try:
-        blob = entry.read_bytes()
-        size = int.from_bytes(blob[:8], "little")
-        header = json.loads(blob[8 : 8 + size])
-        body = memoryview(blob)[8 + size :]
-        total = sum(n for _, n, _ in header)
-        if len(body) != 24 * total:
-            return None
-        step = np.frombuffer(body, "<i8", total)
-        tokens = np.frombuffer(body, "<f8", total, 8 * total)
-        loss = np.frombuffer(body, "<f8", total, 16 * total)
+        with open(entry, "rb") as handle:
+            length = os.fstat(handle.fileno()).st_size
+            size = int.from_bytes(handle.read(8), "little")
+            if 8 + size > length:
+                return None
+            header = json.loads(handle.read(size))
+            total = sum(n for _, n, _ in header)
+            if length != 8 + size + 24 * total:
+                return None
+            kept = []  # (line_no, first point in the columns, point count, obj)
+            start = 0
+            for line_no, n, obj in header:
+                if keep is None or keep(*_filter_fields(obj, line_no)):
+                    kept.append((line_no, start, n, obj))
+                start += n
+            # one array a column for the kept runs, each run's slice read into it
+            count = sum(n for _, _, n, _ in kept)
+            columns = []
+            for offset, dtype in ((0, "<i8"), (total, "<f8"), (2 * total, "<f8")):
+                column = np.empty(count, dtype)
+                at = 0
+                for _, start, n, _ in kept:
+                    handle.seek(8 + size + 8 * (offset + start))
+                    if handle.readinto(column[at : at + n]) != 8 * n:
+                        return None
+                    at += n
+                columns.append(column)
         runset = RunSet()
-        start = 0
-        for line_no, n, obj in header:
-            stop = start + n
-            obj["points"] = Curve(step[start:stop], tokens[start:stop], loss[start:stop])
+        at = 0
+        for line_no, _, n, obj in kept:
+            obj["points"] = Curve(*(column[at : at + n] for column in columns))
             _add_record(runset, obj, line_no)
-            start = stop
+            at += n
     # an entry that cannot be read, is not of this format or holds a record
     # that parsing would refuse: the log is parsed instead
     except (OSError, ValueError, TypeError, LookupError, OverflowError, RecursionError,
@@ -479,6 +513,16 @@ def _load_entry(entry: Path) -> RunSet | None:
         return None
     _touch(entry)
     return runset
+
+
+def _filter_fields(obj: dict, line_no: int) -> tuple[float, float, LrScheme]:
+    """The n_params, batch_size_tokens and lr_scheme of an entry's run, as
+    its record holds them."""
+    return (
+        _coerce(obj, "n_params", float, line_no),
+        _coerce(obj, "batch_size_tokens", float, line_no),
+        LrScheme(obj["lr_scheme"]),
+    )
 
 
 def _store_entry(entry: Path, accepted: list, runset: RunSet) -> None:

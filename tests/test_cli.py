@@ -1082,7 +1082,9 @@ def test_fit_law_failure_payload_has_start_diagnostics(
     assert (fit["n_starts"], fit["n_converged"], fit["objective_spread"]) == (8, 0, None)
 
 
-def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys):
+def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys, monkeypatch):
+    """Refused before the run log is read."""
+    monkeypatch.setattr(runlog, "read_runs", _refuse_read)
     laws = tmp_path / "laws.json"
     assert main(["fit-law", "--runs", str(five_model_runs), "--laws", str(laws),
                  "--constrain", "nonsense"]) == 1
@@ -1150,6 +1152,48 @@ def test_filters_reject_empty_selection(five_model_runs, tmp_path, capsys):
     assert main(["export-plot", "--runs", str(five_model_runs), "--kind", "curves",
                  "--model-size", "9e9", "--out", str(tmp_path / "x.csv")]) == 1
     assert "no runs match" in capsys.readouterr().err
+
+
+def _refuse_read(*args, **kwargs):
+    raise AssertionError("the run log was read")
+
+
+@pytest.mark.parametrize("filters", [[], ["--batch", "5e5"]], ids=["unfiltered", "filtered"])
+def test_a_log_of_no_runs_is_insufficient_data(tmp_path, capsys, filters):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    laws = tmp_path / "laws.json"
+    code, payload = run_json(capsys, "frontier", "--runs", str(empty), "--laws", str(laws), *filters)
+    assert code == 1
+    assert payload == {"error": "InsufficientDataError", "message": f"{empty} holds no runs"}
+    assert not laws.exists()
+
+
+@pytest.mark.parametrize("verb", ["frontier", "fit-law", "fit-bopt", "fit-lr"])
+@pytest.mark.parametrize("laws, error", [
+    ("a-dir", "IsADirectoryError"),
+    ("missing/laws.json", "FileNotFoundError"),
+    ("a-file/laws.json", "NotADirectoryError"),
+    ("bad.json", "ParseError"),
+])
+def test_a_bad_laws_path_fails_before_the_run_log_is_read(
+    five_model_runs, tmp_path, capsys, monkeypatch, verb, laws, error
+):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": "scalelaw-laws/1", "comparisons": "ab"}\n')
+    before = sorted((p.name, p.read_bytes() if p.is_file() else None) for p in tmp_path.iterdir())
+    monkeypatch.setattr(runlog, "read_runs", _refuse_read)
+    extra = ["--checkpoint-tokens", "1e10"] if verb == "fit-lr" else []
+    code, payload = run_json(
+        capsys, verb, "--runs", str(five_model_runs), "--laws", str(tmp_path / laws), *extra
+    )
+    assert (code, payload["error"]) == (1, error), payload
+    if error != "ParseError":
+        assert payload["message"].endswith(f": {str(tmp_path / laws)!r}")
+    after = sorted((p.name, p.read_bytes() if p.is_file() else None) for p in tmp_path.iterdir())
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
