@@ -87,6 +87,12 @@ def filtered_runs(args):
     return runset
 
 
+def check_contour_flags(args) -> None:
+    """Refuse a bad --n-levels before the run log is read; --levels overrides it."""
+    if args.levels is None:
+        bslaw._check_n_levels(args.n_levels)
+
+
 def contour_levels(args, runset) -> list[float]:
     if args.levels is not None:
         return args.levels

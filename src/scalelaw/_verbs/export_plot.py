@@ -4,7 +4,14 @@ from __future__ import annotations
 
 from .. import bslaw, frontier, laws, runlog
 from . import add_json_flag, emit
-from ._runs import add_contour_flags, add_filter_flags, contour_levels, filtered_runs, write_csv
+from ._runs import (
+    add_contour_flags,
+    add_filter_flags,
+    check_contour_flags,
+    contour_levels,
+    filtered_runs,
+    write_csv,
+)
 
 
 def add_arguments(p) -> None:
@@ -38,6 +45,8 @@ def _curve_rows(runset, raw: bool):
 
 
 def run(args) -> None:
+    if args.kind == "contour":
+        check_contour_flags(args)
     runset = filtered_runs(args)
     if args.kind == "envelope":
         envelope = frontier.compute_envelope(runset)

@@ -9,6 +9,7 @@ from ._runs import (
     add_contour_flags,
     add_filter_flags,
     add_fit_io_flags,
+    check_contour_flags,
     contour_levels,
     filtered_runs,
     laws_to_update,
@@ -26,6 +27,8 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
+    bslaw._check_s_floor_hint(args.s_floor)
+    check_contour_flags(args)
     doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     scheme = laws.LrScheme(args.scheme) if args.scheme else None

@@ -42,6 +42,7 @@ def _constraint_from_artifact(doc: artifact.LawArtifact) -> lawfit.FrontierConst
 
 
 def run(args) -> None:
+    lawfit._check_delta(args.delta)
     doc = laws_to_update(args.laws)
     constraint = None
     if args.constrain is not None:

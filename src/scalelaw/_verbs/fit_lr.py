@@ -33,6 +33,10 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
+    # the layer's own checks, so a bad flag fails before the run log is read
+    lrlaw._check_positive("d_checkpoint", args.checkpoint_tokens)
+    lrlaw._check_positive("plateau_tolerance", args.plateau_tol)
+    lrlaw._check_refinement(args.refinement)
     doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     surface = lrlaw.build_surface(runset, args.checkpoint_tokens)

@@ -61,6 +61,11 @@ class ContourVertex(Record, frozen=True):
     extrapolated: bool
 
 
+def _check_n_levels(n_levels: int) -> None:
+    if n_levels < 1:
+        raise ValidationError(f"n_levels must be at least 1, got {n_levels}")
+
+
 def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> list[float]:
     """Evenly spaced levels between the 20th and 80th percentile of final losses.
 
@@ -68,8 +73,7 @@ def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> lis
     contour can use, so the window spans only losses that some run actually
     sustained.
     """
-    if n_levels < 1:
-        raise ValidationError(f"n_levels must be at least 1, got {n_levels}")
+    _check_n_levels(n_levels)
     finals = []
     for run in runset:
         if has_divergence(run.points):

@@ -32,6 +32,17 @@ PLATEAU_MIN_SPAN = 1.5
 DEFAULT_REFINEMENT = 4
 
 
+def _check_positive(name: str, value: float) -> None:
+    # "not 0 < v < inf" also rejects NaN, which fails every comparison
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_refinement(refinement: int) -> None:
+    if refinement < 1:
+        raise ValidationError("refinement must be >= 1")
+
+
 class LossSurface(Record, frozen=True, eq=False):
     """Losses at one token checkpoint over a (batch, LR-factor) grid.
 
@@ -50,11 +61,8 @@ class LossSurface(Record, frozen=True, eq=False):
         object.__setattr__(self, "grid_B", np.asarray(self.grid_B, dtype=float))
         object.__setattr__(self, "grid_LR", np.asarray(self.grid_LR, dtype=float))
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
-        # "not 0 < v < inf" also rejects NaN, which fails every comparison
         for name in ("d_checkpoint", "base_lr"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         for grid in (self.grid_B, self.grid_LR):
             if grid.ndim != 1 or grid.size < 2:
                 raise ValidationError("grids must be 1-D with at least 2 values")
@@ -162,8 +170,7 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
     observed LR span are flagged boundary (the true optimum may lie outside
     the sweep).
     """
-    if refinement < 1:
-        raise ValidationError("refinement must be >= 1")
+    _check_refinement(refinement)
     log_b_nodes = np.log(surface.grid_B)
     n_cells = surface.grid_B.size - 1
     refined = np.sort(
@@ -229,10 +236,7 @@ def fit_gamma(
         InsufficientDataError: fewer than 4 non-boundary samples.
         GammaUndefinedError: everything is plateau; carries the ceiling.
     """
-    if not 0 < plateau_tolerance < math.inf:
-        raise ValidationError(
-            f"plateau_tolerance must be positive and finite, got {plateau_tolerance!r}"
-        )
+    _check_positive("plateau_tolerance", plateau_tolerance)
     usable = sorted(
         (s for s in samples if not s.boundary), key=lambda s: s.B
     )

@@ -1400,6 +1400,32 @@ def test_non_finite_fit_parameters_are_validation_errors(
     assert not laws.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit-law", "--delta", "nan"], "delta must be positive and finite, got nan"),
+        (["fit-lr", "--checkpoint-tokens", "nan"],
+         "d_checkpoint must be positive and finite, got nan"),
+        (["fit-lr", "--checkpoint-tokens", "1e10", "--plateau-tol", "nan"],
+         "plateau_tolerance must be positive and finite, got nan"),
+        (["fit-lr", "--checkpoint-tokens", "1e10", "--refinement", "0"], "refinement must be >= 1"),
+        (["fit-bopt", "--s-floor", "nan"], "s_floor_hint must be positive and finite, got nan"),
+        (["fit-bopt", "--n-levels", "0"], "n_levels must be at least 1, got 0"),
+        (["export-plot", "--kind", "contour", "--n-levels", "0"],
+         "n_levels must be at least 1, got 0"),
+    ],
+    ids=["delta", "checkpoint-tokens", "plateau-tol", "refinement", "s-floor", "n-levels",
+         "export-n-levels"],
+)
+def test_a_bad_numeric_flag_fails_before_the_run_log_is_opened(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if argv[0] == "export-plot" else ["--laws", str(out)]
+    assert main([*argv, "--runs", str(tmp_path / "absent.jsonl"), *target]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"scalelaw: error: ValidationError: {message}"]
+    assert not out.exists()
+
+
 def test_fit_bopt_refuses_a_bad_s_floor_before_contour_work(tmp_path, capsys, batch_sweep_runs):
     laws = tmp_path / "laws.json"
     with warnings.catch_warnings(record=True) as caught:

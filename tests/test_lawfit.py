@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,86 @@ def test_objective_gradient_matches_central_differences(ref_law, constraint, par
     assert value == pytest.approx(float(np.sum(huber(resid, delta))), rel=1e-12)
     numeric = _central_diff(lambda th: lawfit._objective_and_grad(th, *data)[0], theta)
     np.testing.assert_allclose(grad, numeric, rtol=1e-6)
+
+
+@pytest.mark.parametrize("constraint", [CONSTRAINT, None], ids=["constrained", "free"])
+def test_objective_with_work_arrays_allocates_no_row_array(constraint):
+    rows = 100_000
+    rng = np.random.default_rng(5)
+    n = rng.uniform(1.25e8, 2.6e9, rows)
+    d = rng.uniform(1e9, 3e11, rows)
+    obs = 1.7 + 400.0 / n**0.33 + 400.0 / d**0.28
+    theta = np.log((1.5, 0.29, 460.0) if constraint else (1.5, 314.0, 0.33, 460.0, 0.29))
+    args = (np.log(n), np.log(d), np.log(obs), 1e-3, constraint, np.empty((6, rows)))
+    lawfit._objective_and_grad(theta, *args)  # warm-up
+    tracemalloc.start()
+    try:
+        lawfit._objective_and_grad(theta, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows  # one row array of float64
+
+
+@pytest.mark.parametrize(
+    "constraint, params",
+    [(CONSTRAINT, (1.5, 0.29, 460.0)), (None, (1.5, 314.0, 0.33, 460.0, 0.29))],
+    ids=["constrained", "free"],
+)
+def test_objective_is_the_same_with_and_without_work_arrays(ref_law, constraint, params):
+    n, d, obs = np.asarray(grid_samples(ref_law, sigma=0.005, seed=0)).T
+    data = (np.log(n), np.log(d), np.log(obs), 1e-3, constraint)
+    theta = np.log(params)
+    value, grad = lawfit._objective_and_grad(theta, *data)
+    # what a work array held before a call does not reach its result
+    work = np.full((6, n.size), np.nan)
+    for _ in range(2):
+        reused_value, reused_grad = lawfit._objective_and_grad(theta, *data, work)
+        assert reused_value == value
+        assert (reused_grad == grad).all()
+
+
+def _script_polish(monkeypatch, outcomes):
+    """Make the polish of the i-th start return outcomes[i] = (E, objective, converged)."""
+    scripted = iter(outcomes)
+
+    def polish(theta0, lo, hi, args):
+        e, fun, success = next(scripted)
+        return lawfit._Polished(np.log([e, 0.29, 460.0]), fun, success)
+
+    monkeypatch.setattr(lawfit, "_minimize_box", polish)
+    return default_init_grid()[: len(outcomes)]
+
+
+def test_winner_is_the_first_lowest_converged_start(ref_law, monkeypatch):
+    grid = _script_polish(monkeypatch, [
+        (1.1, math.nan, False),
+        (1.2, 0.5, False),  # lowest, but failed
+        (1.3, 1.0, True),
+        (1.4, 1.0, True),  # ties the start before it
+        (1.5, 2.0, True),
+    ])
+    report = fit_loss_law(grid_samples(ref_law), constraint=CONSTRAINT, init_grid=grid)
+    assert report.law.E == pytest.approx(1.3, rel=1e-12)
+    assert report.objective_value == 1.0
+    assert (report.n_starts, report.n_converged) == (5, 3)
+    assert report.objective_spread == 1.0
+
+
+def test_without_a_converged_start_the_first_lowest_is_the_best_partial(ref_law, monkeypatch):
+    grid = _script_polish(monkeypatch, [
+        (1.1, math.nan, False),  # a NaN objective never beats a number
+        (1.2, 0.7, False),
+        (1.3, 0.5, False),
+        (1.4, 0.5, False),
+        (1.5, 2.0, False),
+    ])
+    with pytest.raises(FitFailureError) as exc_info:
+        fit_loss_law(grid_samples(ref_law), constraint=CONSTRAINT, init_grid=grid)
+    partial = exc_info.value.best_partial
+    assert partial.law.E == pytest.approx(1.3, rel=1e-12)
+    assert partial.objective_value == 0.5
+    assert (partial.n_starts, partial.n_converged, partial.objective_spread) == (5, 0, None)
 
 
 def test_fit_requires_span(ref_law):
