@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 from .. import __version__, artifact, bslaw, laws, runlog
 from .._atomic import write_atomic
 from ..errors import InsufficientDataError, ValidationError
-from . import csv_floats
+from . import check_positive, csv_floats
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
@@ -67,6 +67,9 @@ def filtered_runs(args):
     """The runs of the log args.runs that the verb's filter flags keep."""
     model_size = getattr(args, "model_size", None)
     batch = getattr(args, "batch", None)
+    for flag, value in (("--model-size", model_size), ("--batch", batch)):
+        if value is not None:
+            check_positive(flag, [value])
     scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
     seen = 0  # runs keep is asked about: none when the log holds none
 
@@ -88,9 +91,12 @@ def filtered_runs(args):
 
 
 def check_contour_flags(args) -> None:
-    """Refuse a bad --n-levels before the run log is read; --levels overrides it."""
+    """Refuse a bad --levels, or without it a bad --n-levels, before the run
+    log is read; --levels overrides --n-levels."""
     if args.levels is None:
         bslaw._check_n_levels(args.n_levels)
+    else:
+        check_positive("--levels", args.levels)
 
 
 def contour_levels(args, runset) -> list[float]:

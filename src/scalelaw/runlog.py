@@ -45,9 +45,12 @@ DEFAULT_HALF_LIFE_FRACTION = 0.01
 DEFAULT_DISCARD_FRACTION = 0.01
 
 # The run-log cache keeps the decoded points of each log content, by the
-# blake2b digest of its bytes.  Bump CACHE_FORMAT whenever point decoding
-# changes: entries of another format are never read, and age out.
-CACHE_FORMAT = 1
+# blake2b digest of its bytes.  A hit serves the runs whose digests it
+# verifies without validating them again, since they were validated when
+# the entry was written: bump CACHE_FORMAT whenever point decoding or the
+# rules of RunRecord.validate change.  Entries of another format are never
+# read, and age out.
+CACHE_FORMAT = 2
 CACHE_ENTRIES = 64
 
 
@@ -390,38 +393,30 @@ def read_runs(
     them (at ``\\n``, ``\\r\\n`` and ``\\r``) and decoded as UTF-8.  A log
     that parses without a rejected line leaves an entry, named by the
     blake2b digest of its bytes, under ``$XDG_CACHE_HOME/scalelaw`` (or
-    ``~/.cache/scalelaw``), holding all of its runs.  A later read of the
-    same bytes rebuilds the runs from that entry: it reads the entry's
-    header of run fields and then only the curve points of the runs
-    ``keep`` takes, and it reads and validates those records alone.  An
-    entry that is missing, damaged or refused is a miss, and so is a cache
+    ``~/.cache/scalelaw``), holding all of its runs and a digest of each
+    run's fields and points.  A later read of the same bytes rebuilds the
+    runs from that entry: it reads the entry's header of run fields and
+    then only the curve points of the runs ``keep`` takes, and it checks
+    each of those runs against its digest.  A verified run was validated
+    when the entry was written, so it is not validated again.  An entry
+    that is missing, damaged or fails a digest is a miss, and so is a cache
     directory that cannot be located or written: the log is parsed, so the
     cache never changes the result.  The CACHE_ENTRIES most recently used
     entries are kept.
 
     A regular file is digested through a fixed buffer first, so a hit never
     holds the log's bytes; a miss then parses the file again from the
-    start, and its entry is named by the digest of the bytes it parsed.  A
-    log that is not a regular file (a pipe, ``/dev/stdin``) would be drained
-    by the first pass, so its bytes are read once and both passes run on
-    them.
+    start, and its entry is named by the digest of the bytes it parsed.
+    That is the first digest, unless the file changed within _RACY_NS
+    before the read, where a rewrite could keep its size and times: the
+    parse then hashes the file again.  Otherwise a file whose size or times
+    changed while it was read leaves no entry.  A log that is not a regular
+    file (a pipe, ``/dev/stdin``) would be drained by the first pass, so its
+    bytes are read once and both passes run on them.
     """
-    cache = _cache_dir()
-    with open(path, "rb") as handle:
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            log = handle
-        else:
-            log = io.BytesIO(handle.read())
-        if cache is not None:
-            runset = _load_entry(cache / _entry_name(_digest(log)), keep)
-            if runset is not None:
-                return runset
-            log.seek(0)
-        digest = blake2b(digest_size=16)
-        accepted: list = []
-        runset = _parse_lines(_split_lines(log, digest), strict, accepted)
-    if cache is not None and len(runset) and not runset.rejected:
-        _store_entry(cache / _entry_name(digest.hexdigest()), accepted, runset)
+    hit, runset = _read_log(path, strict, lambda entry: _load_entry(entry, keep))
+    if hit is not None:
+        return hit
     if keep is None:
         return runset
     runs = {
@@ -431,19 +426,82 @@ def read_runs(
     return RunSet(runs=runs, rejected=runset.rejected)
 
 
+def _read_counts(path: str | Path, strict: bool = True) -> tuple[list, list]:
+    """The (n_params, batch_size_tokens, point count) of each run of the log
+    at path and its rejected lines, as read_runs finds them.
+
+    A hit reads them from the entry's header and checks every run's digest
+    through one fixed buffer, without numpy.
+    """
+    hit, runset = _read_log(path, strict, _entry_counts)
+    if hit is not None:
+        return hit, []
+    return _run_counts(runset), runset.rejected
+
+
+def _run_counts(runs: Iterable[RunRecord]) -> list[tuple[float, float, int]]:
+    """The (n_params, batch_size_tokens, point count) of each run."""
+    return [(run.model.n_params, run.batch_size_tokens, len(run.points)) for run in runs]
+
+
+# A log changed within this many nanoseconds before a read may be rewritten
+# during it without changing its size or times, which file systems keep to
+# a tick of their clock (FAT's is 2 s), so its parse hashes it again.
+_RACY_NS = 2 * 10**9
+
+
+def _read_log(path: str | Path, strict: bool, load) -> tuple:
+    """(load(entry), None) on a hit of the log at path, where load gives
+    None for an entry it refuses; (None, the parsed RunSet) on a miss,
+    which stores the log's entry."""
+    cache = _cache_dir()
+    with open(path, "rb") as handle:
+        opened = time.time_ns()
+        before = os.fstat(handle.fileno())
+        regular = stat.S_ISREG(before.st_mode)
+        log = handle if regular else io.BytesIO(handle.read())
+        name = digest = None
+        if cache is not None:
+            name = _digest(log)
+            hit = load(cache / _entry_name(name))
+            if hit is not None:
+                return hit, None
+            log.seek(0)
+            if regular and max(before.st_mtime_ns, before.st_ctime_ns) > opened - _RACY_NS:
+                digest = blake2b(digest_size=16)
+        accepted: list = []
+        runset = _parse_lines(_split_lines(log, digest), strict, accepted)
+        if digest is not None:
+            name = digest.hexdigest()
+        elif regular and _stamp(os.fstat(handle.fileno())) != _stamp(before):
+            name = None  # changed while it was parsed: what was parsed has no digest
+    if name is not None and len(runset) and not runset.rejected:
+        _store_entry(cache / _entry_name(name), accepted, runset)
+    return None, runset
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def _split_lines(log, digest) -> Iterator[bytes]:
     """The lines of a binary stream, one at a time, split where text mode
-    splits them; each chunk read is fed to digest."""
+    splits them; each chunk read is fed to digest, unless it is None."""
     for chunk in log:
-        digest.update(chunk)
+        if digest is not None:
+            digest.update(chunk)
         yield from chunk.splitlines()
+
+
+# the fixed buffer through which a log, or an entry's points, are hashed
+_BUFFER_BYTES = 1 << 16
 
 
 def _digest(log) -> str:
     """The blake2b digest of the rest of a binary stream, read through one
     fixed buffer."""
     digest = blake2b(digest_size=16)
-    buffer = bytearray(1 << 16)
+    buffer = bytearray(_BUFFER_BYTES)
     view = memoryview(buffer)
     while size := log.readinto(buffer):
         digest.update(view[:size])
@@ -465,54 +523,105 @@ def _entry_name(digest: str) -> str:
 
 
 # An entry is the byte length of its header (8 bytes, little-endian), the
-# header, a JSON list holding [line_no, point count, obj without points] for
-# each run, then the step, tokens and loss columns of all runs end to end
-# (little-endian int64, float64 and float64).
+# header, a JSON list holding [line_no, point count, digest, obj without
+# points] for each run, then the step, tokens and loss columns of all runs
+# end to end (little-endian int64, float64 and float64).  A run's digest is
+# the hex of _run_digest updated with its step, tokens and loss slices.
+_COLUMNS = (("step", "<i8"), ("tokens", "<f8"), ("loss", "<f8"))
+
+# what reading a damaged entry, or one of another format, can raise
+_DAMAGED = (OSError, ValueError, TypeError, LookupError, OverflowError, RecursionError,
+            ScaleLawError)
+
+
+def _run_digest(line_no: int, n: int, obj):
+    """The 64-bit blake2b of a run's header item, before its points."""
+    return blake2b(json.dumps([line_no, n, obj]).encode(), digest_size=8)
+
+
+def _read_header(handle) -> tuple[list, int, int]:
+    """The header of an open entry, where its columns start and its total
+    point count; ValueError if the entry's length does not match them."""
+    length = os.fstat(handle.fileno()).st_size
+    size = int.from_bytes(handle.read(8), "little")
+    if 8 + size > length:
+        raise ValueError("entry shorter than its header")
+    header = json.loads(handle.read(size))
+    total = sum(n for _, n, _, _ in header)
+    if length != 8 + size + 24 * total:
+        raise ValueError("entry length does not match its point count")
+    return header, 8 + size, total
 
 
 def _load_entry(entry: Path, keep) -> RunSet | None:
-    """The runs of an entry that keep takes, reading only their points."""
+    """The runs of an entry that keep takes, reading and verifying only their points."""
     try:
         with open(entry, "rb") as handle:
-            length = os.fstat(handle.fileno()).st_size
-            size = int.from_bytes(handle.read(8), "little")
-            if 8 + size > length:
-                return None
-            header = json.loads(handle.read(size))
-            total = sum(n for _, n, _ in header)
-            if length != 8 + size + 24 * total:
-                return None
-            kept = []  # (line_no, first point in the columns, point count, obj)
+            header, base, total = _read_header(handle)
+            kept = []  # (line_no, first point in the columns, point count, digest, obj)
             start = 0
-            for line_no, n, obj in header:
+            for line_no, n, digest, obj in header:
                 if keep is None or keep(*_filter_fields(obj, line_no)):
-                    kept.append((line_no, start, n, obj))
+                    kept.append((line_no, start, n, digest, obj))
                 start += n
-            # one array a column for the kept runs, each run's slice read into it
-            count = sum(n for _, _, n, _ in kept)
+            # one array a column for the kept runs, each run's slice read
+            # into it and hashed
+            count = sum(n for _, _, n, _, _ in kept)
+            hashes = [_run_digest(line_no, n, obj) for line_no, _, n, _, obj in kept]
             columns = []
-            for offset, dtype in ((0, "<i8"), (total, "<f8"), (2 * total, "<f8")):
+            for c, (_, dtype) in enumerate(_COLUMNS):
                 column = np.empty(count, dtype)
                 at = 0
-                for _, start, n, _ in kept:
-                    handle.seek(8 + size + 8 * (offset + start))
-                    if handle.readinto(column[at : at + n]) != 8 * n:
+                for (_, start, n, _, _), run_hash in zip(kept, hashes):
+                    handle.seek(base + 8 * (c * total + start))
+                    piece = column[at : at + n]
+                    if handle.readinto(piece) != 8 * n:
                         return None
+                    run_hash.update(piece)
                     at += n
                 columns.append(column)
+        if any(h.hexdigest() != digest for h, (_, _, _, digest, _) in zip(hashes, kept)):
+            return None
         runset = RunSet()
         at = 0
-        for line_no, _, n, obj in kept:
+        for line_no, _, n, _, obj in kept:
             obj["points"] = Curve(*(column[at : at + n] for column in columns))
-            _add_record(runset, obj, line_no)
+            record = _record_from_obj(obj, line_no)
+            check_new_run_id(runset.runs, record.run_id)
+            runset.runs[record.run_id] = record
             at += n
-    # an entry that cannot be read, is not of this format or holds a record
-    # that parsing would refuse: the log is parsed instead
-    except (OSError, ValueError, TypeError, LookupError, OverflowError, RecursionError,
-            ScaleLawError):
+    # an entry that cannot be read, is not of this format or fails a
+    # digest: the log is parsed instead
+    except _DAMAGED:
         return None
     _touch(entry)
     return runset
+
+
+def _entry_counts(entry: Path) -> list[tuple[float, float, int]] | None:
+    """_run_counts of the runs of an entry, every run's points hashed
+    through one fixed buffer and checked against its digest."""
+    try:
+        with open(entry, "rb") as handle:
+            header, _, _ = _read_header(handle)
+            hashes = [_run_digest(line_no, n, obj) for line_no, n, _, obj in header]
+            view = memoryview(bytearray(_BUFFER_BYTES))
+            for _ in _COLUMNS:  # the columns in file order, each run's slice in turn
+                for (_, n, _, _), run_hash in zip(header, hashes):
+                    left = 8 * n
+                    while left > 0:
+                        size = handle.readinto(view[: min(left, _BUFFER_BYTES)])
+                        if not size:
+                            return None
+                        run_hash.update(view[:size])
+                        left -= size
+        if any(h.hexdigest() != digest for h, (_, _, digest, _) in zip(hashes, header)):
+            return None
+        counts = [(*_filter_fields(obj, line_no)[:2], n) for line_no, n, _, obj in header]
+    except _DAMAGED:
+        return None
+    _touch(entry)
+    return counts
 
 
 def _filter_fields(obj: dict, line_no: int) -> tuple[float, float, LrScheme]:
@@ -526,17 +635,26 @@ def _filter_fields(obj: dict, line_no: int) -> tuple[float, float, LrScheme]:
 
 
 def _store_entry(entry: Path, accepted: list, runset: RunSet) -> None:
-    header = json.dumps(
-        [[line_no, len(run.points), obj] for (line_no, obj), run in zip(accepted, runset)]
-    ).encode()
+    columns = [
+        [np.ascontiguousarray(getattr(run.points, name), dtype) for name, dtype in _COLUMNS]
+        for run in runset
+    ]
+    items = []
+    for (line_no, obj), run_columns in zip(accepted, columns):
+        n = len(run_columns[0])
+        run_hash = _run_digest(line_no, n, obj)
+        for column in run_columns:
+            run_hash.update(column)
+        items.append([line_no, n, run_hash.hexdigest(), obj])
+    header = json.dumps(items).encode()
 
     def chunks():
         yield len(header).to_bytes(8, "little")
         yield header
         # each column of all runs end to end, written a run at a time
-        for name, dtype in (("step", "<i8"), ("tokens", "<f8"), ("loss", "<f8")):
-            for run in runset:
-                yield np.ascontiguousarray(getattr(run.points, name), dtype)
+        for c in range(len(_COLUMNS)):
+            for run_columns in columns:
+                yield run_columns[c]
 
     # an unwritable cache only costs the next read a parse
     with contextlib.suppress(OSError):

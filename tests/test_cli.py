@@ -337,6 +337,21 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
     assert "B/B_crit" in proc.stdout
 
 
+def test_ingest_of_a_cached_log_never_loads_numpy(five_model_runs):
+    """A hit takes ingest's summary from the entry's header and checks the
+    entry's digests without numpy; a miss parses the log with it."""
+    script = (
+        "import sys\n"
+        "from scalelaw.cli import main\n"
+        f"assert main(['ingest', '--runs', {str(five_model_runs)!r}, '--json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
+    )
+    miss = run_fresh(script).stdout.splitlines()
+    hit = run_fresh(script).stdout.splitlines()
+    assert miss[0] == hit[0] and '"runs": 5' in hit[0]
+    assert miss[1] != "[]" and hit[1] == "[]"
+
+
 # the layers the benchmark traces, and those that fit laws to run logs
 TRACED_LAYERS = ("synth", "runlog", "frontier", "bslaw", "lawfit", "lrlaw", "artifact", "advisor")
 FIT_LAYERS = ("synth", "runlog", "lawfit", "frontier", "bslaw", "lrlaw")
@@ -1413,9 +1428,21 @@ def test_non_finite_fit_parameters_are_validation_errors(
         (["fit-bopt", "--n-levels", "0"], "n_levels must be at least 1, got 0"),
         (["export-plot", "--kind", "contour", "--n-levels", "0"],
          "n_levels must be at least 1, got 0"),
+        (["frontier", "--batch", "nan"], "--batch must be positive and finite, got nan"),
+        (["fit-law", "--model-size=-inf"],
+         "--model-size must be positive and finite, got -inf"),
+        (["fit-lr", "--checkpoint-tokens", "1e10", "--batch", "0"],
+         "--batch must be positive and finite, got 0.0"),
+        (["export-plot", "--kind", "curves", "--model-size=-1.25e8"],
+         "--model-size must be positive and finite, got -125000000.0"),
+        (["fit-bopt", "--levels", "nan,2.5", "--model-size", "1.25e8"],
+         "--levels must be positive and finite, got nan"),
+        (["export-plot", "--kind", "contour", "--levels", "2.5,inf"],
+         "--levels must be positive and finite, got inf"),
     ],
     ids=["delta", "checkpoint-tokens", "plateau-tol", "refinement", "s-floor", "n-levels",
-         "export-n-levels"],
+         "export-n-levels", "batch", "model-size", "batch-zero", "export-model-size", "levels",
+         "export-levels"],
 )
 def test_a_bad_numeric_flag_fails_before_the_run_log_is_opened(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalelaw import runlog
+from scalelaw import cli, runlog
 from scalelaw._record import fields, replace
 from scalelaw._verbs._runs import filtered_runs
 from scalelaw import (
@@ -698,33 +699,51 @@ def _with_header(blob: bytes, header: bytes) -> bytes:
 
 @pytest.mark.parametrize("damage", [
     "garbled", "header_json", "not_a_list", "counts_swapped", "bad_field", "negative_loss",
-    "longer_body",
+    "longer_body", "counts_swapped_filtered", "changed_loss", "edited_field",
 ])
 def test_damaged_entry_is_a_silent_miss(cached_log, damage):
     """Whatever is wrong with an entry, the read parses the log instead and
-    writes the entry afresh; a hit still reads and validates every record."""
+    writes the entry afresh; a hit verifies every record it serves against
+    its digest, and does not validate it again."""
     path, entry, expected = cached_log
     blob = entry.read_bytes()
     header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
-    (line_x, n_x, obj_x), (line_y, n_y, obj_y) = header
+    (line_x, n_x, digest_x, obj_x), (line_y, n_y, digest_y, obj_y) = header
+    # each run takes the other's point count: its steps stop increasing
+    counts_swapped = _with_header(blob, json.dumps(
+        [[line_x, n_y, digest_x, obj_x], [line_y, n_x, digest_y, obj_y]]
+    ).encode())
     damaged = {
         "garbled": bytes(b ^ 0x5A for b in blob),
         "header_json": blob[:8] + b"{" + blob[9:],
         "not_a_list": _with_header(blob, b'{"runs": 2}'),
-        # each run takes the other's point count: its steps stop increasing
-        "counts_swapped": _with_header(
-            blob, json.dumps([[line_x, n_y, obj_x], [line_y, n_x, obj_y]]).encode()
-        ),
+        "counts_swapped": counts_swapped,
         "bad_field": _with_header(
-            blob, json.dumps([[line_x, n_x, dict(obj_x, lr_scheme="bogus")],
-                              [line_y, n_y, obj_y]]).encode()
+            blob, json.dumps([[line_x, n_x, digest_x, dict(obj_x, lr_scheme="bogus")],
+                              [line_y, n_y, digest_y, obj_y]]).encode()
         ),
-        # the last loss of the last run: validation refuses it
+        # the last loss of the last run: validation would refuse it
         "negative_loss": blob[:-8] + struct.pack("<d", -1.0),
         "longer_body": blob + bytes(24),
+        # a read that keeps only run y finds its 4 points as 3 that validate
+        "counts_swapped_filtered": counts_swapped,
+        # values that validation accepts, but not those the log holds
+        "changed_loss": blob[:-8] + struct.pack("<d", 1.1),
+        "edited_field": _with_header(
+            blob, json.dumps([[line_x, n_x, digest_x, dict(obj_x, n_params=2e8)],
+                              [line_y, n_y, digest_y, obj_y]]).encode()
+        ),
     }[damage]
     entry.write_bytes(damaged)
-    assert_same_runs(read_runs(path), expected)
+    if damage.endswith("_filtered"):
+        got = read_runs(path, keep=lambda n, b, s: b == 1e6)
+        assert_same_runs(got, RunSet(runs={"y": expected["y"]}))
+    else:
+        assert_same_runs(read_runs(path), expected)
+    assert entry.read_bytes() == blob
+    # ingest's summary of a hit checks the same digests
+    entry.write_bytes(damaged)
+    assert runlog._read_counts(path) == (runlog._run_counts(expected), [])
     assert entry.read_bytes() == blob
 
 
@@ -990,8 +1009,8 @@ def test_a_filtered_hit_reads_only_the_kept_points(tmp_path):
         tracemalloc.stop()
     assert list(runset.runs) == ["r1"]
     # the dropped runs' 24 bytes a point: a hit that loaded the whole entry
-    # held them all, while this one holds the kept run's columns and the
-    # temporaries of its validation (1.15 MB of the bound's 1.44 on numpy 2.4)
+    # held them all, while this one holds the kept run's columns (0.51 MB of
+    # the bound's 1.44 on numpy 2.4)
     assert peak < 24 * 3 * 20_000
 
 
@@ -1013,7 +1032,7 @@ def test_an_entry_is_named_by_the_bytes_it_was_parsed_from(tmp_path, run_log_cac
     expected = parse_runs(new.splitlines())
     assert_same_runs(read_runs(path), expected)
     (entry,) = run_log_cache.iterdir()
-    assert entry.name == f"runs-v1-{runlog.blake2b(new, digest_size=16).hexdigest()}"
+    assert entry.name == f"runs-v2-{runlog.blake2b(new, digest_size=16).hexdigest()}"
     monkeypatch.setattr(runlog, "_digest", digest)
     with _no_decoding():
         assert_same_runs(read_runs(path), expected)
@@ -1029,10 +1048,100 @@ def test_entry_bytes_are_pinned(tmp_path, run_log_cache):
     )
     read_runs(path)
     (entry,) = run_log_cache.iterdir()
-    assert entry.name == "runs-v1-14b0819cf860e20b4ce43c275883b52e"
+    assert entry.name == "runs-v2-14b0819cf860e20b4ce43c275883b52e"
     assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
-        "064684932ebdb297665ce8a7ecd265017fba6aca6c4a7ad91bf088c720529066"
+        "fbd63fa8fc631d4ad839abcd4f6fd8bb94ce8bc35e4a83b021733175f8489d24"
     )
+
+
+def _hashed_log_bytes(monkeypatch) -> list:
+    """The byte counts fed to the log digests (16-byte blake2b) of runlog."""
+    fed = []
+    blake2b = runlog.blake2b
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self._hash = blake2b(*args, **kwargs)
+            self._count = kwargs.get("digest_size") == 16
+
+        def update(self, data):
+            if self._count:
+                fed.append(memoryview(data).nbytes)
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(runlog, "blake2b", Counting)
+    return fed
+
+
+def test_a_miss_hashes_a_settled_log_once(tmp_path, run_log_cache, monkeypatch):
+    """A log unchanged for longer than the racy window is named by the
+    digest its lookup took; one changed within it is hashed again as it is
+    parsed, since a rewrite there could keep its size and times."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    fed = _hashed_log_bytes(monkeypatch)
+    assert_same_runs(read_runs(path), parse_runs(path.read_bytes().splitlines()))
+    assert sum(fed) == 2 * path.stat().st_size
+    (entry,) = run_log_cache.iterdir()
+    blob = entry.read_bytes()
+    entry.unlink()
+    fed.clear()
+    monkeypatch.setattr(runlog, "_RACY_NS", 0)
+    assert_same_runs(read_runs(path), parse_runs(path.read_bytes().splitlines()))
+    assert sum(fed) == path.stat().st_size
+    assert entry.read_bytes() == blob
+    with _no_decoding():
+        read_runs(path)
+
+
+def test_a_log_changed_while_it_is_parsed_leaves_no_entry(tmp_path, run_log_cache, monkeypatch):
+    """Its parse was not hashed, so nothing names what it parsed."""
+    monkeypatch.setattr(runlog, "_RACY_NS", 0)
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    new = path.read_bytes().replace(b'"lr_peak": 0.0003', b'"lr_peak": 0.00035')
+    parse_lines = runlog._parse_lines
+
+    def rewrite_then_parse(lines, strict, accepted):
+        runset = parse_lines(lines, strict, accepted)
+        path.write_bytes(new)
+        return runset
+
+    monkeypatch.setattr(runlog, "_parse_lines", rewrite_then_parse)
+    read_runs(path)
+    assert not run_log_cache.exists()
+    monkeypatch.setattr(runlog, "_parse_lines", parse_lines)
+    assert_same_runs(read_runs(path), parse_runs(new.splitlines()))
+    (entry,) = run_log_cache.iterdir()
+    assert entry.name == f"runs-v2-{runlog.blake2b(new, digest_size=16).hexdigest()}"
+
+
+def _ingest(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=75, deadline=None, derandomize=True)
+@given(data=_run_logs())
+def test_ingest_prints_the_same_on_a_miss_and_a_hit(data):
+    """A hit takes ingest's summary from the entry, a miss from the parsed
+    runs; both print the same bytes, strict and lenient."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
+        cache = Path(tmp, "scalelaw")
+        path = Path(tmp, "runs.jsonl")
+        path.write_bytes(data)
+        for lenient in ([], ["--lenient"]):
+            argv = ["ingest", "--runs", str(path), "--json", *lenient]
+            for entry in cache.glob("*"):
+                entry.unlink()
+            miss = _ingest(argv)
+            stored = any(cache.glob("*"))
+            with _no_decoding() if stored else contextlib.nullcontext():
+                assert _ingest(argv) == miss
 
 
 def test_non_utf8_line_is_parse_error(tmp_path):
