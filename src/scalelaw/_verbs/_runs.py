@@ -99,10 +99,12 @@ def check_contour_flags(args) -> None:
         check_positive("--levels", args.levels)
 
 
-def contour_levels(args, runset) -> list[float]:
+def contour_levels(args, runset, smoothed: dict) -> list[float]:
+    """--levels, or without it the default levels of the runs; ``smoothed``
+    keeps the curves smoothed for them, for the contours to reuse."""
     if args.levels is not None:
         return args.levels
-    return bslaw.default_loss_levels(runset, args.n_levels)
+    return bslaw.default_loss_levels(runset, args.n_levels, smoothed)
 
 
 def add_fit_io_flags(parser, runs_help: str = "input run log (JSONL)") -> None:

@@ -32,12 +32,14 @@ def run(args) -> None:
     doc = laws_to_update(args.laws)
     runset = filtered_runs(args)
     scheme = laws.LrScheme(args.scheme) if args.scheme else None
+    smoothed: dict = {}
     law, vertices = bslaw.bopt_law_from_runs(
         runset,
-        loss_levels=contour_levels(args, runset),
+        loss_levels=contour_levels(args, runset, smoothed),
         lr_policy=args.policy,
         scheme=scheme,
         s_floor_hint=args.s_floor,
+        smoothed=smoothed,
     )
     replace(doc, bopt=law).save(args.laws)
     lines = [

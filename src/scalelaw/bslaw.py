@@ -14,7 +14,6 @@ import math
 import warnings
 from typing import Literal, Sequence
 
-from ._lazy import np
 from ._record import Record
 from .errors import (
     EmptyContourError,
@@ -26,7 +25,15 @@ from .errors import (
 )
 from .frontier import fit_power_law, parabola_vertex
 from .laws import BoptLaw, LrScheme
-from .runlog import DEFAULT_HALF_LIFE_FRACTION, RunSet, has_divergence, smooth_run, tokens_at_loss
+from .runlog import (
+    DEFAULT_HALF_LIFE_FRACTION,
+    Curve,
+    RunRecord,
+    RunSet,
+    has_divergence,
+    loss_inverse,
+    smooth_run,
+)
 
 # Choose default loss levels inside the bulk of final losses.
 DEFAULT_N_LEVELS = 8
@@ -66,24 +73,60 @@ def _check_n_levels(n_levels: int) -> None:
         raise ValidationError(f"n_levels must be at least 1, got {n_levels}")
 
 
-def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> list[float]:
+def _smoothed(
+    smoothed: dict,
+    run: RunRecord,
+    half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
+    discard_fraction: float | None = None,
+) -> Curve:
+    """smooth_run(run, ...).points, kept in smoothed by run id and settings."""
+    key = (run.run_id, half_life_fraction, discard_fraction)
+    if key not in smoothed:
+        smoothed[key] = smooth_run(
+            run, half_life_fraction=half_life_fraction, discard_fraction=discard_fraction
+        ).points
+    return smoothed[key]
+
+
+def default_loss_levels(
+    runset: RunSet, n_levels: int = DEFAULT_N_LEVELS, smoothed: dict | None = None
+) -> list[float]:
     """Evenly spaced levels between the 20th and 80th percentile of final losses.
 
     Diverged runs do not vote: their endpoints sit far above anything a
     contour can use, so the window spans only losses that some run actually
-    sustained.
+    sustained.  ``smoothed``, when given, keeps each smoothed curve by run
+    id and smoothing settings; handed to iso_loss_contour on the same runs,
+    it lets the contours reuse the curves smoothed here.
     """
     _check_n_levels(n_levels)
-    finals = []
-    for run in runset:
-        if has_divergence(run.points):
-            continue
-        smoothed = smooth_run(run)
-        finals.append(float(smoothed.points.loss[-1]))
+    smoothed = {} if smoothed is None else smoothed
+    finals = [
+        _smoothed(smoothed, run).columns[2][-1]
+        for run in runset
+        if not has_divergence(run.points)
+    ]
     if not finals:
         raise InsufficientDataError("no converged runs to pick loss levels from")
     lo, hi = (_percentile(finals, q) for q in LEVEL_PERCENTILES)
-    return [float(v) for v in np.linspace(lo, hi, n_levels)]
+    return _linspace(lo, hi, n_levels)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) of two floats, bit for bit, as Python floats.
+
+    numpy adds lo to i * step, or to i / (n - 1) * (hi - lo) when the step
+    underflows to zero, and sets the last value to hi.
+    """
+    if n == 1:
+        return [0.0 * (hi - lo) + lo]
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        values = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -111,6 +154,7 @@ def iso_loss_contour(
     scheme: LrScheme | None = None,
     half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
     discard_fraction: float | None = None,
+    smoothed: dict | None = None,
 ) -> dict[float, list[ContourPoint]]:
     """Iso-loss contours of one model size swept over batch sizes.
 
@@ -123,6 +167,8 @@ def iso_loss_contour(
     The smoothing knobs pass through to smooth_run.  High loss levels live
     in the discarded head of the curve, so runs without a warm-up transient
     can trade a smaller discard_fraction for contour coverage there.
+    ``smoothed`` is default_loss_levels's: curves already smoothed with the
+    same settings are taken from it, and the rest are added to it.
 
     Returns:
         Mapping of loss level to its contour points, batch-ascending.
@@ -147,11 +193,11 @@ def iso_loss_contour(
             f"need at least 3 distinct batch sizes, got {len(by_batch)}"
         )
 
-    # each run is smoothed once; every level then costs one curve inversion
-    curves = {
-        run.run_id: smooth_run(
-            run, half_life_fraction=half_life_fraction, discard_fraction=discard_fraction
-        ).points
+    # each run is smoothed and its running minimum built once; every level
+    # then costs one bisection a run
+    smoothed = {} if smoothed is None else smoothed
+    inverses = {
+        run.run_id: loss_inverse(_smoothed(smoothed, run, half_life_fraction, discard_fraction))
         for run in eligible
     }
     contours: dict[float, list[ContourPoint]] = {}
@@ -163,7 +209,7 @@ def iso_loss_contour(
             best = math.inf
             for run in by_batch[b]:
                 try:
-                    d_req = tokens_at_loss(curves[run.run_id], level)
+                    d_req = inverses[run.run_id](level)
                 except (PreRangeLossError, UnreachableLossError):
                     continue
                 best = min(best, d_req)
@@ -194,8 +240,8 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
     levels = {pt.loss_level for pt in pts}
     if len(levels) != 1:
         raise ValidationError("contour points must share one loss level")
-    log_b = np.log([pt.B for pt in pts])
-    log_d = np.log([pt.D_required for pt in pts])
+    log_b = [math.log(pt.B) for pt in pts]
+    log_d = [math.log(pt.D_required) for pt in pts]
     try:
         log_b_star, log_d_star = parabola_vertex(log_b, log_d)
     except NoMinimumError as exc:
@@ -204,7 +250,7 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
         loss_level=pts[0].loss_level,
         B_star=float(math.exp(log_b_star)),
         D_star=float(math.exp(log_d_star)),
-        extrapolated=not (log_b.min() <= log_b_star <= log_b.max()),
+        extrapolated=not (min(log_b) <= log_b_star <= max(log_b)),
     )
 
 
@@ -237,8 +283,9 @@ def fit_bopt_law(
         )
     if len(usable) < 4:
         raise InsufficientDataError(f"need at least 4 vertices, got {len(usable)}")
-    d_vals = np.array([v.D_star for v in usable])
-    if d_vals.max() / d_vals.min() < 10.0:
+    d_min = min(v.D_star for v in usable)
+    d_max = max(v.D_star for v in usable)
+    if d_max / d_min < 10.0:
         raise InsufficientDataError("vertices must span at least one decade of D")
 
     band_top = 1.5 * s_floor_hint if s_floor_hint is not None else S_FLOOR_BAND[1]
@@ -248,7 +295,7 @@ def fit_bopt_law(
     if s_floor_hint is not None:
         s_floor = s_floor_hint
     elif floor_limited:
-        s_floor = float(np.median([v.D_star / v.B_star for v in floor_limited]))
+        s_floor = _median([v.D_star / v.B_star for v in floor_limited])
     else:
         s_floor = DEFAULT_S_FLOOR
 
@@ -272,10 +319,18 @@ def fit_bopt_law(
         p=float(p),
         s_floor=float(s_floor),
         crossover_D=float(crossover),
-        d_min=float(d_vals.min()),
-        d_max=float(d_vals.max()),
+        d_min=d_min,
+        d_max=d_max,
         power_fitted=power_fitted,
     )
+
+
+def _median(values: list[float]) -> float:
+    """np.median of positive finite floats, bit for bit: the middle value,
+    or the mean (a + b) / 2 of the middle two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def bopt_law_from_runs(
@@ -285,20 +340,27 @@ def bopt_law_from_runs(
     scheme: LrScheme | None = None,
     s_floor_hint: float | None = None,
     discard_fraction: float | None = None,
+    smoothed: dict | None = None,
 ) -> tuple[BoptLaw, list[ContourVertex]]:
     """Full pipeline: contours, parabola vertices, two-regime fit.
 
     Levels whose contour has no interior minimum are skipped with a warning.
-    A bad s_floor_hint is refused before any contour work.
+    A bad s_floor_hint is refused before any contour work.  ``smoothed`` is
+    default_loss_levels's, shared by the levels and the contours.
     """
     _check_s_floor_hint(s_floor_hint)
-    levels = list(loss_levels) if loss_levels is not None else default_loss_levels(runset)
+    smoothed = {} if smoothed is None else smoothed
+    if loss_levels is None:
+        levels = default_loss_levels(runset, smoothed=smoothed)
+    else:
+        levels = list(loss_levels)
     contours = iso_loss_contour(
         runset,
         levels,
         lr_policy=lr_policy,
         scheme=scheme,
         discard_fraction=discard_fraction,
+        smoothed=smoothed,
     )
     vertices = []
     for level in levels:

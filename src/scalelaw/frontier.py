@@ -220,17 +220,16 @@ def fit_power_law(x, y) -> PowerLaw:
     """Least-squares power law through (x, y): log y regressed on log x.
 
     The line is fitted in closed form on log x and log y centred at their
-    means, so it needs at least 2 distinct x.
+    means, in Python floats, so it needs at least 2 distinct x.
     """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if x_arr.size != y_arr.size or x_arr.size < 2:
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys) or len(xs) < 2:
         raise InsufficientDataError("need at least 2 (x, y) points")
-    values = np.concatenate([x_arr, y_arr])
-    if not np.all((values > 0) & (values < math.inf)):
+    if not all(0 < v < math.inf for v in xs + ys):
         raise ValidationError("power-law fits need positive finite values")
-    log_x = np.log(x_arr).tolist()
-    log_y = np.log(y_arr).tolist()
+    log_x = [math.log(v) for v in xs]
+    log_y = [math.log(v) for v in ys]
     distinct = len(set(log_x))
     if distinct < 2:
         raise InsufficientDataError(f"need at least 2 distinct x values, got {distinct}")
@@ -238,11 +237,15 @@ def fit_power_law(x, y) -> PowerLaw:
     mean_y = math.fsum(log_y) / len(log_y)
     u = [v - mean_x for v in log_x]
     slope = math.fsum(a * (b - mean_y) for a, b in zip(u, log_y)) / math.fsum(a * a for a in u)
+    try:
+        k = math.exp(mean_y - slope * mean_x)
+    except OverflowError:  # numpy's inf, which PowerLaw refuses with a ValidationError
+        k = math.inf
     return PowerLaw(
-        k=float(np.exp(mean_y - slope * mean_x)),
+        k=k,
         p=slope,
-        x_min=float(x_arr.min()),
-        x_max=float(x_arr.max()),
+        x_min=min(xs),
+        x_max=max(xs),
     )
 
 
@@ -253,8 +256,8 @@ def parabola_vertex(x, y) -> tuple[float, float]:
     The 3x3 normal equations of the quadratic in x centred at its mean are
     solved in floats, so the fit needs at least 3 distinct x.
     """
-    xs = np.asarray(x, dtype=float).tolist()
-    ys = np.asarray(y, dtype=float).tolist()
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
     if len(xs) != len(ys) or len(xs) < 3:
         raise InsufficientDataError("need at least 3 (x, y) points")
     distinct = len(set(xs))

@@ -14,7 +14,10 @@ import json
 import math
 import os
 import stat
+import sys
 import time
+from array import array
+from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -74,7 +77,12 @@ class Curve(Record, frozen=True, eq=False):
     """A loss curve: optimizer steps, cumulative tokens and observed losses.
 
     The three columns are equal-length 1-D read-only arrays (int64 steps,
-    float64 tokens and losses), one entry per checkpoint.
+    float64 tokens and losses), one entry per checkpoint.  The curve holds
+    them as ``columns``, read-only int64 and float64 memoryviews, which the
+    contour path reads as Python numbers.  Each numpy array is a zero-copy
+    view of its buffer, built when it is first read, so a process that never
+    reads one never loads numpy.  Columns given as such memoryviews are kept
+    as they are; anything else goes through numpy.
     """
 
     step: np.ndarray
@@ -82,18 +90,62 @@ class Curve(Record, frozen=True, eq=False):
     loss: np.ndarray
 
     def __post_init__(self) -> None:
-        given_steps = self.step
-        for name, dtype in (("step", np.int64), ("tokens", np.float64), ("loss", np.float64)):
-            column = np.asarray(getattr(self, name), dtype=dtype).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        if self.step.ndim != 1 or not self.step.shape == self.tokens.shape == self.loss.shape:
+        given = [self.__dict__[name] for name in _CURVE_FIELDS]
+        buffered = all(map(_is_column, given, _CURVE_TYPECODES))
+        if buffered:
+            columns = [value.toreadonly() for value in given]
+            for name in _CURVE_FIELDS:
+                del self.__dict__[name]  # its array is built when first read
+        else:
+            columns = [
+                _read_only_array(value, dtype)
+                for value, dtype in zip(given, (np.int64, np.float64, np.float64))
+            ]
+            self.__dict__.update(zip(_CURVE_FIELDS, columns))
+        if not (
+            all(column.ndim == 1 for column in columns)
+            and len(columns[0]) == len(columns[1]) == len(columns[2])
+        ):
             raise ValidationError("curve columns must be 1-D arrays of equal length")
-        if not np.array_equal(self.step, given_steps):
+        if not buffered and not np.array_equal(columns[0], given[0]):
             raise ValidationError("curve steps must be whole numbers")
+        self.__dict__["columns"] = tuple(columns if buffered else map(memoryview, columns))
+
+    def __getattr__(self, name: str):
+        # called only for an attribute not in __dict__: a column whose array
+        # has not been read yet, which becomes a view of its buffer
+        if name in _CURVE_FIELDS and "columns" in self.__dict__:
+            view = np.asarray(self.columns[_CURVE_FIELDS.index(name)])
+            self.__dict__[name] = view
+            return view
+        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        return Curve, (self.step, self.tokens, self.loss)
 
     def __len__(self) -> int:
-        return self.loss.size
+        return len(self.columns[2])
+
+
+# a Curve's fields and the array typecodes of their buffers
+_CURVE_FIELDS = ("step", "tokens", "loss")
+_CURVE_TYPECODES = ("q", "d", "d")
+
+
+def _is_column(value, code: str) -> bool:
+    """True for a 1-D memoryview of the typecode's 8-byte numbers."""
+    return (
+        isinstance(value, memoryview)
+        and value.ndim == 1
+        and value.itemsize == 8
+        and value.format in (("q", "l") if code == "q" else ("d",))
+    )
+
+
+def _read_only_array(value, dtype) -> np.ndarray:
+    column = np.asarray(value, dtype=dtype).view()
+    column.flags.writeable = False
+    return column
 
 
 class RunRecord(Record):
@@ -564,22 +616,25 @@ def _load_entry(entry: Path, keep) -> RunSet | None:
                 if keep is None or keep(*_filter_fields(obj, line_no)):
                     kept.append((line_no, start, n, digest, obj))
                 start += n
-            # one array a column for the kept runs, each run's slice read
-            # into it and hashed
+            # one stdlib array a column for the kept runs, each run's slice
+            # read into it and hashed
             count = sum(n for _, _, n, _, _ in kept)
             hashes = [_run_digest(line_no, n, obj) for line_no, _, n, _, obj in kept]
             columns = []
-            for c, (_, dtype) in enumerate(_COLUMNS):
-                column = np.empty(count, dtype)
+            for c, code in enumerate(_CURVE_TYPECODES):
+                column = array(code, [0]) * count
+                view = memoryview(column)
                 at = 0
                 for (_, start, n, _, _), run_hash in zip(kept, hashes):
                     handle.seek(base + 8 * (c * total + start))
-                    piece = column[at : at + n]
+                    piece = view[at : at + n]
                     if handle.readinto(piece) != 8 * n:
                         return None
                     run_hash.update(piece)
                     at += n
-                columns.append(column)
+                if sys.byteorder == "big":  # the entry is little-endian
+                    column.byteswap()
+                columns.append(view.toreadonly())
         if any(h.hexdigest() != digest for h, (_, _, _, digest, _) in zip(hashes, kept)):
             return None
         runset = RunSet()
@@ -741,23 +796,27 @@ def write_runs(path: str | Path, runs: Iterable[RunRecord]) -> int:
     return count
 
 
-def _take(curve: Curve, index) -> Curve:
-    """The checkpoints of a curve picked by a slice or mask."""
-    return Curve(curve.step[index], curve.tokens[index], curve.loss[index])
+def _finite_count(values) -> int:
+    """The number of leading finite numbers of a float buffer."""
+    # a finite sum has no non-finite term, so only a buffer holding one (or
+    # whose sum overflows) is scanned
+    if math.isfinite(sum(values)):
+        return len(values)
+    return next((i for i, value in enumerate(values) if not math.isfinite(value)), len(values))
 
 
 def finite_prefix(curve: Curve) -> Curve:
     """The leading span of a curve before the first non-finite loss."""
-    bad = ~np.isfinite(curve.loss)
-    return _take(curve, slice(bad.argmax())) if bad.any() else curve
+    n = _finite_count(curve.columns[2])
+    return curve if n == len(curve) else Curve(*(column[:n] for column in curve.columns))
 
 
 def has_divergence(curve: Curve) -> bool:
     """True when the curve has a non-finite loss or ends above twice its start."""
     if not len(curve):
         raise InsufficientDataError("an empty curve can neither converge nor diverge")
-    loss = curve.loss
-    return bool(not np.isfinite(loss).all() or loss[-1] > 2.0 * loss[0])
+    loss = curve.columns[2]
+    return _finite_count(loss) < len(loss) or loss[-1] > 2.0 * loss[0]
 
 
 def smooth_curve(
@@ -772,9 +831,8 @@ def smooth_curve(
     exponential moving average whose weight halves every ``half_life_tokens``
     tokens, so with a half-life much longer than the curve the result tends
     to the running mean.  Steps and token counts are left untouched.  The
-    recurrence runs on Python floats, one checkpoint at a time, over one
-    block of _ROWS_PER_CHUNK checkpoints at a time, so it never holds the
-    whole curve as lists.
+    recurrence runs on Python floats, one checkpoint at a time, read from
+    the curve's buffers, so it never holds the curve as lists.
 
     Args:
         curve: strictly increasing checkpoints with finite losses.
@@ -792,29 +850,28 @@ def smooth_curve(
         raise ValidationError("half_life_tokens must be positive")
     if not 0 <= discard_fraction < 1:
         raise ValidationError("discard_fraction must be in [0, 1)")
-    if not np.isfinite(curve.loss).all():
+    step, tokens, loss = curve.columns
+    if _finite_count(loss) < len(loss):
         raise ValidationError("smooth_curve requires finite losses; trim with finite_prefix")
-    if len(curve):
-        curve = _take(curve, curve.tokens >= discard_fraction * curve.tokens[-1])
-    if len(curve) < 2:
+    if len(tokens):
+        # tokens increase, so the points kept are those from the first at
+        # or above the cut
+        start = bisect_left(tokens, discard_fraction * tokens[-1])
+        step, tokens, loss = step[start:], tokens[start:], loss[start:]
+    if len(loss) < 2:
         raise InsufficientDataError(
-            f"only {len(curve)} points remain after discarding the first "
+            f"only {len(loss)} points remain after discarding the first "
             f"{discard_fraction:.0%} of tokens; need at least 2"
         )
-    out = np.empty(len(curve))
-    weighted = out[0] = float(curve.loss[0])
+    weighted = loss[0]
     weight = 1.0
-    for start in range(1, len(curve), _ROWS_PER_CHUNK):
-        block = slice(start, start + _ROWS_PER_CHUNK)
-        tokens = curve.tokens[start - 1 : block.stop].tolist()
-        smoothed = []
-        for prev_tokens, cur_tokens, loss in zip(tokens, tokens[1:], curve.loss[block].tolist()):
-            decay = 0.5 ** ((cur_tokens - prev_tokens) / half_life_tokens)
-            weighted = weighted * decay + loss
-            weight = weight * decay + 1.0
-            smoothed.append(weighted / weight)
-        out[block] = smoothed
-    return Curve(curve.step, curve.tokens, out)
+    out = array("d", [weighted])
+    for prev_tokens, cur_tokens, value in zip(tokens, tokens[1:], loss[1:]):
+        decay = 0.5 ** ((cur_tokens - prev_tokens) / half_life_tokens)
+        weighted = weighted * decay + value
+        weight = weight * decay + 1.0
+        out.append(weighted / weight)
+    return Curve(step, tokens, memoryview(out))
 
 
 def smooth_run(
@@ -831,7 +888,7 @@ def smooth_run(
     points = finite_prefix(run.points)
     if len(points) < 2:
         raise InsufficientDataError(f"run {run.run_id}: fewer than 2 finite points")
-    total = float(points.tokens[-1])
+    total = points.columns[1][-1]
     if discard_fraction is None:
         warm_span = run.warmup_steps * run.batch_size_tokens / total
         discard_fraction = min(0.9, max(DEFAULT_DISCARD_FRACTION, warm_span))
@@ -848,28 +905,47 @@ def tokens_at_loss(curve: Curve, target_loss: float) -> float:
     UnreachableLossError when it sits below the best loss the curve ever
     attains.
     """
+    return loss_inverse(curve)(target_loss)
+
+
+def loss_inverse(curve: Curve) -> Callable[[float], float]:
+    """tokens_at_loss of the curve as a function of the target loss.
+
+    The running minimum is built once, so each target costs one bisection.
+    It is taken as ``np.fmin.accumulate`` takes it: a NaN loss is skipped
+    once a number has been seen.
+    """
     if len(curve) < 2:
         raise InsufficientDataError("need at least 2 points to invert a curve")
-    if not (target_loss > 0 and math.isfinite(target_loss)):
-        raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
-    tokens = curve.tokens
-    best = np.fmin.accumulate(curve.loss)
-    if target_loss > best[0]:
-        raise PreRangeLossError(
-            f"target {target_loss} above the first recorded loss {float(best[0])}"
-        )
-    if target_loss < best[-1]:
-        raise UnreachableLossError(
-            f"target {target_loss} below the best loss {float(best[-1])} reached by the curve"
-        )
-    # first checkpoint whose running minimum is at or below the target
-    i = int(np.searchsorted(-best, -target_loss, side="left"))
-    if i == 0:
-        return float(tokens[0])
-    prev_loss, cur_loss = float(best[i - 1]), float(best[i])
-    prev_tokens, cur_tokens = float(tokens[i - 1]), float(tokens[i])
-    frac = (prev_loss - target_loss) / (prev_loss - cur_loss)
-    log_tokens = math.log(prev_tokens) + frac * (math.log(cur_tokens) - math.log(prev_tokens))
-    # exp(log(t)) can round past t; the answer stays inside its bracket so
-    # that a lower target never needs fewer tokens
-    return min(max(math.exp(log_tokens), prev_tokens), cur_tokens)
+    _, tokens, loss = curve.columns
+    # the running minimum, negated so that it ascends for bisect
+    rising = array("d")
+    best = math.nan
+    for value in loss:
+        if value < best or best != best:
+            best = value
+        rising.append(-best)
+    first, last = -rising[0], -rising[-1]
+
+    def tokens_at(target_loss: float) -> float:
+        if not (target_loss > 0 and math.isfinite(target_loss)):
+            raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
+        if target_loss > first:
+            raise PreRangeLossError(f"target {target_loss} above the first recorded loss {first}")
+        if target_loss < last:
+            raise UnreachableLossError(
+                f"target {target_loss} below the best loss {last} reached by the curve"
+            )
+        # first checkpoint whose running minimum is at or below the target
+        i = bisect_left(rising, -target_loss)
+        if i == 0:
+            return tokens[0]
+        prev_loss, cur_loss = -rising[i - 1], -rising[i]
+        prev_tokens, cur_tokens = tokens[i - 1], tokens[i]
+        frac = (prev_loss - target_loss) / (prev_loss - cur_loss)
+        log_tokens = math.log(prev_tokens) + frac * (math.log(cur_tokens) - math.log(prev_tokens))
+        # exp(log(t)) can round past t; the answer stays inside its bracket so
+        # that a lower target never needs fewer tokens
+        return min(max(math.exp(log_tokens), prev_tokens), cur_tokens)
+
+    return tokens_at

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalelaw import (
     BoptLaw,
@@ -25,6 +27,7 @@ from scalelaw import (
     solve_tradeoff,
 )
 import scalelaw.bslaw
+from scalelaw.cli import main
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
 
@@ -128,6 +131,60 @@ def test_contour_smooths_each_run_once(monkeypatch, policy, scheme):
     assert calls == Counter(dict.fromkeys(eligible, 1))
 
 
+def _counting_smooth_run(monkeypatch) -> Counter:
+    """The smooth_run calls of bslaw, by (run id, discard_fraction)."""
+    calls = Counter()
+
+    def counting_smooth_run(run, *args, **kwargs):
+        calls[run.run_id, kwargs.get("discard_fraction")] += 1
+        return smooth_run(run, *args, **kwargs)
+
+    monkeypatch.setattr(scalelaw.bslaw, "smooth_run", counting_smooth_run)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:level .* unreachable")
+def test_default_levels_and_contours_share_each_smoothed_run(monkeypatch):
+    runset = simulate_grid(
+        SynthConfig(
+            models=(ModelSpec(n_params=1.25e8),),
+            batch_sizes=(5e5, 2e6, 8e6),
+            tokens_per_run=3e10,
+            points_per_run=100,
+        ),
+        GT0,
+    )
+    levels = default_loss_levels(runset)
+    expect = iso_loss_contour(runset, levels)
+    calls = _counting_smooth_run(monkeypatch)
+    smoothed = {}
+    assert default_loss_levels(runset, smoothed=smoothed) == levels
+    assert iso_loss_contour(runset, levels, smoothed=smoothed) == expect
+    assert calls == Counter(dict.fromkeys(((rid, None) for rid in runset.runs), 1))
+    # another discard is another smoothing, kept beside the first
+    calls.clear()
+    iso_loss_contour(runset, levels[:1], discard_fraction=0.05, smoothed=smoothed)
+    assert calls == Counter(dict.fromkeys(((rid, 0.05) for rid in runset.runs), 1))
+
+
+@pytest.mark.filterwarnings("ignore:level .* unreachable")
+def test_contour_export_at_default_levels_smooths_each_run_once(monkeypatch, tmp_path, write_runs):
+    runset = simulate_grid(
+        SynthConfig(
+            models=(ModelSpec(n_params=1.25e8),),
+            batch_sizes=(5e5, 2e6, 8e6),
+            tokens_per_run=3e10,
+            points_per_run=100,
+        ),
+        GT0,
+    )
+    runs = str(write_runs(runset))
+    calls = _counting_smooth_run(monkeypatch)
+    assert main(["export-plot", "--runs", runs, "--kind", "contour",
+                 "--out", str(tmp_path / "contour.csv")]) == 0
+    assert calls == Counter(dict.fromkeys(((rid, None) for rid in runset.runs), 1))
+
+
 def test_contour_gap_is_warned_not_fatal():
     # level chosen so the largest batch cannot reach it inside the budget
     runset = optimal_lr_runs((1e6, 4e6, 1.6e7, 3.2e7))
@@ -220,6 +277,79 @@ def test_percentile_matches_numpy_bit_for_bit(values):
         got = scalelaw.bslaw._percentile(values.tolist(), q)
         assert got == float(np.percentile(values, q)), (q, values)
         assert type(got) is float
+
+
+_floats = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(lo=_floats, hi=_floats, n=st.integers(min_value=1, max_value=40))
+@example(lo=2.5, hi=2.5, n=8)
+@example(lo=0.0, hi=5e-324, n=4)  # a step that underflows to zero
+@example(lo=-0.0, hi=-5e-324, n=1)
+@example(lo=1.0, hi=math.nextafter(1.0, 2.0), n=5)
+def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
+    got = scalelaw.bslaw._linspace(lo, hi, n)
+    assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+    assert all(type(v) is float for v in got)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=st.lists(
+    st.one_of(st.floats(min_value=5e-324, max_value=1e300), st.sampled_from([1500.0, 4000.0])),
+    min_size=1,
+    max_size=30,
+))
+def test_median_of_step_counts_matches_numpy_bit_for_bit(values):
+    got = scalelaw.bslaw._median(values)
+    assert np.float64(got).tobytes() == np.median(values).tobytes(), values
+
+
+def _numpy_power_law(x, y) -> tuple[float, float]:
+    """(k, p) of fit_power_law with numpy's log and exp."""
+    log_x, log_y = np.log(x).tolist(), np.log(y).tolist()
+    mean_x, mean_y = math.fsum(log_x) / len(log_x), math.fsum(log_y) / len(log_y)
+    u = [v - mean_x for v in log_x]
+    slope = math.fsum(a * (b - mean_y) for a, b in zip(u, log_y)) / math.fsum(a * a for a in u)
+    return float(np.exp(mean_y - slope * mean_x)), slope
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_x=st.lists(st.floats(min_value=10.0, max_value=30.0), min_size=2, max_size=16,
+                   unique=True).filter(lambda v: max(v) - min(v) > 1.0),
+    p=st.floats(min_value=-2.0, max_value=2.0),
+    log_k=st.floats(min_value=-20.0, max_value=20.0),
+    noise=st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=16, max_size=16),
+)
+def test_power_law_in_python_floats_stays_within_1e_13_of_numpy(log_x, p, log_k, noise):
+    x = [math.exp(v) for v in log_x]
+    y = [math.exp(log_k + p * v + e) for v, e in zip(log_x, noise)]
+    law = fit_power_law(x, y)
+    k, slope = _numpy_power_law(x, y)
+    assert math.isclose(law.k, k, rel_tol=1e-13)
+    assert math.isclose(law.p, slope, rel_tol=1e-13, abs_tol=1e-13)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_b=st.lists(st.floats(min_value=11.0, max_value=17.0), min_size=3, max_size=12,
+                   unique=True).filter(lambda v: max(v) - min(v) > 1.0),
+    curvature=st.floats(min_value=0.2, max_value=3.0),
+    noise=st.lists(st.floats(min_value=-0.05, max_value=0.05), min_size=12, max_size=12),
+)
+def test_contour_parabola_in_python_floats_stays_within_1e_13_of_numpy(log_b, curvature, noise):
+    centre = (min(log_b) + max(log_b)) / 2
+    points = [
+        ContourPoint(2.8, math.exp(v), math.exp(22.0 + curvature * (v - centre) ** 2 + e))
+        for v, e in zip(log_b, noise)
+    ]
+    vertex = fit_contour_parabola(points)
+    b_star, d_star = scalelaw.frontier.parabola_vertex(
+        np.log([pt.B for pt in points]), np.log([pt.D_required for pt in points])
+    )
+    assert math.isclose(vertex.B_star, math.exp(b_star), rel_tol=1e-13)
+    assert math.isclose(vertex.D_star, math.exp(d_star), rel_tol=1e-13)
 
 
 # ---------------------------------------------------------------------------

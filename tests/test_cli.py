@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -350,6 +351,40 @@ def test_ingest_of_a_cached_log_never_loads_numpy(five_model_runs):
     hit = run_fresh(script).stdout.splitlines()
     assert miss[0] == hit[0] and '"runs": 5' in hit[0]
     assert miss[1] != "[]" and hit[1] == "[]"
+
+
+def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_runs, run_log_cache):
+    """A hit hands fit-bopt and export-plot --kind contour the entry's
+    buffers, and both fit in Python floats without numpy; a miss in an
+    empty cache parses the log with it.  Both print and write the same."""
+    runs, laws, out = str(batch_sweep_runs), tmp_path / "laws.json", tmp_path / "contour.csv"
+    levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
+    bopt = ["fit-bopt", "--runs", runs, "--laws", str(laws), "--s-floor", "1500", "--json"]
+    # (argv, exit code, the file it writes): fit-bopt without --levels takes
+    # percentile levels, whose vertices span too little D on this sweep
+    verbs = [
+        ([*bopt, "--levels", levels], 0, laws),
+        (bopt, 1, laws),
+        (["export-plot", "--runs", runs, "--kind", "contour", "--out", str(out)], 0, out),
+    ]
+    for argv, code, written in verbs:
+        script = (
+            "import sys\n"
+            "from scalelaw.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
+        )
+        shutil.rmtree(run_log_cache, ignore_errors=True)
+        sides = []
+        for _ in ("miss", "hit"):
+            written.unlink(missing_ok=True)
+            proc = run_fresh(script)
+            *printed, loaded = proc.stdout.splitlines()
+            sides.append((printed, proc.stderr, written.read_bytes() if code == 0 else None, loaded))
+        miss, hit = sides
+        assert miss[:3] == hit[:3], argv
+        assert miss[3].startswith(f"{code} ['numpy.") and hit[3] == f"{code} []", argv
+        assert code == 0 or "vertices must span at least one decade of D" in hit[1]
 
 
 # the layers the benchmark traces, and those that fit laws to run logs

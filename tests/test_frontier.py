@@ -158,6 +158,9 @@ def test_fit_rejects_degenerate_input():
         fit_power_law([1.0, -2.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         fit_power_law([1.0, 2.0], [0.0, 2.0])
+    # a coefficient beyond the float range is refused, as numpy's inf was
+    with pytest.raises(ValidationError, match="coefficient"):
+        fit_power_law([1e10, 2e10], [1.0, 1e-300])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 import struct
 import tempfile
 import threading
 import tracemalloc
 from argparse import Namespace
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -526,6 +528,151 @@ def test_tokens_at_loss_matches_scalar_scan(points, data):
     toks = [tokens_at_loss(points, t) for t in reachable]
     # a lower target never needs fewer tokens
     assert all(a >= b for a, b in zip(toks, toks[1:]))
+
+
+def buffered(points):
+    """The curve of points with its columns held as stdlib buffers, as a
+    run-log cache hit builds it."""
+    codes = ("q", "d", "d")
+    return Curve(*(memoryview(array(code, c.tolist())) for code, c in zip(codes, (
+        points.step, points.tokens, points.loss))))
+
+
+def _numpy_tokens_at_loss(points, target):
+    """tokens_at_loss as np.fmin.accumulate and np.searchsorted computed it,
+    or the name of the error it raised."""
+    tokens = points.tokens
+    best = np.fmin.accumulate(points.loss)
+    if target > best[0]:
+        return "PreRangeLossError"
+    if target < best[-1]:
+        return "UnreachableLossError"
+    i = int(np.searchsorted(-best, -target, side="left"))
+    if i == 0:
+        return float(tokens[0])
+    prev_loss, cur_loss = float(best[i - 1]), float(best[i])
+    prev_tokens, cur_tokens = float(tokens[i - 1]), float(tokens[i])
+    frac = (prev_loss - target) / (prev_loss - cur_loss)
+    log_tokens = math.log(prev_tokens) + frac * (math.log(cur_tokens) - math.log(prev_tokens))
+    return min(max(math.exp(log_tokens), prev_tokens), cur_tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    losses=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=12).map(lambda k: 1.5 + 0.1 * k),
+            st.floats(min_value=1.0, max_value=3.0),
+            st.just(math.nan),
+        ),
+        min_size=2,
+        max_size=30,
+    ),
+    gaps=st.lists(st.integers(min_value=1, max_value=9), min_size=30, max_size=30),
+    as_buffers=st.booleans(),
+    data=st.data(),
+)
+def test_loss_inverse_matches_the_numpy_running_minimum_bit_for_bit(
+    losses, gaps, as_buffers, data
+):
+    """Plateaus and ties (losses on a grid), NaN losses, and targets at
+    every loss, at both ends of the running minimum and just past them."""
+    steps = np.cumsum(gaps[: len(losses)])
+    points = curve(zip(steps.tolist(), (steps * 3e5).tolist(), losses))
+    points = buffered(points) if as_buffers else points
+    best = np.fmin.accumulate(points.loss).tolist()
+    finite = [v for v in best if not math.isnan(v)]
+    targets = set(v for v in losses if not math.isnan(v))
+    for end in finite[:1] + finite[-1:]:
+        targets |= {end, math.nextafter(end, 0.0), math.nextafter(end, 9.0)}
+    if finite:
+        targets.add(data.draw(st.floats(min_value=finite[-1], max_value=finite[0])))
+    inverse = runlog.loss_inverse(points)
+    for target in sorted(targets):
+        expect = _numpy_tokens_at_loss(points, target)
+        for invert in (inverse, lambda t: tokens_at_loss(points, t)):
+            try:
+                got = invert(target)
+            except (PreRangeLossError, UnreachableLossError) as exc:
+                got = type(exc).__name__
+            assert got == expect and type(got) is type(expect), (target, losses)
+
+
+def _finite_cut_cases():
+    """Loss lists with NaN and infinite values, and with finite values
+    whose sum overflows."""
+    return st.lists(
+        st.one_of(
+            st.floats(min_value=0.5, max_value=10.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308]),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(losses=_finite_cut_cases(), as_buffers=st.booleans())
+def test_finite_cut_and_divergence_match_numpy(losses, as_buffers):
+    points = curve([(i + 1, (i + 1) * 1e6, v) for i, v in enumerate(losses)])
+    points = buffered(points) if as_buffers else points
+    loss = np.array(losses)
+    bad = ~np.isfinite(loss)
+    keep = slice(bad.argmax()) if bad.any() else slice(None)
+    cut = finite_prefix(points)
+    for name in ("step", "tokens", "loss"):
+        assert getattr(cut, name).tobytes() == getattr(points, name)[keep].tobytes()
+    with np.errstate(over="ignore"):
+        diverged = bool(not np.isfinite(loss).all() or loss[-1] > 2.0 * loss[0])
+    assert has_divergence(points) is diverged
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    gaps=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=40),
+    as_buffers=st.booleans(),
+    data=st.data(),
+)
+def test_smooth_curve_discard_matches_the_numpy_mask(gaps, as_buffers, data):
+    """The discard cut by bisection keeps the points that the mask tokens
+    >= discard_fraction * tokens[-1] kept, cuts at a checkpoint included."""
+    steps = np.cumsum(gaps)
+    tokens = steps * 3.3e5
+    points = Curve(steps, tokens, 2.0 + 1.0 / steps)
+    points = buffered(points) if as_buffers else points
+    at_checkpoint = (tokens / tokens[-1])[tokens < tokens[-1]].tolist()
+    discard = data.draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        *([st.sampled_from(at_checkpoint)] if at_checkpoint else []),
+    ))
+    keep = tokens >= discard * tokens[-1]
+    if keep.sum() < 2:
+        with pytest.raises(InsufficientDataError):
+            smooth_curve(points, 1e8, discard)
+        return
+    out = smooth_curve(points, 1e8, discard)
+    assert out.step.tobytes() == steps[keep].tobytes()
+    assert out.tokens.tobytes() == tokens[keep].tobytes()
+
+
+def test_buffered_curves_read_as_read_only_numpy_views():
+    """A curve of buffers loads no numpy until a column is read; then the
+    column is a read-only view of its buffer, not a copy."""
+    steps = array("q", [1, 2, 3])
+    points = Curve(memoryview(steps), memoryview(array("d", [1e6, 2e6, 3e6])),
+                   memoryview(array("d", [3.0, 2.5, 2.0])))
+    assert "step" not in vars(points) and len(points) == 3
+    view = points.step
+    assert view.dtype == np.int64 and not view.flags.writeable
+    assert points.step is view
+    steps[0] = 7
+    assert view.tolist() == [7, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        points.loss[0] = 1.0
+    with pytest.raises(ValidationError, match="equal length"):
+        Curve(memoryview(steps), memoryview(array("d", [1e6])), memoryview(array("d", [3.0])))
+    # memoryviews do not pickle; a curve pickles as its arrays
+    assert rows(pickle.loads(pickle.dumps(points))) == rows(points)
 
 
 _positive = st.floats(min_value=1e-6, max_value=1e15)
