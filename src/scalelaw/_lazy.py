@@ -5,11 +5,11 @@ for the code it runs:
 
 - numpy.  `advise` and `tradeoff` evaluate a handful of closed-form laws on
   Python floats and never need numpy, yet importing it is most of their
-  start-up time.  So do `ingest`, `fit-bopt` and `export-plot --kind
-  contour` when their run log is a cache hit: its curves are stdlib
-  buffers, whose numpy views are built only when read.  Modules write
-  ``from ._lazy import np`` so that numpy loads only when some array work
-  first touches ``np``.
+  start-up time.  So do `ingest` (with or without `--out`), `fit-bopt` and
+  `export-plot --kind contour` or `curves` when their run log is a cache
+  hit: its curves are stdlib buffers, whose numpy views are built only when
+  read.  Modules write ``from ._lazy import np`` so that numpy loads only
+  when some array work first touches ``np``.
 - the package's own layer modules.  ``scalelaw/__init__.py`` registers each
   of them with lazy_import, so ``import scalelaw`` executes none of them
   and each CLI verb executes only the layers it touches.

@@ -35,12 +35,8 @@ def add_arguments(p) -> None:
 def _curve_rows(runset, raw: bool):
     """Each run's (run_id, step, tokens, loss) rows, a block of checkpoints at a time."""
     for run in runset:
-        curve = (run if raw else runlog.smooth_run(run)).points
-        for start in range(0, len(curve), runlog._ROWS_PER_CHUNK):
-            block = slice(start, start + runlog._ROWS_PER_CHUNK)
-            for row in zip(
-                curve.step[block].tolist(), curve.tokens[block].tolist(), curve.loss[block].tolist()
-            ):
+        for rows in runlog._row_blocks((run if raw else runlog.smooth_run(run)).points):
+            for row in rows:
                 yield (run.run_id, *row)
 
 

@@ -232,7 +232,7 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
     A vertex outside the observed batch range is flagged extrapolated.
 
     Raises:
-        NoMinimumError: the quadratic is flat or concave in log-log space.
+        NoMinimumError: the quadratic is flat or concave in log-log space, or its vertex overflows.
     """
     pts = list(points)
     if len(pts) < 3 or len({pt.B for pt in pts}) < 3:
@@ -244,12 +244,17 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
     log_d = [math.log(pt.D_required) for pt in pts]
     try:
         log_b_star, log_d_star = parabola_vertex(log_b, log_d)
+        b_star, d_star = math.exp(log_b_star), math.exp(log_d_star)
     except NoMinimumError as exc:
         raise NoMinimumError(f"contour at level {pts[0].loss_level:.4g} has {exc}") from None
+    except OverflowError:  # a nearly flat parabola can put its vertex anywhere
+        raise NoMinimumError(
+            f"contour at level {pts[0].loss_level:.4g} has its minimum past the float range"
+        ) from None
     return ContourVertex(
         loss_level=pts[0].loss_level,
-        B_star=float(math.exp(log_b_star)),
-        D_star=float(math.exp(log_d_star)),
+        B_star=b_star,
+        D_star=d_star,
         extrapolated=not (min(log_b) <= log_b_star <= max(log_b)),
     )
 

@@ -76,13 +76,13 @@ class ModelSpec(Record, frozen=True):
 class Curve(Record, frozen=True, eq=False):
     """A loss curve: optimizer steps, cumulative tokens and observed losses.
 
-    The three columns are equal-length 1-D read-only arrays (int64 steps,
-    float64 tokens and losses), one entry per checkpoint.  The curve holds
-    them as ``columns``, read-only int64 and float64 memoryviews, which the
-    contour path reads as Python numbers.  Each numpy array is a zero-copy
-    view of its buffer, built when it is first read, so a process that never
-    reads one never loads numpy.  Columns given as such memoryviews are kept
-    as they are; anything else goes through numpy.
+    Its ``columns`` are three equal-length 1-D read-only memoryviews (int64
+    steps, float64 tokens and losses), one entry per checkpoint, which
+    smoothing, the contours and the row writers read as Python numbers.  A
+    column given as such a memoryview is kept; any other (a numpy array, a
+    list) is converted once by numpy.  ``step``, ``tokens`` and ``loss`` are
+    read-only numpy views of the columns, each built when first read, so a
+    process that never reads one never loads numpy.
     """
 
     step: np.ndarray
@@ -90,26 +90,19 @@ class Curve(Record, frozen=True, eq=False):
     loss: np.ndarray
 
     def __post_init__(self) -> None:
-        given = [self.__dict__[name] for name in _CURVE_FIELDS]
-        buffered = all(map(_is_column, given, _CURVE_TYPECODES))
-        if buffered:
-            columns = [value.toreadonly() for value in given]
-            for name in _CURVE_FIELDS:
-                del self.__dict__[name]  # its array is built when first read
-        else:
-            columns = [
-                _read_only_array(value, dtype)
-                for value, dtype in zip(given, (np.int64, np.float64, np.float64))
-            ]
-            self.__dict__.update(zip(_CURVE_FIELDS, columns))
+        given = [self.__dict__.pop(name) for name in _CURVE_FIELDS]
+        columns = [
+            value if _is_column(value, code) else memoryview(np.asarray(value, dtype))
+            for value, code, dtype in zip(given, _CURVE_TYPECODES, _CURVE_DTYPES)
+        ]
         if not (
             all(column.ndim == 1 for column in columns)
             and len(columns[0]) == len(columns[1]) == len(columns[2])
         ):
             raise ValidationError("curve columns must be 1-D arrays of equal length")
-        if not buffered and not np.array_equal(columns[0], given[0]):
+        if columns[0] is not given[0] and not np.array_equal(columns[0], given[0]):
             raise ValidationError("curve steps must be whole numbers")
-        self.__dict__["columns"] = tuple(columns if buffered else map(memoryview, columns))
+        self.__dict__["columns"] = tuple(column.toreadonly() for column in columns)
 
     def __getattr__(self, name: str):
         # called only for an attribute not in __dict__: a column whose array
@@ -127,9 +120,10 @@ class Curve(Record, frozen=True, eq=False):
         return len(self.columns[2])
 
 
-# a Curve's fields and the array typecodes of their buffers
+# a Curve's fields, the array typecodes of their buffers and their numpy dtypes
 _CURVE_FIELDS = ("step", "tokens", "loss")
 _CURVE_TYPECODES = ("q", "d", "d")
+_CURVE_DTYPES = ("int64", "float64", "float64")
 
 
 def _is_column(value, code: str) -> bool:
@@ -140,12 +134,6 @@ def _is_column(value, code: str) -> bool:
         and value.itemsize == 8
         and value.format in (("q", "l") if code == "q" else ("d",))
     )
-
-
-def _read_only_array(value, dtype) -> np.ndarray:
-    column = np.asarray(value, dtype=dtype).view()
-    column.flags.writeable = False
-    return column
 
 
 class RunRecord(Record):
@@ -634,7 +622,7 @@ def _load_entry(entry: Path, keep) -> RunSet | None:
                     at += n
                 if sys.byteorder == "big":  # the entry is little-endian
                     column.byteswap()
-                columns.append(view.toreadonly())
+                columns.append(view)
         if any(h.hexdigest() != digest for h, (_, _, _, digest, _) in zip(hashes, kept)):
             return None
         runset = RunSet()
@@ -758,15 +746,25 @@ def _line_chunks(run: RunRecord) -> Iterator[str]:
         fields["seq_len"] = run.model.seq_len
     head = json.dumps({k: v for k, v in fields.items() if k < "points"}, sort_keys=True)
     yield head[:-1] + ', "points": ['
-    pts = run.points
-    for start in range(0, len(pts), _ROWS_PER_CHUNK):
-        if start:
-            yield ", "
-        block = slice(start, start + _ROWS_PER_CHUNK)
-        rows = zip(pts.step[block].tolist(), pts.tokens[block].tolist(), pts.loss[block].tolist())
-        yield json.dumps(list(rows))[1:-1]
+    separator = ""
+    for rows in _row_blocks(run.points):
+        text = json.dumps(list(rows))[1:-1]
+        del rows  # the block's rows go before its text is handed on
+        if separator:
+            yield separator
+        separator = ", "
+        yield text
     tail = json.dumps({k: v for k, v in fields.items() if k > "points"}, sort_keys=True)
     yield "], " + tail[1:]
+
+
+def _row_blocks(curve: Curve) -> Iterator[Iterator[tuple[int, float, float]]]:
+    """The (step, tokens, loss) rows of a curve as Python numbers, read
+    from its columns, a block of _ROWS_PER_CHUNK rows at a time."""
+    step, tokens, loss = curve.columns
+    for start in range(0, len(curve), _ROWS_PER_CHUNK):
+        block = slice(start, start + _ROWS_PER_CHUNK)
+        yield zip(step[block].tolist(), tokens[block].tolist(), loss[block].tolist())
 
 
 def serialize_runs(runset: Iterable[RunRecord]) -> list[str]:

@@ -392,6 +392,23 @@ def test_parabola_concave_has_no_minimum():
         fit_contour_parabola(pts)
 
 
+def test_parabola_vertex_past_the_float_range_has_no_minimum(monkeypatch):
+    """A convex but nearly flat contour puts its vertex past the float
+    range: that is no minimum, and the pipeline skips its level."""
+    pts = [
+        ContourPoint(
+            loss_level=2.8, B=math.exp(x), D_required=math.exp(30 - 0.5 * x + 1e-9 * (x - 13) ** 2)
+        )
+        for x in (12.0, 13.0, 14.0)
+    ]
+    with pytest.raises(NoMinimumError, match="past the float range"):
+        fit_contour_parabola(pts)
+    monkeypatch.setattr(scalelaw.bslaw, "iso_loss_contour", lambda *args, **kwargs: {2.8: pts})
+    with pytest.warns(UserWarning, match="skipping level 2.8: .* past the float range"):
+        with pytest.raises(InsufficientDataError):
+            scalelaw.bslaw.bopt_law_from_runs(RunSet(), [2.8])
+
+
 def test_parabola_monotone_closure_vertex_is_extrapolated():
     # the pure trade-off contour rises monotonically in B, so its parabola
     # bottoms out left of the data

@@ -355,9 +355,13 @@ def test_ingest_of_a_cached_log_never_loads_numpy(five_model_runs):
 
 def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_runs, run_log_cache):
     """A hit hands fit-bopt and export-plot --kind contour the entry's
-    buffers, and both fit in Python floats without numpy; a miss in an
-    empty cache parses the log with it.  Both print and write the same."""
+    buffers, and both fit in Python floats without numpy; ingest --out and
+    export-plot --kind curves turn the buffers into rows without it too.  A
+    miss in an empty cache parses the log with numpy.  Both print and write
+    the same."""
     runs, laws, out = str(batch_sweep_runs), tmp_path / "laws.json", tmp_path / "contour.csv"
+    normalized, curves = tmp_path / "normalized.jsonl", tmp_path / "curves.csv"
+    export_curves = ["export-plot", "--runs", runs, "--kind", "curves", "--out", str(curves)]
     levels = ",".join(str(v) for v in np.linspace(2.3, 2.78, 9))
     bopt = ["fit-bopt", "--runs", runs, "--laws", str(laws), "--s-floor", "1500", "--json"]
     # (argv, exit code, the file it writes): fit-bopt without --levels takes
@@ -366,6 +370,9 @@ def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_ru
         ([*bopt, "--levels", levels], 0, laws),
         (bopt, 1, laws),
         (["export-plot", "--runs", runs, "--kind", "contour", "--out", str(out)], 0, out),
+        (["ingest", "--runs", runs, "--out", str(normalized)], 0, normalized),
+        (export_curves, 0, curves),
+        ([*export_curves, "--raw"], 0, curves),
     ]
     for argv, code, written in verbs:
         script = (

@@ -130,7 +130,8 @@ _TWINS: dict[type, type] = {}
 
 
 def twin_class(cls: type, flags: dict) -> type:
-    """The data-class built from cls's annotations, defaults and __post_init__."""
+    """The data-class built from cls's annotations, defaults, __post_init__
+    and __getattr__."""
     if cls not in _TWINS:
         namespace = {
             "__annotations__": dict(cls.__annotations__),
@@ -142,8 +143,9 @@ def twin_class(cls: type, flags: dict) -> type:
                 namespace[name] = dataclasses.field(default_factory=FACTORIES[cls][name])
             elif name in vars(cls):
                 namespace[name] = vars(cls)[name]
-        if "__post_init__" in vars(cls):
-            namespace["__post_init__"] = vars(cls)["__post_init__"]
+        for name in ("__post_init__", "__getattr__"):
+            if name in vars(cls):
+                namespace[name] = vars(cls)[name]
         _TWINS[cls] = dataclasses.dataclass(**flags)(type(cls.__name__, (), namespace))
     return _TWINS[cls]
 

@@ -655,22 +655,26 @@ def test_smooth_curve_discard_matches_the_numpy_mask(gaps, as_buffers, data):
     assert out.tokens.tobytes() == tokens[keep].tobytes()
 
 
-def test_buffered_curves_read_as_read_only_numpy_views():
-    """A curve of buffers loads no numpy until a column is read; then the
+@pytest.mark.parametrize("given", ["memoryviews", "arrays", "lists"])
+def test_buffered_curves_read_as_read_only_numpy_views(given):
+    """However its columns are given, a curve holds them as read-only
+    buffers and builds no numpy array until a column is read; then the
     column is a read-only view of its buffer, not a copy."""
+    make = {"memoryviews": memoryview, "arrays": np.array, "lists": list}[given]
     steps = array("q", [1, 2, 3])
-    points = Curve(memoryview(steps), memoryview(array("d", [1e6, 2e6, 3e6])),
-                   memoryview(array("d", [3.0, 2.5, 2.0])))
-    assert "step" not in vars(points) and len(points) == 3
+    points = Curve(make(steps), make(array("d", [1e6, 2e6, 3e6])), make(array("d", [3.0, 2.5, 2.0])))
+    assert list(vars(points)) == ["columns"] and len(points) == 3
+    assert all(type(column) is memoryview and column.readonly for column in points.columns)
     view = points.step
     assert view.dtype == np.int64 and not view.flags.writeable
-    assert points.step is view
+    assert points.step is view and np.shares_memory(view, points.columns[0])
+    # a memoryview is kept as it is; anything else was converted once
     steps[0] = 7
-    assert view.tolist() == [7, 2, 3]
+    assert view.tolist() == ([7, 2, 3] if given == "memoryviews" else [1, 2, 3])
     with pytest.raises(ValueError, match="read-only"):
         points.loss[0] = 1.0
     with pytest.raises(ValidationError, match="equal length"):
-        Curve(memoryview(steps), memoryview(array("d", [1e6])), memoryview(array("d", [3.0])))
+        Curve(make(steps), make(array("d", [1e6])), make(array("d", [3.0])))
     # memoryviews do not pickle; a curve pickles as its arrays
     assert rows(pickle.loads(pickle.dumps(points))) == rows(points)
 
