@@ -18,29 +18,21 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
-    strict = not args.lenient
+    runset = runlog.read_runs(args.runs, strict=not args.lenient)
     if args.out:
-        runset = runlog.read_runs(args.runs, strict=strict)
         runlog.write_runs(args.out, runset)
-        counts, rejected = runlog._run_counts(runset), runset.rejected
-    else:
-        # a cache hit reads the counts from the entry, without building a run
-        counts, rejected = runlog._read_counts(args.runs, strict=strict)
-    lines, payload = _summary(counts, rejected, args.out)
+    lines, payload = _summary(runset, args.out)
     emit(args, lines, payload)
 
 
-def _summary(counts, rejected, out) -> tuple[list[str], dict]:
-    """The text lines and --json payload of the runs' (n_params,
-    batch_size_tokens, point count) and the rejected lines."""
-    models: list[float] = []
-    for n_params, _, _ in counts:
-        if n_params not in models:
-            models.append(n_params)
-    batches = sorted({batch for _, batch, _ in counts})
-    n_points = sum(n for _, _, n in counts)
+def _summary(runset, out) -> tuple[list[str], dict]:
+    """The text lines and --json payload of a read's runs and rejected lines."""
+    models = runset.model_sizes()
+    batches = sorted({run.batch_size_tokens for run in runset})
+    n_points = sum(len(run.points) for run in runset)
+    rejected = runset.rejected
     lines = [
-        f"{len(counts)} runs, {len(models)} model sizes, {n_points} curve points",
+        f"{len(runset)} runs, {len(models)} model sizes, {n_points} curve points",
         "model sizes: " + ", ".join(f"{m:g}" for m in models),
         "batch sizes: " + ", ".join(f"{b:g}" for b in batches),
     ]
@@ -53,7 +45,7 @@ def _summary(counts, rejected, out) -> tuple[list[str], dict]:
         lines.append(f"wrote normalized runs to {out}")
     return lines, {
         "verb": "ingest",
-        "runs": len(counts),
+        "runs": len(runset),
         "model_sizes": models,
         "batch_sizes": batches,
         "points": n_points,

@@ -445,18 +445,27 @@ def read_runs(
     entries are kept.
 
     A regular file is digested through a fixed buffer first, so a hit never
-    holds the log's bytes; a miss then parses the file again from the
-    start, and its entry is named by the digest of the bytes it parsed.
-    That is the first digest, unless the file changed within _RACY_NS
-    before the read, where a rewrite could keep its size and times: the
-    parse then hashes the file again.  Otherwise a file whose size or times
-    changed while it was read leaves no entry.  A log that is not a regular
-    file (a pipe, ``/dev/stdin``) would be drained by the first pass, so its
-    bytes are read once and both passes run on them.
+    holds the log's bytes.  A miss then parses the file again from the
+    start, hashing the bytes it parses, and names its entry by that digest:
+    a file rewritten during the read leaves the entry of what was parsed.
+    A log that is not a regular file (a pipe, ``/dev/stdin``) would be
+    drained by the first pass, so its bytes are read once and both passes
+    run on them.
     """
-    hit, runset = _read_log(path, strict, lambda entry: _load_entry(entry, keep))
-    if hit is not None:
-        return hit
+    cache = _cache_dir()
+    with open(path, "rb") as handle:
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        log = handle if regular else io.BytesIO(handle.read())
+        if cache is not None:
+            hit = _load_entry(cache / _entry_name(_digest(log)), keep)
+            if hit is not None:
+                return hit
+            log.seek(0)
+        digest = blake2b(digest_size=16)
+        accepted: list = []
+        runset = _parse_lines(_split_lines(log, digest), strict, accepted)
+    if cache is not None and len(runset) and not runset.rejected:
+        _store_entry(cache / _entry_name(digest.hexdigest()), accepted, runset)
     if keep is None:
         return runset
     runs = {
@@ -466,74 +475,15 @@ def read_runs(
     return RunSet(runs=runs, rejected=runset.rejected)
 
 
-def _read_counts(path: str | Path, strict: bool = True) -> tuple[list, list]:
-    """The (n_params, batch_size_tokens, point count) of each run of the log
-    at path and its rejected lines, as read_runs finds them.
-
-    A hit reads them from the entry's header and checks every run's digest
-    through one fixed buffer, without numpy.
-    """
-    hit, runset = _read_log(path, strict, _entry_counts)
-    if hit is not None:
-        return hit, []
-    return _run_counts(runset), runset.rejected
-
-
-def _run_counts(runs: Iterable[RunRecord]) -> list[tuple[float, float, int]]:
-    """The (n_params, batch_size_tokens, point count) of each run."""
-    return [(run.model.n_params, run.batch_size_tokens, len(run.points)) for run in runs]
-
-
-# A log changed within this many nanoseconds before a read may be rewritten
-# during it without changing its size or times, which file systems keep to
-# a tick of their clock (FAT's is 2 s), so its parse hashes it again.
-_RACY_NS = 2 * 10**9
-
-
-def _read_log(path: str | Path, strict: bool, load) -> tuple:
-    """(load(entry), None) on a hit of the log at path, where load gives
-    None for an entry it refuses; (None, the parsed RunSet) on a miss,
-    which stores the log's entry."""
-    cache = _cache_dir()
-    with open(path, "rb") as handle:
-        opened = time.time_ns()
-        before = os.fstat(handle.fileno())
-        regular = stat.S_ISREG(before.st_mode)
-        log = handle if regular else io.BytesIO(handle.read())
-        name = digest = None
-        if cache is not None:
-            name = _digest(log)
-            hit = load(cache / _entry_name(name))
-            if hit is not None:
-                return hit, None
-            log.seek(0)
-            if regular and max(before.st_mtime_ns, before.st_ctime_ns) > opened - _RACY_NS:
-                digest = blake2b(digest_size=16)
-        accepted: list = []
-        runset = _parse_lines(_split_lines(log, digest), strict, accepted)
-        if digest is not None:
-            name = digest.hexdigest()
-        elif regular and _stamp(os.fstat(handle.fileno())) != _stamp(before):
-            name = None  # changed while it was parsed: what was parsed has no digest
-    if name is not None and len(runset) and not runset.rejected:
-        _store_entry(cache / _entry_name(name), accepted, runset)
-    return None, runset
-
-
-def _stamp(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
 def _split_lines(log, digest) -> Iterator[bytes]:
     """The lines of a binary stream, one at a time, split where text mode
-    splits them; each chunk read is fed to digest, unless it is None."""
+    splits them; each chunk read is fed to digest."""
     for chunk in log:
-        if digest is not None:
-            digest.update(chunk)
+        digest.update(chunk)
         yield from chunk.splitlines()
 
 
-# the fixed buffer through which a log, or an entry's points, are hashed
+# the fixed buffer through which a log is hashed before its entry is looked up
 _BUFFER_BYTES = 1 << 16
 
 
@@ -639,32 +589,6 @@ def _load_entry(entry: Path, keep) -> RunSet | None:
         return None
     _touch(entry)
     return runset
-
-
-def _entry_counts(entry: Path) -> list[tuple[float, float, int]] | None:
-    """_run_counts of the runs of an entry, every run's points hashed
-    through one fixed buffer and checked against its digest."""
-    try:
-        with open(entry, "rb") as handle:
-            header, _, _ = _read_header(handle)
-            hashes = [_run_digest(line_no, n, obj) for line_no, n, _, obj in header]
-            view = memoryview(bytearray(_BUFFER_BYTES))
-            for _ in _COLUMNS:  # the columns in file order, each run's slice in turn
-                for (_, n, _, _), run_hash in zip(header, hashes):
-                    left = 8 * n
-                    while left > 0:
-                        size = handle.readinto(view[: min(left, _BUFFER_BYTES)])
-                        if not size:
-                            return None
-                        run_hash.update(view[:size])
-                        left -= size
-        if any(h.hexdigest() != digest for h, (_, _, digest, _) in zip(hashes, header)):
-            return None
-        counts = [(*_filter_fields(obj, line_no)[:2], n) for line_no, n, _, obj in header]
-    except _DAMAGED:
-        return None
-    _touch(entry)
-    return counts
 
 
 def _filter_fields(obj: dict, line_no: int) -> tuple[float, float, LrScheme]:

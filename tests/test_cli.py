@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -874,6 +875,61 @@ def test_simulate_rejects_bad_env_seed(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--out", str(out), "--points-per-run", "2",
                  "--tokens-per-run", "1e8"]) == 1
     assert "SCALELAW_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, flag, seed", [
+    (None, None, 9), (None, "3", 3), ("5", None, 5), ("5", "3", 5),
+    ("not-a-number", "3", None), ("1.5", None, None), ("", "3", None),
+], ids=["config", "flag", "env", "env_over_flag", "word", "float", "empty"])
+def test_simulate_seed_comes_from_env_then_flag_then_config(
+    tmp_path, capsys, monkeypatch, env, flag, seed
+):
+    """SCALELAW_SEED wins over --seed, which wins over the config's seed; a
+    SCALELAW_SEED that is not an integer is a ValidationError (exit 1)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ground_truth": default_ground_truth(seed=9).to_dict()}))
+    small = ["--config", str(config), "--points-per-run", "2", "--tokens-per-run", "1e8"]
+    out = tmp_path / "runs.jsonl"
+    if env is not None:
+        monkeypatch.setenv("SCALELAW_SEED", env)
+    code = main(["simulate", *small, "--out", str(out), "--json",
+                 *(["--seed", flag] if flag else [])])
+    captured = capsys.readouterr()
+    if seed is None:
+        assert code == 1
+        assert captured.err == (
+            f"scalelaw: error: ValidationError: SCALELAW_SEED must be an integer, got {env!r}\n"
+        )
+        assert json.loads(captured.out)["error"] == "ValidationError"
+        assert not out.exists()
+        return
+    assert code == 0 and json.loads(captured.out)["seed"] == seed
+    # the log is the one --seed alone gives
+    monkeypatch.delenv("SCALELAW_SEED", raising=False)
+    plain = tmp_path / "plain.jsonl"
+    assert main(["simulate", *small, "--out", str(plain), "--seed", str(seed)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_files_get_the_mode_open_gives(tmp_path, capsys, umask):
+    """A new output file or cache entry gets 0o666 less the umask, and a
+    replaced file keeps its mode, as open(path, "w") leaves them."""
+    out = tmp_path / "runs.jsonl"
+    argv = ["simulate", "--out", str(out), "--points-per-run", "2", "--tokens-per-run", "1e8"]
+    before = os.umask(umask)
+    try:
+        assert main(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert main(["ingest", "--runs", str(out)]) == 0
+        (entry,) = Path(os.environ["XDG_CACHE_HOME"], "scalelaw").iterdir()
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~umask
+        out.chmod(0o640)
+        assert main([*argv, "--seed", "2"]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(before)
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
 
 
 # ---------------------------------------------------------------------------

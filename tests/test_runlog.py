@@ -892,9 +892,12 @@ def test_damaged_entry_is_a_silent_miss(cached_log, damage):
     else:
         assert_same_runs(read_runs(path), expected)
     assert entry.read_bytes() == blob
-    # ingest's summary of a hit checks the same digests
+    # ingest of the damaged entry prints what a miss prints, and mends it
+    argv = ["ingest", "--runs", str(path), "--json"]
+    entry.unlink()
+    miss = _ingest(argv)
     entry.write_bytes(damaged)
-    assert runlog._read_counts(path) == (runlog._run_counts(expected), [])
+    assert _ingest(argv) == miss
     assert entry.read_bytes() == blob
 
 
@@ -1227,45 +1230,36 @@ def _hashed_log_bytes(monkeypatch) -> list:
     return fed
 
 
-def test_a_miss_hashes_a_settled_log_once(tmp_path, run_log_cache, monkeypatch):
-    """A log unchanged for longer than the racy window is named by the
-    digest its lookup took; one changed within it is hashed again as it is
-    parsed, since a rewrite there could keep its size and times."""
+def test_a_miss_names_its_entry_by_the_bytes_it_parsed(tmp_path, run_log_cache, monkeypatch):
+    """A miss hashes the log twice, once to look its entry up and once as it
+    is parsed, and names the entry it leaves by the second digest: a log
+    rewritten right after its parse leaves the entry of the bytes that were
+    parsed, and the next read parses the new bytes."""
     path = _two_run_log(tmp_path / "runs.jsonl")
+    old = path.read_bytes()
+    new = old.replace(b'"lr_peak": 0.0003', b'"lr_peak": 0.00035')
+    assert new != old
+    expected_old, expected_new = parse_runs(old.splitlines()), parse_runs(new.splitlines())
     fed = _hashed_log_bytes(monkeypatch)
-    assert_same_runs(read_runs(path), parse_runs(path.read_bytes().splitlines()))
-    assert sum(fed) == 2 * path.stat().st_size
-    (entry,) = run_log_cache.iterdir()
-    blob = entry.read_bytes()
-    entry.unlink()
-    fed.clear()
-    monkeypatch.setattr(runlog, "_RACY_NS", 0)
-    assert_same_runs(read_runs(path), parse_runs(path.read_bytes().splitlines()))
-    assert sum(fed) == path.stat().st_size
-    assert entry.read_bytes() == blob
-    with _no_decoding():
-        read_runs(path)
-
-
-def test_a_log_changed_while_it_is_parsed_leaves_no_entry(tmp_path, run_log_cache, monkeypatch):
-    """Its parse was not hashed, so nothing names what it parsed."""
-    monkeypatch.setattr(runlog, "_RACY_NS", 0)
-    path = _two_run_log(tmp_path / "runs.jsonl")
-    new = path.read_bytes().replace(b'"lr_peak": 0.0003', b'"lr_peak": 0.00035')
     parse_lines = runlog._parse_lines
 
-    def rewrite_then_parse(lines, strict, accepted):
+    def parse_then_rewrite(lines, strict, accepted):
         runset = parse_lines(lines, strict, accepted)
         path.write_bytes(new)
         return runset
 
-    monkeypatch.setattr(runlog, "_parse_lines", rewrite_then_parse)
-    read_runs(path)
-    assert not run_log_cache.exists()
+    monkeypatch.setattr(runlog, "_parse_lines", parse_then_rewrite)
+    assert_same_runs(read_runs(path), expected_old)
+    assert sum(fed) == 2 * len(old)
     monkeypatch.setattr(runlog, "_parse_lines", parse_lines)
-    assert_same_runs(read_runs(path), parse_runs(new.splitlines()))
     (entry,) = run_log_cache.iterdir()
-    assert entry.name == f"runs-v2-{runlog.blake2b(new, digest_size=16).hexdigest()}"
+    assert entry.name == f"runs-v2-{hashlib.blake2b(old, digest_size=16).hexdigest()}"
+    assert_same_runs(read_runs(path), expected_new)
+    assert len(list(run_log_cache.iterdir())) == 2
+    # the entry of the parsed bytes serves them
+    path.write_bytes(old)
+    with _no_decoding():
+        assert_same_runs(read_runs(path), expected_old)
 
 
 def _ingest(argv: list[str]) -> tuple[int, str, str]:
