@@ -1232,15 +1232,28 @@ def _hashed_log_bytes(monkeypatch) -> list:
 
 def test_a_miss_names_its_entry_by_the_bytes_it_parsed(tmp_path, run_log_cache, monkeypatch):
     """A miss hashes the log twice, once to look its entry up and once as it
-    is parsed, and names the entry it leaves by the second digest: a log
-    rewritten right after its parse leaves the entry of the bytes that were
-    parsed, and the next read parses the new bytes."""
+    is parsed, and names the entry it leaves by the second digest."""
+    path = _two_run_log(tmp_path / "runs.jsonl")
+    log = path.read_bytes()
+    expected = parse_runs(log.splitlines())
+    fed = _hashed_log_bytes(monkeypatch)
+    assert_same_runs(read_runs(path), expected)
+    assert sum(fed) == 2 * len(log)
+    (entry,) = run_log_cache.iterdir()
+    assert entry.name == f"runs-v2-{hashlib.blake2b(log, digest_size=16).hexdigest()}"
+    with _no_decoding():
+        assert_same_runs(read_runs(path), expected)
+
+
+def test_a_log_changed_while_it_is_parsed_leaves_no_entry(tmp_path, run_log_cache, monkeypatch):
+    """No entry names the bytes a log was rewritten to during its parse:
+    the entry left is that of the bytes parsed, so the next read parses the
+    new bytes, and the old bytes, written back, hit."""
     path = _two_run_log(tmp_path / "runs.jsonl")
     old = path.read_bytes()
     new = old.replace(b'"lr_peak": 0.0003', b'"lr_peak": 0.00035')
     assert new != old
     expected_old, expected_new = parse_runs(old.splitlines()), parse_runs(new.splitlines())
-    fed = _hashed_log_bytes(monkeypatch)
     parse_lines = runlog._parse_lines
 
     def parse_then_rewrite(lines, strict, accepted):
@@ -1250,13 +1263,14 @@ def test_a_miss_names_its_entry_by_the_bytes_it_parsed(tmp_path, run_log_cache, 
 
     monkeypatch.setattr(runlog, "_parse_lines", parse_then_rewrite)
     assert_same_runs(read_runs(path), expected_old)
-    assert sum(fed) == 2 * len(old)
     monkeypatch.setattr(runlog, "_parse_lines", parse_lines)
     (entry,) = run_log_cache.iterdir()
     assert entry.name == f"runs-v2-{hashlib.blake2b(old, digest_size=16).hexdigest()}"
+    parsed = []
+    monkeypatch.setattr(runlog, "_parse_lines", lambda *args: parsed.append(1) or parse_lines(*args))
     assert_same_runs(read_runs(path), expected_new)
+    assert parsed == [1]
     assert len(list(run_log_cache.iterdir())) == 2
-    # the entry of the parsed bytes serves them
     path.write_bytes(old)
     with _no_decoding():
         assert_same_runs(read_runs(path), expected_old)
