@@ -91,20 +91,24 @@ def filtered_runs(args):
 
 
 def check_contour_flags(args) -> None:
-    """Refuse a bad --levels, or without it a bad --n-levels, before the run
-    log is read; --levels overrides --n-levels."""
+    """Refuse a bad --levels, or without it a bad --n-levels, and a --policy
+    and --scheme that do not go together, before the run log is read;
+    --levels overrides --n-levels."""
     if args.levels is None:
         bslaw._check_n_levels(args.n_levels)
     else:
         check_positive("--levels", args.levels)
+    if args.policy == "fixed_scheme" and args.scheme is None:
+        raise ValidationError("fixed_scheme policy requires a scheme")
+    if args.policy != "fixed_scheme" and args.scheme is not None:
+        raise ValidationError("--scheme needs --policy fixed_scheme")
 
 
-def contour_levels(args, runset, smoothed: dict) -> list[float]:
-    """--levels, or without it the default levels of the runs; ``smoothed``
-    keeps the curves smoothed for them, for the contours to reuse."""
+def contour_levels(args, runset) -> list[float]:
+    """--levels, or without it the default levels of the runs."""
     if args.levels is not None:
         return args.levels
-    return bslaw.default_loss_levels(runset, args.n_levels, smoothed)
+    return bslaw.default_loss_levels(runset, args.n_levels)
 
 
 def add_fit_io_flags(parser, runs_help: str = "input run log (JSONL)") -> None:
@@ -146,5 +150,5 @@ def add_contour_flags(parser) -> None:
     parser.add_argument(
         "--scheme",
         choices=[s.value for s in laws.LrScheme],
-        help="LR scheme to hold fixed (with --policy fixed_scheme)",
+        help="LR scheme to hold fixed (needs --policy fixed_scheme)",
     )

@@ -49,12 +49,9 @@ def run(args) -> None:
         header = ["flops", "loss", "run_id"]
         rows = [[s.C, s.loss, s.run_id] for s in envelope]
     elif args.kind == "contour":
-        smoothed: dict = {}
-        levels = contour_levels(args, runset, smoothed)
+        levels = contour_levels(args, runset)
         scheme = laws.LrScheme(args.scheme) if args.scheme else None
-        contours = bslaw.iso_loss_contour(
-            runset, levels, lr_policy=args.policy, scheme=scheme, smoothed=smoothed
-        )
+        contours = bslaw.iso_loss_contour(runset, levels, lr_policy=args.policy, scheme=scheme)
         header = ["loss_level", "batch_size_tokens", "tokens_required"]
         rows = [
             [pt.loss_level, pt.B, pt.D_required]

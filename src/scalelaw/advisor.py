@@ -21,11 +21,9 @@ from .laws import (
     ChinchillaLaw,
     FrontierReport,
     LrLawFit,
+    Presets,
     scale_lr,
 )
-# re-exported: the preset table is a laws-file block, kept in laws, and
-# scalelaw.advisor.Presets and the rest still resolve
-from .laws import DEFAULT_PRESETS, PresetRow, Presets  # noqa: F401
 
 
 class Recommendation(Record, frozen=True):
@@ -155,9 +153,11 @@ def advise_data(
         raise ValidationError(f"D must be finite and positive, got {D}")
     if n_params is not None and not (math.isfinite(n_params) and n_params > 0):
         raise ValidationError(f"n_params must be finite and positive, got {n_params}")
-    if n_params is not None and not math.isfinite(FLOPS_PER_PARAM_TOKEN * n_params * D):
+    C = None if n_params is None else FLOPS_PER_PARAM_TOKEN * n_params * D
+    if C is not None and not sys.float_info.min <= C < math.inf:
+        how = "overflows" if C > 1 else "underflows"
         raise ValidationError(
-            f"compute C = 6*N*D overflows a float for N = {n_params:g} and D = {D:g}"
+            f"compute C = 6*N*D {how} a float for N = {n_params:g} and D = {D:g}"
         )
     presets = presets or Presets()
     b = bopt.eval(D)
@@ -191,7 +191,7 @@ def advise_data(
         D=D,
         S=s,
         B=b,
-        C=FLOPS_PER_PARAM_TOKEN * n_params * D if n_params is not None else None,
+        C=C,
         LR=lr,
         lr_anchor=anchor,
         predicted_loss=predicted,

@@ -25,15 +25,7 @@ from .errors import (
 )
 from .frontier import fit_power_law, parabola_vertex
 from .laws import BoptLaw, LrScheme
-from .runlog import (
-    DEFAULT_HALF_LIFE_FRACTION,
-    Curve,
-    RunRecord,
-    RunSet,
-    has_divergence,
-    loss_inverse,
-    smooth_run,
-)
+from .runlog import DEFAULT_HALF_LIFE_FRACTION, RunSet, has_divergence, loss_inverse
 
 # Choose default loss levels inside the bulk of final losses.
 DEFAULT_N_LEVELS = 8
@@ -73,36 +65,18 @@ def _check_n_levels(n_levels: int) -> None:
         raise ValidationError(f"n_levels must be at least 1, got {n_levels}")
 
 
-def _smoothed(
-    smoothed: dict,
-    run: RunRecord,
-    half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
-    discard_fraction: float | None = None,
-) -> Curve:
-    """smooth_run(run, ...).points, kept in smoothed by run id and settings."""
-    key = (run.run_id, half_life_fraction, discard_fraction)
-    if key not in smoothed:
-        smoothed[key] = smooth_run(
-            run, half_life_fraction=half_life_fraction, discard_fraction=discard_fraction
-        ).points
-    return smoothed[key]
-
-
-def default_loss_levels(
-    runset: RunSet, n_levels: int = DEFAULT_N_LEVELS, smoothed: dict | None = None
-) -> list[float]:
+def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> list[float]:
     """Evenly spaced levels between the 20th and 80th percentile of final losses.
 
     Diverged runs do not vote: their endpoints sit far above anything a
     contour can use, so the window spans only losses that some run actually
-    sustained.  ``smoothed``, when given, keeps each smoothed curve by run
-    id and smoothing settings; handed to iso_loss_contour on the same runs,
-    it lets the contours reuse the curves smoothed here.
+    sustained.  Each run's final loss is read off ``runset.smoothed``, so
+    iso_loss_contour at the default settings on the same set reuses the
+    curves smoothed here.
     """
     _check_n_levels(n_levels)
-    smoothed = {} if smoothed is None else smoothed
     finals = [
-        _smoothed(smoothed, run).columns[2][-1]
+        runset.smoothed(run.run_id).columns[2][-1]
         for run in runset
         if not has_divergence(run.points)
     ]
@@ -154,7 +128,6 @@ def iso_loss_contour(
     scheme: LrScheme | None = None,
     half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
     discard_fraction: float | None = None,
-    smoothed: dict | None = None,
 ) -> dict[float, list[ContourPoint]]:
     """Iso-loss contours of one model size swept over batch sizes.
 
@@ -164,11 +137,11 @@ def iso_loss_contour(
     fixed_scheme.  Batch sizes that never reach a level are gaps (warned);
     a level reachable at no batch size raises.
 
-    The smoothing knobs pass through to smooth_run.  High loss levels live
+    The smoothing knobs pass through to ``runset.smoothed``, which keeps
+    each run's curve by its settings, so default_loss_levels and the
+    contours on the same set smooth each run once.  High loss levels live
     in the discarded head of the curve, so runs without a warm-up transient
     can trade a smaller discard_fraction for contour coverage there.
-    ``smoothed`` is default_loss_levels's: curves already smoothed with the
-    same settings are taken from it, and the rest are added to it.
 
     Returns:
         Mapping of loss level to its contour points, batch-ascending.
@@ -195,9 +168,8 @@ def iso_loss_contour(
 
     # each run is smoothed and its running minimum built once; every level
     # then costs one bisection a run
-    smoothed = {} if smoothed is None else smoothed
     inverses = {
-        run.run_id: loss_inverse(_smoothed(smoothed, run, half_life_fraction, discard_fraction))
+        run.run_id: loss_inverse(runset.smoothed(run.run_id, half_life_fraction, discard_fraction))
         for run in eligible
     }
     contours: dict[float, list[ContourPoint]] = {}
@@ -345,27 +317,21 @@ def bopt_law_from_runs(
     scheme: LrScheme | None = None,
     s_floor_hint: float | None = None,
     discard_fraction: float | None = None,
-    smoothed: dict | None = None,
 ) -> tuple[BoptLaw, list[ContourVertex]]:
     """Full pipeline: contours, parabola vertices, two-regime fit.
 
     Levels whose contour has no interior minimum are skipped with a warning.
-    A bad s_floor_hint is refused before any contour work.  ``smoothed`` is
-    default_loss_levels's, shared by the levels and the contours.
+    A bad s_floor_hint is refused before any contour work.  The levels and
+    the contours read each run's curve from ``runset.smoothed``, so a run
+    is smoothed once per setting for the life of the set.
     """
     _check_s_floor_hint(s_floor_hint)
-    smoothed = {} if smoothed is None else smoothed
     if loss_levels is None:
-        levels = default_loss_levels(runset, smoothed=smoothed)
+        levels = default_loss_levels(runset)
     else:
         levels = list(loss_levels)
     contours = iso_loss_contour(
-        runset,
-        levels,
-        lr_policy=lr_policy,
-        scheme=scheme,
-        discard_fraction=discard_fraction,
-        smoothed=smoothed,
+        runset, levels, lr_policy=lr_policy, scheme=scheme, discard_fraction=discard_fraction
     )
     vertices = []
     for level in levels:

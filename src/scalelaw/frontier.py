@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import FLOPS_PER_PARAM_TOKEN, FrontierPoint, FrontierReport, PowerLaw
-from .runlog import RunSet, smooth_run
+from .runlog import RunSet
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -40,24 +40,20 @@ class EnvelopeSample(Record, frozen=True):
     run_id: str
 
 
-def _run_curve_log(run, smooth: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(log C, loss) arrays of a run's finite points, optionally smoothed."""
-    if smooth:
-        try:
-            run = smooth_run(run, half_life_fraction=ENVELOPE_HALF_LIFE_FRACTION)
-        except InsufficientDataError:
-            return np.empty(0), np.empty(0)
-    curve = run.points
-    finite = np.isfinite(curve.loss)
-    if np.count_nonzero(finite) < 2:
+def _run_curve_log(runset: RunSet, run, smooth: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(log C, loss) arrays of a run's finite points, optionally smoothed by
+    the set (RunSet.smoothed); an all-finite loss is the curve's own view."""
+    try:
+        curve = runset.smoothed(run.run_id, ENVELOPE_HALF_LIFE_FRACTION) if smooth else run.points
+    except InsufficientDataError:
         return np.empty(0), np.empty(0)
-    log_c = np.log(FLOPS_PER_PARAM_TOKEN * run.model.n_params * curve.tokens[finite])
-    return log_c, curve.loss[finite]
-
-
-def _run_curves(runset: RunSet, smooth: bool) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Every run's (log C, loss) arrays, keyed by run id; one smoothing per run."""
-    return {run.run_id: _run_curve_log(run, smooth) for run in runset}
+    tokens, loss = curve.tokens, curve.loss
+    finite = np.isfinite(loss)
+    if not finite.all():
+        tokens, loss = tokens[finite], loss[finite]
+    if len(loss) < 2:
+        return np.empty(0), np.empty(0)
+    return np.log(FLOPS_PER_PARAM_TOKEN * run.model.n_params * tokens), loss
 
 
 def interp_in_range(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -74,7 +70,7 @@ def default_grid(runset: RunSet) -> np.ndarray:
     c_lo = math.inf
     c_hi = 0.0
     for run in runset:
-        log_c, _ = _run_curve_log(run)
+        log_c, _ = _run_curve_log(runset, run)
         if log_c.size:
             c_lo = min(c_lo, math.exp(log_c[0]))
             c_hi = max(c_hi, math.exp(log_c[-1]))
@@ -84,12 +80,16 @@ def default_grid(runset: RunSet) -> np.ndarray:
     return np.geomspace(c_lo, c_hi, n)
 
 
-def _envelope(
-    runset: RunSet,
-    grid: Sequence[float] | None,
-    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+def compute_envelope(
+    runset: RunSet, grid: Sequence[float] | None = None, smooth: bool = True
 ) -> list[EnvelopeSample]:
-    """compute_envelope on the runs' precomputed curves."""
+    """Pointwise minimum of all per-run loss curves on a log-C grid.
+
+    Each run's curve is smoothed (unless smooth=False) and interpolated in
+    (log C, loss); grid points covered by no run are omitted.  Ties go to
+    the run appearing first in the set.  The smoothed curves are the set's
+    (RunSet.smoothed), kept for extract_frontier_points on the same set.
+    """
     if len(runset) == 0:
         raise InsufficientDataError("empty run set")
     grid_arr = np.asarray(grid, dtype=float) if grid is not None else default_grid(runset)
@@ -101,7 +101,7 @@ def _envelope(
     run_ids = []
     for idx, run in enumerate(runset):
         run_ids.append(run.run_id)
-        vals = interp_in_range(log_grid, *curves[run.run_id])
+        vals = interp_in_range(log_grid, *_run_curve_log(runset, run, smooth))
         better = vals < best  # NaN never wins
         best[better] = vals[better]
         winner[better] = idx
@@ -114,30 +114,26 @@ def _envelope(
     ]
 
 
-def compute_envelope(
-    runset: RunSet, grid: Sequence[float] | None = None, smooth: bool = True
-) -> list[EnvelopeSample]:
-    """Pointwise minimum of all per-run loss curves on a log-C grid.
-
-    Each run's curve is smoothed (unless smooth=False) and interpolated in
-    (log C, loss); grid points covered by no run are omitted.  Ties go to
-    the run appearing first in the set.
-    """
-    return _envelope(runset, grid, _run_curves(runset, smooth))
-
-
 def longest_stretch(indices) -> list[int]:
     """The longest stretch of consecutive indices as Python ints; the first on ties."""
     stretches = np.split(indices, np.flatnonzero(np.diff(indices) > 1) + 1)
     return max(stretches, key=len).tolist()
 
 
-def _frontier_points(
-    envelope: Sequence[EnvelopeSample],
-    runset: RunSet,
-    curves: dict[str, tuple[np.ndarray, np.ndarray]],
+def extract_frontier_points(
+    envelope: Sequence[EnvelopeSample], runset: RunSet, smooth: bool = True
 ) -> list[FrontierPoint]:
-    """extract_frontier_points on a non-empty envelope and precomputed curves."""
+    """One compute-optimal point per model size that wins somewhere.
+
+    A model's C* is the geometric mean of its winning interval's endpoints;
+    loss is read from the model's own curve (pointwise min across its runs,
+    smoothed the same way as the envelope) at C*, and B from the run
+    achieving that minimum.  Models that never win are skipped with a
+    warning.
+    """
+    if not envelope:
+        raise EmptyEnvelopeError("empty envelope")
+    curves = {run.run_id: _run_curve_log(runset, run, smooth) for run in runset}
     model_of_run = {run.run_id: run.model.n_params for run in runset}
     win_model = [model_of_run[s.run_id] for s in envelope]
 
@@ -198,22 +194,6 @@ def _frontier_points(
             )
         )
     return points
-
-
-def extract_frontier_points(
-    envelope: Sequence[EnvelopeSample], runset: RunSet, smooth: bool = True
-) -> list[FrontierPoint]:
-    """One compute-optimal point per model size that wins somewhere.
-
-    A model's C* is the geometric mean of its winning interval's endpoints;
-    loss is read from the model's own curve (pointwise min across its runs,
-    smoothed the same way as the envelope) at C*, and B from the run
-    achieving that minimum.  Models that never win are skipped with a
-    warning.
-    """
-    if not envelope:
-        raise EmptyEnvelopeError("empty envelope")
-    return _frontier_points(envelope, runset, _run_curves(runset, smooth))
 
 
 def fit_power_law(x, y) -> PowerLaw:
@@ -342,11 +322,11 @@ def frontier_report(
 ) -> FrontierReport:
     """Full pipeline: envelope, per-model points, fitted laws.
 
-    Each run is smoothed once and its curve shared by both stages.
+    Both stages read each run's smoothed curve from ``runset.smoothed``,
+    so each run is smoothed once for the life of the set.
     """
-    curves = _run_curves(runset, smooth)
-    envelope = _envelope(runset, grid, curves)
-    points = _frontier_points(envelope, runset, curves)
+    envelope = compute_envelope(runset, grid, smooth)
+    points = extract_frontier_points(envelope, runset, smooth)
     present = {pt.N for pt in points}
     excluded = [m for m in runset.model_sizes() if m not in present]
     return frontier_laws(points, excluded=excluded)

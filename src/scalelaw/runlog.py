@@ -239,6 +239,30 @@ class RunSet(Record):
             out.add(self.runs[rid])
         return out
 
+    def smoothed(
+        self,
+        run_id: str,
+        half_life_fraction: float = DEFAULT_HALF_LIFE_FRACTION,
+        discard_fraction: float | None = None,
+    ) -> Curve:
+        """smooth_run(self[run_id], ...).points, kept by run id and settings
+        for the life of the set.
+
+        The kept curves sit in ``__dict__`` outside the fields, so ``==``,
+        ``repr`` and ``to_dict()`` ignore them and ``subset()``,
+        ``replace()`` and ``read_runs`` give sets that hold none.  ``add``
+        refuses a taken id, so a kept curve cannot go stale.
+        """
+        kept = self.__dict__.setdefault("_smoothed", {})
+        key = (run_id, half_life_fraction, discard_fraction)
+        if key not in kept:
+            kept[key] = smooth_run(
+                self.runs[run_id],
+                half_life_fraction=half_life_fraction,
+                discard_fraction=discard_fraction,
+            ).points
+        return kept[key]
+
 
 _REQUIRED_FIELDS = (
     "run_id",

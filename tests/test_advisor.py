@@ -191,26 +191,34 @@ def law_sets(reference, master_runs, tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(laws=st.sampled_from(["reference", "fitted"]), budget=BUDGETS)
-def test_advise_identities_hold_for_every_budget(law_sets, laws, budget):
+@given(laws=st.sampled_from(["reference", "fitted"]), budget=BUDGETS, n_params=BUDGETS)
+def test_advise_identities_hold_for_every_budget(law_sets, laws, budget, n_params):
     artifact = law_sets[laws]
     rec = advise_compute(artifact.frontier, budget, loss_law=artifact.loss_law)
     # ratios first, so that the products cannot overflow near the float maximum
     assert 6.0 * rec.N * (rec.D / budget) == pytest.approx(1.0, rel=1e-12)
     assert rec.S * (rec.B / rec.D) == pytest.approx(1.0, rel=1e-12)
+
+    def advise():
+        return advise_data(artifact.bopt, budget, n_params=n_params, loss_law=artifact.loss_law)
+
     # a budget whose compute C = 6*N*D overflows a float is refused
-    if not math.isfinite(6.0 * 3.5e8 * budget):
+    if not math.isfinite(6 * n_params * budget):
         with pytest.raises(ValidationError, match="overflows"):
-            advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
+            advise()
         return
-    # a budget whose advised batch underflows to a subnormal or zero is refused
-    if artifact.bopt.eval(budget) < sys.float_info.min:
+    # so is one whose compute, or whose advised batch, underflows to a
+    # subnormal or zero
+    if 6 * n_params * budget < sys.float_info.min or (
+        artifact.bopt.eval(budget) < sys.float_info.min
+    ):
         with pytest.raises(ValidationError, match="underflows"):
-            advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
+            advise()
         return
-    rec = advise_data(artifact.bopt, budget, n_params=3.5e8, loss_law=artifact.loss_law)
+    rec = advise()
     assert rec.S * (rec.B / budget) == pytest.approx(1.0, rel=1e-12)
-    assert math.isfinite(rec.C)
+    assert rec.C == 6 * n_params * budget
+    assert rec.C >= sys.float_info.min
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -11,9 +11,8 @@ from scalelaw import (
     ValidationError,
     reference_artifact,
 )
-from scalelaw.advisor import DEFAULT_PRESETS
 from scalelaw.artifact import FORMAT_TAG
-from scalelaw.laws import FrontierPoint
+from scalelaw.laws import DEFAULT_PRESETS, FrontierPoint
 
 # sha256 of the saved reference artifact: every published constant, the
 # presets and the JSON layout feed these bytes

@@ -27,6 +27,7 @@ from scalelaw import (
     solve_tradeoff,
 )
 import scalelaw.bslaw
+import scalelaw.runlog
 from scalelaw.cli import main
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
@@ -121,7 +122,7 @@ def test_contour_smooths_each_run_once(monkeypatch, policy, scheme):
         calls[run.run_id] += 1
         return smooth_run(run, *args, **kwargs)
 
-    monkeypatch.setattr(scalelaw.bslaw, "smooth_run", counting_smooth_run)
+    monkeypatch.setattr(scalelaw.runlog, "smooth_run", counting_smooth_run)
     scheme = LrScheme(scheme) if scheme else None
     contours = iso_loss_contour(
         runset, [3.1, 3.3, 3.5, 3.7], lr_policy=policy, scheme=scheme
@@ -132,14 +133,14 @@ def test_contour_smooths_each_run_once(monkeypatch, policy, scheme):
 
 
 def _counting_smooth_run(monkeypatch) -> Counter:
-    """The smooth_run calls of bslaw, by (run id, discard_fraction)."""
+    """The smooth_run calls of the run sets, by (run id, discard_fraction)."""
     calls = Counter()
 
     def counting_smooth_run(run, *args, **kwargs):
         calls[run.run_id, kwargs.get("discard_fraction")] += 1
         return smooth_run(run, *args, **kwargs)
 
-    monkeypatch.setattr(scalelaw.bslaw, "smooth_run", counting_smooth_run)
+    monkeypatch.setattr(scalelaw.runlog, "smooth_run", counting_smooth_run)
     return calls
 
 
@@ -156,14 +157,15 @@ def test_default_levels_and_contours_share_each_smoothed_run(monkeypatch):
     )
     levels = default_loss_levels(runset)
     expect = iso_loss_contour(runset, levels)
+    # runset keeps the curves smoothed above; a subset starts with none
+    runset = runset.subset(runset.runs)
     calls = _counting_smooth_run(monkeypatch)
-    smoothed = {}
-    assert default_loss_levels(runset, smoothed=smoothed) == levels
-    assert iso_loss_contour(runset, levels, smoothed=smoothed) == expect
+    assert default_loss_levels(runset) == levels
+    assert iso_loss_contour(runset, levels) == expect
     assert calls == Counter(dict.fromkeys(((rid, None) for rid in runset.runs), 1))
     # another discard is another smoothing, kept beside the first
     calls.clear()
-    iso_loss_contour(runset, levels[:1], discard_fraction=0.05, smoothed=smoothed)
+    iso_loss_contour(runset, levels[:1], discard_fraction=0.05)
     assert calls == Counter(dict.fromkeys(((rid, 0.05) for rid in runset.runs), 1))
 
 

@@ -1537,10 +1537,17 @@ def test_non_finite_fit_parameters_are_validation_errors(
          "--levels must be positive and finite, got nan"),
         (["export-plot", "--kind", "contour", "--levels", "2.5,inf"],
          "--levels must be positive and finite, got inf"),
+        (["fit-bopt", "--policy", "fixed_scheme"], "fixed_scheme policy requires a scheme"),
+        (["export-plot", "--kind", "contour", "--policy", "fixed_scheme"],
+         "fixed_scheme policy requires a scheme"),
+        (["fit-bopt", "--scheme", "linear"], "--scheme needs --policy fixed_scheme"),
+        (["export-plot", "--kind", "contour", "--scheme", "sqrt"],
+         "--scheme needs --policy fixed_scheme"),
     ],
     ids=["delta", "checkpoint-tokens", "plateau-tol", "refinement", "s-floor", "n-levels",
          "export-n-levels", "batch", "model-size", "batch-zero", "export-model-size", "levels",
-         "export-levels"],
+         "export-levels", "policy-without-scheme", "export-policy-without-scheme",
+         "scheme-without-policy", "export-scheme-without-policy"],
 )
 def test_a_bad_numeric_flag_fails_before_the_run_log_is_opened(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -30,7 +30,7 @@ from scalelaw import (
     frontier_laws,
     frontier_report,
 )
-import scalelaw.frontier
+import scalelaw.runlog
 from scalelaw.frontier import parabola_vertex
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
@@ -574,7 +574,7 @@ def test_report_smooths_each_run_once(monkeypatch):
         calls[run.run_id] += 1
         return smooth_run(run, *args, **kwargs)
 
-    monkeypatch.setattr(scalelaw.frontier, "smooth_run", counting_smooth_run)
+    monkeypatch.setattr(scalelaw.runlog, "smooth_run", counting_smooth_run)
     report = frontier_report(runs)
     assert calls == Counter(dict.fromkeys(runs.runs, 1))
 

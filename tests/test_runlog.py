@@ -1481,3 +1481,38 @@ def test_runset_subset_and_iteration():
     sub = runset.subset(["x", "z"])
     assert sorted(r.run_id for r in sub) == ["x", "z"]
     assert "y" in runset and "y" not in sub
+
+
+def test_runset_keeps_each_smoothed_curve_for_its_life(tmp_path):
+    losses = tuple(3.0 - 0.01 * i for i in range(60))
+    runset = RunSet(runs={rid: make_run(rid, losses=losses) for rid in ("x", "y")})
+    twin = replace(runset)
+    shown, as_dict = repr(runset), repr(runset.to_dict())
+    path = tmp_path / "runs.jsonl"
+    path.write_text("".join(line + "\n" for line in serialize_runs(runset)))
+
+    def rows(curve):
+        return [column.tolist() for column in curve.columns]
+
+    with mock.patch.object(runlog, "smooth_run", wraps=runlog.smooth_run) as spy:
+        first = runset.smoothed("x")
+        assert runset.smoothed("x") is first
+        assert spy.call_count == 1
+        assert rows(first) == rows(smooth_run(runset["x"]).points)
+        # other settings are other curves, each kept beside the first
+        wider = runset.smoothed("x", 0.05)
+        shorter = runset.smoothed("x", discard_fraction=0.0)
+        assert rows(wider) == rows(smooth_run(runset["x"], half_life_fraction=0.05).points)
+        assert rows(shorter) == rows(smooth_run(runset["x"], discard_fraction=0.0).points)
+        assert len({id(first), id(wider), id(shorter)}) == 3
+        spy.reset_mock()
+        assert runset.smoothed("x", 0.05) is wider
+        assert runset.smoothed("x", discard_fraction=0.0) is shorter
+        assert spy.call_count == 0
+        # a subset, a replaced set and each read of the log keep nothing yet
+        for fresh in (runset.subset(["x"]), replace(runset), read_runs(path), read_runs(path)):
+            assert fresh.smoothed("x") is not first
+        assert spy.call_count == 4
+    # the kept curves are no part of the set's value
+    assert runset == twin
+    assert (repr(runset), repr(runset.to_dict())) == (shown, as_dict)
