@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from typing import Sequence
 
 from ._gauss import solve
-from ._lazy import np
 from ._record import Record
 from .errors import (
     EmptyEnvelopeError,
@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import FLOPS_PER_PARAM_TOKEN, FrontierPoint, FrontierReport, PowerLaw
-from .runlog import RunSet
+from .runlog import RunSet, _finite_count
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -40,44 +40,77 @@ class EnvelopeSample(Record, frozen=True):
     run_id: str
 
 
-def _run_curve_log(runset: RunSet, run, smooth: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(log C, loss) arrays of a run's finite points, optionally smoothed by
-    the set (RunSet.smoothed); an all-finite loss is the curve's own view."""
+def _run_curve(runset: RunSet, run, smooth: bool = False) -> tuple[float, Sequence, Sequence]:
+    """(scale, tokens, loss) of a run's finite points, where scale * tokens
+    is the compute, optionally smoothed by the set (RunSet.smoothed).
+
+    An all-finite loss gives the curve's own buffers; a curve of fewer than
+    2 finite points gives empty ones.
+    """
     try:
         curve = runset.smoothed(run.run_id, ENVELOPE_HALF_LIFE_FRACTION) if smooth else run.points
     except InsufficientDataError:
-        return np.empty(0), np.empty(0)
-    tokens, loss = curve.tokens, curve.loss
-    finite = np.isfinite(loss)
-    if not finite.all():
-        tokens, loss = tokens[finite], loss[finite]
+        return 0.0, (), ()
+    _, tokens, loss = curve.columns
+    if _finite_count(loss) < len(loss):
+        kept = [i for i, value in enumerate(loss) if math.isfinite(value)]
+        tokens, loss = [tokens[i] for i in kept], [loss[i] for i in kept]
     if len(loss) < 2:
-        return np.empty(0), np.empty(0)
-    return np.log(FLOPS_PER_PARAM_TOKEN * run.model.n_params * tokens), loss
+        return 0.0, (), ()
+    return FLOPS_PER_PARAM_TOKEN * run.model.n_params, tokens, loss
 
 
-def interp_in_range(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """Piecewise-linear fp(xp) at each x; NaN outside [xp[0], xp[-1]]."""
-    if xp.size == 0:
-        return np.full(x.shape, np.nan)
-    vals = np.interp(x, xp, fp)
-    vals[(x < xp[0]) | (x > xp[-1])] = np.nan
-    return vals
+def interp_in_range(
+    cs: Sequence[float], scale: float, tokens: Sequence, loss: Sequence
+) -> list[float]:
+    """The loss at each compute c in cs of a curve whose compute is
+    scale * tokens, piecewise linear in (log C, loss); NaN outside the
+    curve's compute range.
+
+    Each c's bracketing checkpoints are found by bisecting the tokens, and
+    only they are taken the log of.
+    """
+    values = [math.nan] * len(cs)
+    if not len(tokens):
+        return values
+    c_first, c_last = scale * tokens[0], scale * tokens[-1]
+    key, log = scale.__mul__, math.log
+    for i, c in enumerate(cs):
+        if c_first <= c <= c_last:
+            j = bisect_right(tokens, c, key=key) - 1
+            log_c, log_lo = log(c), log(scale * tokens[j])
+            if log_c == log_lo:  # at a checkpoint, the last one included
+                values[i] = loss[j]
+            else:
+                slope = (loss[j + 1] - loss[j]) / (log(scale * tokens[j + 1]) - log_lo)
+                values[i] = slope * (log_c - log_lo) + loss[j]
+    return values
 
 
-def default_grid(runset: RunSet) -> np.ndarray:
-    """Log-spaced compute grid covering the union of the runs' C ranges."""
+def default_grid(runset: RunSet) -> list[float]:
+    """Log-spaced compute grid covering the union of the runs' C ranges.
+
+    A run's range spans its first to its last finite raw point.  The grid
+    is numpy's geomspace of the union, computed in Python floats.
+    """
     c_lo = math.inf
     c_hi = 0.0
     for run in runset:
-        log_c, _ = _run_curve_log(runset, run)
-        if log_c.size:
-            c_lo = min(c_lo, math.exp(log_c[0]))
-            c_hi = max(c_hi, math.exp(log_c[-1]))
+        _, tokens, loss = run.points.columns
+        first = next((i for i, value in enumerate(loss) if math.isfinite(value)), len(loss))
+        last = next(
+            (i for i in reversed(range(first, len(loss))) if math.isfinite(loss[i])), first
+        )
+        if first < last:
+            scale = FLOPS_PER_PARAM_TOKEN * run.model.n_params
+            c_lo = min(c_lo, scale * tokens[first])
+            c_hi = max(c_hi, scale * tokens[last])
     if not c_hi > 0 or not math.isfinite(c_lo):
         raise InsufficientDataError("no run has two finite curve points")
     n = max(2, int(math.ceil(math.log10(c_hi / c_lo) * GRID_POINTS_PER_DECADE)) + 1)
-    return np.geomspace(c_lo, c_hi, n)
+    log_lo = math.log10(c_lo)
+    step = (math.log10(c_hi) - log_lo) / (n - 1)
+    return [c_lo, *(10.0 ** (k * step + log_lo) for k in range(1, n - 1)), c_hi]
 
 
 def compute_envelope(
@@ -92,32 +125,35 @@ def compute_envelope(
     """
     if len(runset) == 0:
         raise InsufficientDataError("empty run set")
-    grid_arr = np.asarray(grid, dtype=float) if grid is not None else default_grid(runset)
-    if np.any(grid_arr <= 0):
+    grid = default_grid(runset) if grid is None else [float(c) for c in grid]
+    if any(c <= 0 for c in grid):
         raise ValidationError("grid values must be positive")
-    log_grid = np.log(grid_arr)
-    best = np.full(grid_arr.shape, np.inf)
-    winner = np.full(grid_arr.shape, -1, dtype=int)
-    run_ids = []
-    for idx, run in enumerate(runset):
-        run_ids.append(run.run_id)
-        vals = interp_in_range(log_grid, *_run_curve_log(runset, run, smooth))
-        better = vals < best  # NaN never wins
-        best[better] = vals[better]
-        winner[better] = idx
-    covered = winner >= 0
-    if not covered.any():
-        raise EmptyEnvelopeError("no run covers any grid point")
-    return [
-        EnvelopeSample(C=float(grid_arr[i]), loss=float(best[i]), run_id=run_ids[winner[i]])
-        for i in np.nonzero(covered)[0]
+    best = [math.inf] * len(grid)
+    winner: list[str | None] = [None] * len(grid)
+    for run in runset:
+        for i, value in enumerate(interp_in_range(grid, *_run_curve(runset, run, smooth))):
+            if value < best[i]:  # NaN never wins
+                best[i], winner[i] = value, run.run_id
+    samples = [
+        EnvelopeSample(C=c, loss=loss, run_id=run_id)
+        for c, loss, run_id in zip(grid, best, winner)
+        if run_id is not None
     ]
+    if not samples:
+        raise EmptyEnvelopeError("no run covers any grid point")
+    return samples
 
 
-def longest_stretch(indices) -> list[int]:
-    """The longest stretch of consecutive indices as Python ints; the first on ties."""
-    stretches = np.split(indices, np.flatnonzero(np.diff(indices) > 1) + 1)
-    return max(stretches, key=len).tolist()
+def longest_stretch(indices: Sequence[int]) -> list[int]:
+    """The longest stretch of consecutive indices; the first on ties."""
+    best: list[int] = []
+    start = 0
+    for end in range(1, len(indices) + 1):
+        if end == len(indices) or indices[end] != indices[end - 1] + 1:
+            if end - start > len(best):
+                best = list(indices[start:end])
+            start = end
+    return best
 
 
 def extract_frontier_points(
@@ -133,21 +169,21 @@ def extract_frontier_points(
     """
     if not envelope:
         raise EmptyEnvelopeError("empty envelope")
-    curves = {run.run_id: _run_curve_log(runset, run, smooth) for run in runset}
+    curves = {run.run_id: _run_curve(runset, run, smooth) for run in runset}
     model_of_run = {run.run_id: run.model.n_params for run in runset}
     win_model = [model_of_run[s.run_id] for s in envelope]
-
-    # per-model grid coverage, to tell competitive losses from absent data
-    log_grid = np.log([s.C for s in envelope])
-    coverage: dict[float, np.ndarray] = {}
     model_runs: dict[float, list] = {}
     for run in runset:
         model_runs.setdefault(run.model.n_params, []).append(run)
-    for n_params, runs in model_runs.items():
-        cov = np.zeros(log_grid.shape, dtype=bool)
-        for run in runs:
-            cov |= ~np.isnan(interp_in_range(log_grid, *curves[run.run_id]))
-        coverage[n_params] = cov
+
+    def covered(n_params: float, i: int) -> bool:
+        # whether the model has data at grid point i, to tell competitive
+        # losses from absent data
+        c = [envelope[i].C]
+        return any(
+            not math.isnan(interp_in_range(c, *curves[run.run_id])[0])
+            for run in model_runs[n_params]
+        )
 
     points = []
     for n_params in model_runs:
@@ -164,16 +200,14 @@ def extract_frontier_points(
             )
         i_lo, i_hi = interval[0], interval[-1]
         c_star = math.sqrt(envelope[i_lo].C * envelope[i_hi].C)
-
-        cov = coverage[n_params]
-        clipped_low = i_lo == 0 or not cov[i_lo - 1]
-        clipped_high = i_hi == len(envelope) - 1 or not cov[i_hi + 1]
+        clipped_low = i_lo == 0 or not covered(n_params, i_lo - 1)
+        clipped_high = i_hi == len(envelope) - 1 or not covered(n_params, i_hi + 1)
 
         # model curve readout at C*: min across this model's runs
         best_loss = math.inf
         best_run = None
         for run in model_runs[n_params]:
-            val = interp_in_range(np.asarray([math.log(c_star)]), *curves[run.run_id])[0]
+            val = interp_in_range([c_star], *curves[run.run_id])[0]
             if not math.isnan(val) and val < best_loss:
                 best_loss = val
                 best_run = run
@@ -274,7 +308,7 @@ def frontier_laws(
     clean = [pt for pt in pts if not pt.edge_clipped]
     usable = clean if len(clean) >= 3 else pts
 
-    c = np.array([pt.C for pt in usable])
+    c = [pt.C for pt in usable]
     l_opt = fit_power_law(c, [pt.loss for pt in usable])
     n_opt = fit_power_law(c, [pt.N for pt in usable])
     s_opt = fit_power_law(c, [pt.S for pt in usable])
@@ -302,8 +336,8 @@ def frontier_laws(
     # (least squares is linear in log space), so residuals compare the
     # derived laws against the extracted point values instead
     residuals = {
-        "D_opt": float(np.max(np.abs(d_opt(c) / np.array([pt.D for pt in usable]) - 1.0))),
-        "B_opt": float(np.max(np.abs(b_opt(c) / np.array([pt.B for pt in usable]) - 1.0))),
+        "D_opt": max(abs(d_opt(pt.C) / pt.D - 1.0) for pt in usable),
+        "B_opt": max(abs(b_opt(pt.C) / pt.B - 1.0) for pt in usable),
     }
     return FrontierReport(
         points=tuple(pts),

@@ -199,6 +199,25 @@ def _unpack(theta: np.ndarray, constraint: FrontierConstraint | None):
     return E, A, alpha, bcoef, beta
 
 
+# the rows of one BLAS dot product in _dot: OpenBLAS runs a dot product of
+# up to 10,000 rows on one thread, and splits a longer one across threads
+_DOT_BLOCK = 4096
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b, summed in an order that does not depend on the machine's cores.
+
+    A row-length `a @ b` hands the whole sum to BLAS, which splits it across
+    as many threads as it is given, so the bytes of a fit would depend on
+    the core count.  Here each block of _DOT_BLOCK rows is one BLAS dot
+    product, and the blocks' sums are added by math.fsum; a fit of at most
+    _DOT_BLOCK rows takes exactly `a @ b`.
+    """
+    return math.fsum(
+        float(a[i : i + _DOT_BLOCK] @ b[i : i + _DOT_BLOCK]) for i in range(0, a.size, _DOT_BLOCK)
+    )
+
+
 def _objective_and_grad(
     theta: np.ndarray,
     log_n: np.ndarray,
@@ -228,7 +247,7 @@ def _objective_and_grad(
     np.subtract(np.log(pred, out=resid), log_obs, out=resid)
     np.clip(resid, -delta, delta, out=clipped)
     np.subtract(resid, np.multiply(clipped, 0.5, out=tmp), out=tmp)
-    value = float(clipped @ tmp)
+    value = _dot(clipped, tmp)
     # w = d objective / d pred, then w_n = w*term_n and w_d = w*term_d
     w = np.divide(clipped, pred, out=tmp)
     w_n = np.multiply(w, term_n, out=term_n)
@@ -236,14 +255,14 @@ def _objective_and_grad(
     sum_n = float(np.sum(w_n))
     sum_d = float(np.sum(w_d))
     d_e = E * float(np.sum(w))
-    d_beta = -beta * float(w_d @ log_d)
+    d_beta = -beta * _dot(w_d, log_d)
     if constraint is None:
-        grad = [d_e, sum_n, -alpha * float(w_n @ log_n), sum_d, d_beta]
+        grad = [d_e, sum_n, -alpha * _dot(w_n, log_n), sum_d, d_beta]
     else:
         # A*N^-alpha with alpha = beta*b/a and A = Bcoef*(a/b)*p^alpha/q^beta
         ratio = constraint.b / constraint.a
         slope_n = ratio * math.log(constraint.p) - math.log(constraint.q)
-        d_beta += beta * (slope_n * sum_n - ratio * float(w_n @ log_n))
+        d_beta += beta * (slope_n * sum_n - ratio * _dot(w_n, log_n))
         grad = [d_e, d_beta, sum_n + sum_d]
     return value, np.asarray(grad)
 

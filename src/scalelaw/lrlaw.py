@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
+from bisect import bisect_right
 from typing import Sequence
 
 from ._lazy import np
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .frontier import fit_power_law, interp_in_range, longest_stretch, parabola_vertex
 from .laws import LrLawFit
-from .runlog import RunSet, has_divergence, smooth_run
+from .runlog import RunSet, has_divergence
 
 DEFAULT_PLATEAU_TOLERANCE = 0.05
 # A flat suffix only counts as the ceiling plateau if it spans enough of the
@@ -47,8 +49,16 @@ class LossSurface(Record, frozen=True, eq=False):
     """Losses at one token checkpoint over a (batch, LR-factor) grid.
 
     grid_LR holds scale factors relative to base_lr; cells from diverged or
-    too-short runs are NaN.  column_at blends the LR column between batch
-    rows linearly in log B; the LR axis is only read at its grid nodes.
+    too-short runs are NaN.  column_at reads the LR column at a swept batch
+    and blends it between batch rows linearly in log B elsewhere; the LR
+    axis is only read at its grid nodes.
+
+    Its ``buffers`` are grid_B, grid_LR and losses as read-only float64
+    memoryviews (losses 2-D), which the readout reads as Python floats.  A
+    field given as a C-contiguous float64 memoryview is kept; any other (a
+    numpy array, a list) is converted once by numpy.  The fields themselves
+    are read-only numpy views of the buffers, each built when first read,
+    so a process that never reads one never loads numpy.
     """
 
     d_checkpoint: float
@@ -58,39 +68,69 @@ class LossSurface(Record, frozen=True, eq=False):
     base_lr: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid_B", np.asarray(self.grid_B, dtype=float))
-        object.__setattr__(self, "grid_LR", np.asarray(self.grid_LR, dtype=float))
-        object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
+        grid_b, grid_lr, losses = buffers = tuple(
+            _float_buffer(self.__dict__.pop(name)) for name in _SURFACE_FIELDS
+        )
+        self.__dict__["buffers"] = buffers
         for name in ("d_checkpoint", "base_lr"):
             _check_positive(name, getattr(self, name))
-        for grid in (self.grid_B, self.grid_LR):
-            if grid.ndim != 1 or grid.size < 2:
+        for grid in (grid_b, grid_lr):
+            if grid.ndim != 1 or len(grid) < 2:
                 raise ValidationError("grids must be 1-D with at least 2 values")
-            if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+            values = grid.tolist()
+            if not (values[0] > 0 and all(a < b for a, b in zip(values, values[1:]))):
                 raise ValidationError("grids must be positive and strictly increasing")
-        if self.losses.shape != (self.grid_B.size, self.grid_LR.size):
+        if losses.shape != (len(grid_b), len(grid_lr)):
             raise ValidationError("losses must be shaped (len(grid_B), len(grid_LR))")
-        with np.errstate(invalid="ignore"):
-            if np.any(self.losses <= 0):
-                raise ValidationError("losses must be positive (NaN for missing)")
-        filled = np.isfinite(self.losses)
-        windows = np.lib.stride_tricks.sliding_window_view
-        if min(filled.shape) < 3 or not windows(filled, (3, 3)).all(axis=(2, 3)).any():
+        rows = losses.tolist()
+        if any(value <= 0 for row in rows for value in row):
+            raise ValidationError("losses must be positive (NaN for missing)")
+        filled = [[math.isfinite(value) for value in row] for row in rows]
+        if not any(
+            all(all(row[j : j + 3]) for row in filled[i : i + 3])
+            for i in range(len(filled) - 2)
+            for j in range(len(filled[0]) - 2)
+        ):
             raise InsufficientGridError("no fully observed 3x3 subgrid in the sweep")
 
-    def column_at(self, b: float) -> np.ndarray:
-        """Losses at every LR grid node for batch b, blended along log B.
+    def __getattr__(self, name: str):
+        # called only for an attribute not in __dict__: a field whose array
+        # has not been read yet, which becomes a view of its buffer
+        if name in _SURFACE_FIELDS and "buffers" in self.__dict__:
+            view = np.asarray(self.buffers[_SURFACE_FIELDS.index(name)])
+            self.__dict__[name] = view
+            return view
+        raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
 
-        Values are NaN where either supporting row is missing, and all NaN
-        when b lies off the batch grid.
+    def column_at(self, b: float) -> list[float]:
+        """Losses at every LR grid node for batch b.
+
+        At a swept batch this is its row, holes included.  Between two swept
+        batches the rows are blended along log B, and a value is NaN where
+        either row is missing.  Off the batch grid every value is NaN.
         """
-        axis = np.log(self.grid_B)
+        grid_b, grid_lr, losses = self.buffers
+        axis = [math.log(value) for value in grid_b]
         log_b = math.log(b)
         if not axis[0] <= log_b <= axis[-1]:
-            return np.full(self.grid_LR.size, np.nan)
-        i = min(int(np.searchsorted(axis, log_b, side="right") - 1), axis.size - 2)
+            return [math.nan] * len(grid_lr)
+        i = bisect_right(axis, log_b) - 1
+        rows = losses.tolist()
+        if axis[i] == log_b:
+            return rows[i]
         t = (log_b - axis[i]) / (axis[i + 1] - axis[i])
-        return (1.0 - t) * self.losses[i] + t * self.losses[i + 1]
+        return [(1.0 - t) * lo + t * hi for lo, hi in zip(rows[i], rows[i + 1])]
+
+
+# a surface's array fields, in the order of its buffers
+_SURFACE_FIELDS = ("grid_B", "grid_LR", "losses")
+
+
+def _float_buffer(value) -> memoryview:
+    """value as a read-only C-contiguous float64 memoryview."""
+    if not (isinstance(value, memoryview) and value.format == "d" and value.c_contiguous):
+        value = memoryview(np.asarray(value, dtype=float, order="C"))
+    return value.toreadonly()
 
 
 class LrSample(Record, frozen=True):
@@ -102,16 +142,15 @@ class LrSample(Record, frozen=True):
     boundary: bool = False
 
 
-def _loss_at_checkpoint(run, d_checkpoint: float) -> float:
+def _loss_at_checkpoint(runset: RunSet, run, d_checkpoint: float) -> float:
     """Smoothed loss at d_checkpoint tokens; NaN for diverged/short runs."""
     if has_divergence(run.points):
         return math.nan
-    tokens = run.points.tokens
-    if tokens.size < 2 or tokens[-1] < d_checkpoint or tokens[0] > d_checkpoint:
+    tokens = run.points.columns[1]
+    if len(tokens) < 2 or tokens[-1] < d_checkpoint or tokens[0] > d_checkpoint:
         return math.nan
-    smoothed = smooth_run(run).points
-    target = np.array([math.log(d_checkpoint)])
-    return float(interp_in_range(target, np.log(smoothed.tokens), smoothed.loss)[0])
+    _, tokens, loss = runset.smoothed(run.run_id).columns
+    return interp_in_range([d_checkpoint], 1.0, tokens, loss)[0]
 
 
 def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:
@@ -138,7 +177,7 @@ def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:
 
     grid_b = sorted({run.batch_size_tokens for run in runs})
     grid_lr = sorted({run.lr_scale for run in runs})
-    losses = np.full((len(grid_b), len(grid_lr)), np.nan)
+    losses = array("d", [math.nan]) * (len(grid_b) * len(grid_lr))
     seen = set()
     for run in runs:
         cell = (grid_b.index(run.batch_size_tokens), grid_lr.index(run.lr_scale))
@@ -148,15 +187,15 @@ def build_surface(runset: RunSet, d_checkpoint: float) -> LossSurface:
                 f"scale={run.lr_scale:.3g}"
             )
         seen.add(cell)
-        value = _loss_at_checkpoint(run, d_checkpoint)
+        value = _loss_at_checkpoint(runset, run, d_checkpoint)
         if math.isnan(value):
             warnings.warn(f"run {run.run_id} missing at checkpoint; cell left empty")
-        losses[cell] = value
+        losses[cell[0] * len(grid_lr) + cell[1]] = value
     return LossSurface(
         d_checkpoint=d_checkpoint,
-        grid_B=np.asarray(grid_b),
-        grid_LR=np.asarray(grid_lr),
-        losses=losses,
+        grid_B=memoryview(array("d", grid_b)),
+        grid_LR=memoryview(array("d", grid_lr)),
+        losses=memoryview(losses).cast("B").cast("d", (len(grid_b), len(grid_lr))),
         base_lr=base_lr,
     )
 
@@ -168,39 +207,37 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
     refined B the discrete minimum over LR grid nodes is polished by fitting
     a parabola in log LR through its neighbors.  Minima on the edge of the
     observed LR span are flagged boundary (the true optimum may lie outside
-    the sweep).
+    the sweep).  A sample at a swept batch reads that batch's row and
+    reports the batch as swept.
     """
     _check_refinement(refinement)
-    log_b_nodes = np.log(surface.grid_B)
-    n_cells = surface.grid_B.size - 1
-    refined = np.sort(
-        np.concatenate(
-            [
-                np.linspace(log_b_nodes[i], log_b_nodes[i + 1], refinement + 1)
-                for i in range(n_cells)
-            ]
-        )
-    )
-    # np.unique's result (the shared nodes once) without np.unique, which
-    # loads numpy.ma on first use (numpy 2.x)
-    refined = refined[np.concatenate(([True], np.diff(refined) != 0))]
-    log_lr = np.log(surface.grid_LR)
+    grid_b, grid_lr, _ = surface.buffers
+    log_b = [math.log(b) for b in grid_b]
+    log_lr = [math.log(v) for v in grid_lr]
+    # each swept batch, then the refinement - 1 batches that numpy's
+    # linspace puts between it and the next one in log B
+    batches = []
+    for i, b in enumerate(grid_b):
+        batches.append(b)
+        if i + 1 < len(grid_b):
+            step = (log_b[i + 1] - log_b[i]) / refinement
+            batches.extend(math.exp(k * step + log_b[i]) for k in range(1, refinement))
     samples = []
-    for lb in refined:
-        column = surface.column_at(math.exp(lb))
+    for b in batches:
+        column = surface.column_at(b)
         # work within the longest consecutive stretch of observed cells
-        segment = longest_stretch(np.flatnonzero(np.isfinite(column)))
+        segment = longest_stretch([j for j, value in enumerate(column) if math.isfinite(value)])
         if len(segment) < 2:
             continue
-        vals = column[segment]
-        k = int(np.argmin(vals))
+        vals = [column[j] for j in segment]
+        k = min(range(len(vals)), key=vals.__getitem__)
         j = segment[k]
         if k == 0 or k == len(segment) - 1:
             samples.append(
                 LrSample(
-                    B=float(math.exp(lb)),
-                    lr_opt=float(surface.base_lr * surface.grid_LR[j]),
-                    loss_at_opt=float(vals[k]),
+                    B=b,
+                    lr_opt=float(surface.base_lr * grid_lr[j]),
+                    loss_at_opt=vals[k],
                     boundary=True,
                 )
             )
@@ -208,10 +245,10 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
         try:
             log_opt, loss_opt = parabola_vertex(log_lr[j - 1 : j + 2], column[j - 1 : j + 2])
         except NoMinimumError:
-            log_opt, loss_opt = float(log_lr[j]), float(column[j])
+            log_opt, loss_opt = log_lr[j], column[j]
         samples.append(
             LrSample(
-                B=float(math.exp(lb)),
+                B=b,
                 lr_opt=float(surface.base_lr * math.exp(log_opt)),
                 loss_at_opt=loss_opt,
                 boundary=False,
@@ -230,7 +267,8 @@ def fit_gamma(
 
     The plateau is the maximal suffix of samples whose LR_opt varies less
     than plateau_tolerance while spanning at least PLATEAU_MIN_SPAN in B;
-    gamma is the log-log slope over the remaining prefix.
+    gamma is the log-log slope over the remaining prefix, and the ceiling
+    the plateau's mean LR_opt.
 
     Raises:
         InsufficientDataError: fewer than 4 non-boundary samples.
@@ -244,33 +282,33 @@ def fit_gamma(
         raise InsufficientDataError(
             f"need at least 4 non-boundary samples, got {len(usable)}"
         )
-    lrs = np.array([s.lr_opt for s in usable])
-    bs = np.array([s.B for s in usable])
+    lrs = [s.lr_opt for s in usable]
+    bs = [s.B for s in usable]
 
     plateau_start = None
     for j in range(len(usable) - 1):
         tail = lrs[j:]
         if bs[-1] / bs[j] < PLATEAU_MIN_SPAN:
             break
-        if tail.max() / tail.min() - 1.0 < plateau_tolerance:
+        if max(tail) / min(tail) - 1.0 < plateau_tolerance:
             plateau_start = j
             break
 
     if plateau_start is None:
-        prefix = slice(None)
+        n_fit = len(usable)
         lr_ceiling = None
         onset = None
     else:
-        prefix = slice(0, plateau_start)
-        lr_ceiling = float(lrs[plateau_start:].mean())
-        onset = float(bs[plateau_start])
+        n_fit = plateau_start
+        lr_ceiling = math.fsum(lrs[plateau_start:]) / (len(lrs) - plateau_start)
+        onset = bs[plateau_start]
         if plateau_start < 2:
             raise GammaUndefinedError(
                 "all batch sizes sit in the LR plateau", lr_ceiling=lr_ceiling
             )
     return LrLawFit(
-        gamma=fit_power_law(bs[prefix], lrs[prefix]).p,
+        gamma=fit_power_law(bs[:n_fit], lrs[:n_fit]).p,
         lr_ceiling=lr_ceiling,
         plateau_onset_B=onset,
-        n_fit=int(bs[prefix].size),
+        n_fit=n_fit,
     )

@@ -376,23 +376,74 @@ def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_ru
         ([*export_curves, "--raw"], 0, curves),
     ]
     for argv, code, written in verbs:
-        script = (
-            "import sys\n"
-            "from scalelaw.cli import main\n"
-            f"code = main({argv!r})\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
-        )
-        shutil.rmtree(run_log_cache, ignore_errors=True)
-        sides = []
-        for _ in ("miss", "hit"):
-            written.unlink(missing_ok=True)
-            proc = run_fresh(script)
-            *printed, loaded = proc.stdout.splitlines()
-            sides.append((printed, proc.stderr, written.read_bytes() if code == 0 else None, loaded))
-        miss, hit = sides
-        assert miss[:3] == hit[:3], argv
-        assert miss[3].startswith(f"{code} ['numpy.") and hit[3] == f"{code} []", argv
+        hit = assert_a_hit_loads_no_numpy(argv, code, written, run_log_cache)
         assert code == 0 or "vertices must span at least one decade of D" in hit[1]
+
+
+def assert_a_hit_loads_no_numpy(argv, code, written, cache):
+    """Run the verb argv in a new interpreter on a miss in the emptied cache,
+    then on a hit: both exit code, print and write the same, the miss loads
+    numpy and the hit does not.  The hit's (stdout lines, stderr)."""
+    script = (
+        "import sys\n"
+        "from scalelaw.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
+    )
+    shutil.rmtree(cache, ignore_errors=True)
+    sides = []
+    for _ in ("miss", "hit"):
+        written.unlink(missing_ok=True)
+        proc = run_fresh(script)
+        *printed, loaded = proc.stdout.splitlines()
+        sides.append((printed, proc.stderr, written.read_bytes() if code == 0 else None, loaded))
+    miss, hit = sides
+    assert miss[:3] == hit[:3], argv
+    assert miss[3].startswith(f"{code} ['numpy.") and hit[3] == f"{code} []", argv
+    return hit[:2]
+
+
+def test_readout_verbs_of_a_cached_log_never_load_numpy(tmp_path, five_model_runs, run_log_cache):
+    """A hit hands frontier, export-plot --kind envelope and fit-lr the
+    entry's buffers, and each reads its curves out in Python floats without
+    numpy.  A miss in an empty cache parses the log with numpy.  Both print
+    and write the same."""
+    runs, laws, out = str(five_model_runs), tmp_path / "laws.json", tmp_path / "envelope.csv"
+    lr_runs = str(lr_sweep_file(tmp_path / "lr.jsonl", lambda b: 0.5 * (b / 1e6) ** 0.3))
+    verbs = [
+        (["frontier", "--runs", runs, "--laws", str(laws), "--json"], laws),
+        (["export-plot", "--runs", runs, "--kind", "envelope", "--out", str(out)], out),
+        (["fit-lr", "--runs", lr_runs, "--laws", str(laws), "--checkpoint-tokens", "2e7",
+          "--json"], laws),
+    ]
+    for argv, written in verbs:
+        printed, _ = assert_a_hit_loads_no_numpy(argv, 0, written, run_log_cache)
+        assert printed, argv
+    assert json.loads(printed[0])["lr_law"]["gamma"] == pytest.approx(0.3, abs=1e-6)
+
+
+def test_fit_law_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
+    """The quick-start fit (29,775 rows) gives the same bytes with one BLAS
+    thread as with two: no row-length sum of the objective is split across
+    threads."""
+    runs, frontier_laws = tmp_path / "runs.jsonl", tmp_path / "frontier.json"
+    assert main(["simulate", "--out", str(runs), "--seed", "7"]) == 0
+    assert main(["frontier", "--runs", str(runs), "--laws", str(frontier_laws)]) == 0
+    capsys.readouterr()
+    laws = tmp_path / "laws.json"
+    argv = [sys.executable, "-m", "scalelaw.cli", "fit-law", "--runs", str(runs),
+            "--laws", str(laws), "--constrain", "frontier", "--json"]
+    sides = []
+    for threads in ("1", "2"):
+        shutil.copyfile(frontier_laws, laws)
+        proc = subprocess.run(
+            argv, env=dict(fresh_env(), OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sides.append((proc.stdout, laws.read_bytes()))
+    assert b'"n_points": 29775' in sides[0][0]
+    assert sides[0] == sides[1]
 
 
 # the layers the benchmark traces, and those that fit laws to run logs
@@ -1374,11 +1425,12 @@ def seeded_sweep_file(tmp_path, capsys, points, models=(1.25e8, 3.5e8), batches=
 
 
 # sha256 of the CSV files that export-plot wrote before it streamed its rows
-# (6 runs of 5,000 points: each run's curve is 2 blocks of rows)
+# (6 runs of 5,000 points: each run's curve is 2 blocks of rows); the
+# envelope's since its grid and interpolation are computed in Python floats
 EXPORT_SHA256 = {
     "curves": "294f3aa7b7423b7c650b0c485b7c901b60af7b11ce094ff0a463c25555a86114",
     "curves-raw": "e323cac05c02d418ee24ead1f33f8c037005f645444e6edc37034d9386fc6334",
-    "envelope": "ea131189a27fe7abf3d27727d1dd7ee1d5b756eb6ada73c31c4ad2d995a93e6a",
+    "envelope": "bd2ab2080f7c11e3875dd0a823050ffcb0dec68d5ad0c0f78aa1481567d25e7b",
     "contour": "92974f1ee37167fd5f31189626c4f509819998b442dbeebc0f60bbd96c6ff3c5",
 }
 EXPORT_ARGV = {

@@ -31,6 +31,7 @@ from scalelaw import (
     frontier_report,
 )
 import scalelaw.runlog
+from scalelaw import frontier
 from scalelaw.frontier import parabola_vertex
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
@@ -312,10 +313,31 @@ def test_default_grid_covers_all_runs():
     grid = default_grid(runset)
     c_lo = 6.0 * 1e8 * a.points.tokens[0]
     c_hi = 6.0 * 1e9 * b.points.tokens[-1]
-    assert grid[0] == pytest.approx(c_lo, rel=1e-9)
-    assert grid[-1] == pytest.approx(c_hi, rel=1e-9)
+    assert (grid[0], grid[-1]) == (c_lo, c_hi)
     decades = math.log10(c_hi / c_lo)
     assert len(grid) == max(2, int(math.ceil(decades * 64)) + 1)
+    # numpy's geomspace, whose vectorised pow may round the other way
+    np.testing.assert_allclose(grid, np.geomspace(c_lo, c_hi, len(grid)), rtol=4e-16)
+
+
+def test_interp_in_range_matches_numpy_interp():
+    # the numpy reference interpolates in the log of every point's compute
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        tokens = [1e6 * 1.3**i * rng.uniform(1.0, 1.2) for i in range(n)]
+        loss = [rng.uniform(2.0, 4.0) for _ in tokens]
+        scale = 6.0 * 10 ** rng.uniform(7, 10)
+        log_c = np.log(scale * np.array(tokens))
+        cs = [scale * t for t in tokens] + [
+            math.exp(rng.uniform(log_c[0] - 1.0, log_c[-1] + 1.0)) for _ in range(40)
+        ]
+        x = np.log(cs)
+        want = np.interp(x, log_c, loss)
+        want[(x < log_c[0]) | (x > log_c[-1])] = np.nan
+        got = frontier.interp_in_range(cs, scale, tokens, loss)
+        assert got[:n] == loss  # at a checkpoint, its own loss
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from scalelaw import (
     fit_gamma,
     scale_lr,
 )
+import scalelaw.runlog
 from scalelaw._record import replace
+from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_grid
 
 BASE_LR = 4.4e-4
@@ -166,6 +169,31 @@ def test_surface_checkpoint_in_discarded_head_is_missing():
         surface = build_surface(RunSet(runs=runs), d_checkpoint=1.2e7)
     assert math.isnan(surface.losses[0, 0])
     assert np.isfinite(surface.losses).sum() == surface.losses.size - 1
+
+
+def test_surface_reads_the_sets_smoothed_curves(monkeypatch):
+    runset = separable_sweep(lambda i, j: 2.0 + 0.3 * i + 0.1 * j)
+    calls = Counter()
+
+    def counting_smooth_run(run, *args, **kwargs):
+        calls[run.run_id] += 1
+        return smooth_run(run, *args, **kwargs)
+
+    monkeypatch.setattr(scalelaw.runlog, "smooth_run", counting_smooth_run)
+    first = build_surface(runset, d_checkpoint=1.5e7)
+    second = build_surface(runset, d_checkpoint=1.5e7)
+    assert calls == Counter(dict.fromkeys(runset.runs, 1))
+    assert first.losses.tolist() == second.losses.tolist()
+
+
+def test_surface_fields_are_read_only_views_of_float_buffers():
+    surface = build_surface(separable_sweep(lambda i, j: 2.0 + 0.3 * i + 0.1 * j), 1.5e7)
+    grid_b, grid_lr, losses = surface.buffers
+    assert (grid_b.format, grid_lr.format, losses.format) == ("d", "d", "d")
+    assert losses.shape == (4, 3) and losses.readonly
+    assert surface.losses.base is not None and not surface.losses.flags.writeable
+    assert surface.losses.tolist() == losses.tolist()
+    assert surface.grid_B is surface.grid_B  # built once, on first read
 
 
 @pytest.mark.parametrize("n_b, n_lr", [(2, 3), (3, 2)])
@@ -356,6 +384,33 @@ def test_extract_skips_column_of_isolated_cells():
     )
     samples = extract_lr_opt(holed, refinement=1)
     assert [s.B for s in samples] == pytest.approx(grid_b[1:].tolist(), rel=1e-12)
+
+
+def test_swept_batch_reads_its_own_row_past_a_hole_in_the_last_row():
+    # blending row 3 with row 4 at weight 0 would turn row 4's hole into a
+    # hole of row 3 (0 * NaN is NaN), and row 3's optimum into a boundary
+    grid_b = np.geomspace(1e6, 1.6e7, 5)
+    vertices = [0.5, 0.6, 0.8, 1.0, 1.3]
+    surface = quadratic_surface(vertices, grid_b)
+    losses = surface.losses.copy()
+    losses[4, 4] = np.nan  # row 4 misses the LR factor of row 3's optimum
+    holed = LossSurface(
+        d_checkpoint=1e9,
+        grid_B=grid_b,
+        grid_LR=surface.grid_LR,
+        losses=losses,
+        base_lr=6e-4,
+    )
+    for i, b in enumerate(grid_b):
+        np.testing.assert_array_equal(holed.column_at(b), losses[i])  # NaN where row i has one
+    samples = extract_lr_opt(holed, refinement=2)
+    nodes = samples[::2]
+    assert [s.B for s in nodes] == grid_b.tolist()  # the swept batches themselves
+    assert not nodes[3].boundary
+    assert nodes[3].lr_opt == pytest.approx(6e-4 * vertices[3], rel=1e-6)
+    assert nodes[3].loss_at_opt == pytest.approx(1.0, abs=1e-9)
+    # between rows 3 and 4 the blend still needs both rows
+    assert math.isnan(holed.column_at(math.sqrt(grid_b[3] * grid_b[4]))[4])
 
 
 # ---------------------------------------------------------------------------
