@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 from typing import Sequence
 
-from ..errors import NumericalError, ValidationError
+from ..errors import NumericalError
 
 
 def add_json_flag(parser) -> None:
@@ -32,14 +31,6 @@ def csv_floats(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
-
-
-def check_positive(flag: str, values: Sequence[float]) -> None:
-    """Refuse a value of flag that is NaN, infinite or not positive, so that
-    a verb refuses it before it reads any input."""
-    for value in values:
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{flag} must be positive and finite, got {value}")
 
 
 def emit(args, human_lines: Sequence[str], payload: dict) -> None:

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 from .. import __version__, artifact, bslaw, laws, runlog
 from .._atomic import write_atomic
-from ..errors import InsufficientDataError, ValidationError
-from . import check_positive, csv_floats
+from ..errors import InsufficientDataError, ValidationError, check_positive
+from . import csv_floats
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
@@ -69,7 +69,7 @@ def filtered_runs(args):
     batch = getattr(args, "batch", None)
     for flag, value in (("--model-size", model_size), ("--batch", batch)):
         if value is not None:
-            check_positive(flag, [value])
+            check_positive(flag, value)
     scheme = laws.LrScheme(args.only_scheme) if getattr(args, "only_scheme", None) else None
     seen = 0  # runs keep is asked about: none when the log holds none
 
@@ -97,7 +97,8 @@ def check_contour_flags(args) -> None:
     if args.levels is None:
         bslaw._check_n_levels(args.n_levels)
     else:
-        check_positive("--levels", args.levels)
+        for level in args.levels:
+            check_positive("--levels", level)
     if args.policy == "fixed_scheme" and args.scheme is None:
         raise ValidationError("fixed_scheme policy requires a scheme")
     if args.policy != "fixed_scheme" and args.scheme is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .. import bslaw, laws
 from .._record import replace
+from ..errors import check_positive
 from . import add_json_flag, emit
 from ._runs import (
     add_contour_flags,
@@ -27,7 +28,8 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> None:
-    bslaw._check_s_floor_hint(args.s_floor)
+    if args.s_floor is not None:
+        check_positive("s_floor_hint", args.s_floor)
     check_contour_flags(args)
     doc = laws_to_update(args.laws)
     runset = filtered_runs(args)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .. import artifact, lawfit
 from .._record import replace
-from ..errors import ValidationError
+from ..errors import ValidationError, check_positive
 from . import add_json_flag, emit
 from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, laws_to_update
 
@@ -42,7 +42,7 @@ def _constraint_from_artifact(doc: artifact.LawArtifact) -> lawfit.FrontierConst
 
 
 def run(args) -> None:
-    lawfit._check_delta(args.delta)
+    check_positive("delta", args.delta)
     doc = laws_to_update(args.laws)
     constraint = None
     if args.constrain is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .. import lrlaw
 from .._record import replace
+from ..errors import check_positive
 from . import add_json_flag, emit, fmt
 from ._runs import add_filter_flags, add_fit_io_flags, filtered_runs, laws_to_update
 
@@ -34,8 +35,8 @@ def add_arguments(p) -> None:
 
 def run(args) -> None:
     # the layer's own checks, so a bad flag fails before the run log is read
-    lrlaw._check_positive("d_checkpoint", args.checkpoint_tokens)
-    lrlaw._check_positive("plateau_tolerance", args.plateau_tol)
+    check_positive("d_checkpoint", args.checkpoint_tokens)
+    check_positive("plateau_tolerance", args.plateau_tol)
     lrlaw._check_refinement(args.refinement)
     doc = laws_to_update(args.laws)
     runset = filtered_runs(args)

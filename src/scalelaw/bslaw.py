@@ -22,8 +22,9 @@ from .errors import (
     PreRangeLossError,
     UnreachableLossError,
     ValidationError,
+    check_positive,
 )
-from .frontier import fit_power_law, parabola_vertex
+from .frontier import fit_power_law, linspace, parabola_vertex
 from .laws import BoptLaw, LrScheme
 from .runlog import DEFAULT_HALF_LIFE_FRACTION, RunSet, has_divergence, loss_inverse
 
@@ -45,8 +46,8 @@ class ContourPoint(Record, frozen=True):
     D_required: float
 
     def __post_init__(self) -> None:
-        if min(self.loss_level, self.B, self.D_required) <= 0:
-            raise ValidationError("all ContourPoint fields must be positive")
+        for name in ("loss_level", "B", "D_required"):
+            check_positive(name, getattr(self, name))
         if self.D_required < self.B:
             raise ValidationError("D_required below one batch of tokens")
 
@@ -83,24 +84,7 @@ def default_loss_levels(runset: RunSet, n_levels: int = DEFAULT_N_LEVELS) -> lis
     if not finals:
         raise InsufficientDataError("no converged runs to pick loss levels from")
     lo, hi = (_percentile(finals, q) for q in LEVEL_PERCENTILES)
-    return _linspace(lo, hi, n_levels)
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n) of two floats, bit for bit, as Python floats.
-
-    numpy adds lo to i * step, or to i / (n - 1) * (hi - lo) when the step
-    underflows to zero, and sets the last value to hi.
-    """
-    if n == 1:
-        return [0.0 * (hi - lo) + lo]
-    step = (hi - lo) / (n - 1)
-    if step == 0:
-        values = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
-    else:
-        values = [i * step + lo for i in range(n)]
-    values[-1] = hi
-    return values
+    return linspace(lo, hi, n_levels)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -134,8 +118,9 @@ def iso_loss_contour(
     For each (level, batch size), D_required is the tokens at which the
     best curve for that batch reaches the level: the minimum across LR
     variants under best_of_schemes, or the designated scheme's curve under
-    fixed_scheme.  Batch sizes that never reach a level are gaps (warned);
-    a level reachable at no batch size raises.
+    fixed_scheme, the one policy that takes a scheme.  Batch sizes that
+    never reach a level are gaps (warned); a level reachable at no batch
+    size raises.
 
     The smoothing knobs pass through to ``runset.smoothed``, which keeps
     each run's curve by its settings, so default_loss_levels and the
@@ -154,6 +139,8 @@ def iso_loss_contour(
             raise ValidationError("fixed_scheme policy requires a scheme")
         eligible = [run for run in runset if run.lr_scheme == scheme]
     elif lr_policy == "best_of_schemes":
+        if scheme is not None:
+            raise ValidationError("a scheme needs the fixed_scheme policy")
         eligible = list(runset)
     else:
         raise ValidationError(f"unknown lr_policy {lr_policy!r}")
@@ -174,8 +161,7 @@ def iso_loss_contour(
     }
     contours: dict[float, list[ContourPoint]] = {}
     for level in loss_levels:
-        if level <= 0:
-            raise ValidationError(f"loss level must be positive, got {level}")
+        check_positive("loss level", level)
         points = []
         for b in sorted(by_batch):
             best = math.inf
@@ -231,11 +217,6 @@ def fit_contour_parabola(points: Sequence[ContourPoint]) -> ContourVertex:
     )
 
 
-def _check_s_floor_hint(s_floor_hint: float | None) -> None:
-    if s_floor_hint is not None and not 0 < s_floor_hint < math.inf:
-        raise ValidationError(f"s_floor_hint must be positive and finite, got {s_floor_hint!r}")
-
-
 def fit_bopt_law(
     vertices: Sequence[ContourVertex],
     s_floor_hint: float | None = None,
@@ -251,7 +232,8 @@ def fit_bopt_law(
         InsufficientDataError: fewer than 4 usable vertices or under one
             decade of D coverage.
     """
-    _check_s_floor_hint(s_floor_hint)
+    if s_floor_hint is not None:
+        check_positive("s_floor_hint", s_floor_hint)
     all_vertices = list(vertices)
     usable = [v for v in all_vertices if not v.extrapolated]
     if len(usable) < len(all_vertices):
@@ -325,7 +307,8 @@ def bopt_law_from_runs(
     the contours read each run's curve from ``runset.smoothed``, so a run
     is smoothed once per setting for the life of the set.
     """
-    _check_s_floor_hint(s_floor_hint)
+    if s_floor_hint is not None:
+        check_positive("s_floor_hint", s_floor_hint)
     if loss_levels is None:
         levels = default_loss_levels(runset)
     else:

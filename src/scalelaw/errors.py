@@ -8,6 +8,8 @@ front end maps them to exit codes 1 and 2.
 
 from __future__ import annotations
 
+import math
+
 
 class ScaleLawError(Exception):
     """Base class for every error raised by this package."""
@@ -36,6 +38,19 @@ class ConflictError(InputError):
 
 class ValidationError(InputError):
     """A structural invariant of a record or argument does not hold."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not positive and finite, NaN included (it
+    fails every comparison), with a ValidationError naming it."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def check_non_negative(name: str, value: float) -> None:
+    """Refuse a value that is negative, NaN or infinite."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be non-negative, got {value}")
 
 
 class InsufficientDataError(InputError):

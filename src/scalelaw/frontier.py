@@ -60,6 +60,23 @@ def _run_curve(runset: RunSet, run, smooth: bool = False) -> tuple[float, Sequen
     return FLOPS_PER_PARAM_TOKEN * run.model.n_params, tokens, loss
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) of two floats, bit for bit, as Python floats.
+
+    numpy adds lo to i * step, or to i / (n - 1) * (hi - lo) when the step
+    underflows to zero, and sets the last value to hi.
+    """
+    if n == 1:
+        return [0.0 * (hi - lo) + lo]
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        values = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
 def interp_in_range(
     cs: Sequence[float], scale: float, tokens: Sequence, loss: Sequence
 ) -> list[float]:
@@ -108,9 +125,8 @@ def default_grid(runset: RunSet) -> list[float]:
     if not c_hi > 0 or not math.isfinite(c_lo):
         raise InsufficientDataError("no run has two finite curve points")
     n = max(2, int(math.ceil(math.log10(c_hi / c_lo) * GRID_POINTS_PER_DECADE)) + 1)
-    log_lo = math.log10(c_lo)
-    step = (math.log10(c_hi) - log_lo) / (n - 1)
-    return [c_lo, *(10.0 ** (k * step + log_lo) for k in range(1, n - 1)), c_hi]
+    interior = linspace(math.log10(c_lo), math.log10(c_hi), n)[1:-1]
+    return [c_lo, *(10.0**exponent for exponent in interior), c_hi]
 
 
 def compute_envelope(

@@ -32,6 +32,7 @@ from .errors import (
     FitFailureError,
     InsufficientDataError,
     ValidationError,
+    check_positive,
 )
 from .laws import FLOPS_PER_PARAM_TOKEN, ChinchillaLaw
 from .runlog import RunSet, has_divergence, smooth_run
@@ -53,19 +54,13 @@ _MAX_ITER = 500
 _TOL = 1e-12
 
 
-def _check_delta(delta: float) -> None:
-    # NaN passes a plain "<= 0" test and would poison every objective
-    if not 0 < delta < math.inf:
-        raise ValidationError(f"delta must be positive and finite, got {delta!r}")
-
-
 def huber(residual, delta: float):
     """Huber penalty: quadratic inside |r| <= delta, linear outside.
 
     Broadcasts over arrays; returns 0.5*r^2 on the quadratic branch and
     delta*(|r| - delta/2) on the linear one, which agree at |r| = delta.
     """
-    _check_delta(delta)
+    check_positive("delta", delta)
     r = np.asarray(residual, dtype=float)
     a = np.abs(r)
     out = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
@@ -387,7 +382,7 @@ def fit_loss_law(
         raise ValidationError("samples must be finite and positive")
     n, d, obs = arr.T
     _check_span(n, d)
-    _check_delta(delta)
+    check_positive("delta", delta)
     grid = list(init_grid) if init_grid is not None else default_init_grid()
     if not grid:
         raise ValidationError("init_grid must be non-empty")

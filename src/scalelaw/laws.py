@@ -19,7 +19,9 @@ from enum import Enum
 
 from ._lazy import np
 from ._record import MISSING, Record, fields
-from .errors import InfeasibleTargetError, ParseError, ValidationError
+from .errors import (
+    InfeasibleTargetError, ParseError, ValidationError, check_non_negative, check_positive,
+)
 
 # Forward-pass-plus-backward cost per parameter per token.
 FLOPS_PER_PARAM_TOKEN = 6.0
@@ -128,8 +130,8 @@ def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme
     the base value.  Run-log scheme tags map onto these rules (origin means
     none).
     """
-    if min(base_lr, base_B, new_B) <= 0:
-        raise ValidationError("all arguments must be positive")
+    for name, value in (("base_lr", base_lr), ("base_B", base_B), ("new_B", new_B)):
+        check_positive(name, value)
     if isinstance(scheme, LrScheme):
         scheme = {"origin": "none", "sqrt": "sqrt", "linear": "linear"}[scheme.value]
     if scheme == "linear":
@@ -139,22 +141,6 @@ def scale_lr(base_lr: float, base_B: float, new_B: float, scheme: str | LrScheme
     if scheme == "none":
         return base_lr
     raise ValidationError(f"unknown scaling scheme {scheme!r}")
-
-
-def _check_positive_finite(record: Record, names: tuple[str, ...]) -> None:
-    """Refuse the first named field that is not positive and finite, NaN
-    included (it fails every comparison); a field that is None passes."""
-    for name in names:
-        value = getattr(record, name)
-        if value is not None and not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_non_negative(record: Record, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(record, name)
-        if not value >= 0:
-            raise ValidationError(f"{name} must be non-negative, got {value}")
 
 
 class PowerLaw(Record, frozen=True):
@@ -206,9 +192,8 @@ class FrontierPoint(Record, frozen=True):
     edge_clipped: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.C, self.loss, self.N, self.D, self.S, self.B) <= 0:
-            raise ValidationError("all FrontierPoint fields must be positive")
-        _check_positive_finite(self, ("C", "loss", "N", "D", "S", "B"))
+        for name in ("C", "loss", "N", "D", "S", "B"):
+            check_positive(name, getattr(self, name))
         if abs(self.C / (FLOPS_PER_PARAM_TOKEN * self.N * self.D) - 1.0) > 0.005:
             raise ValidationError("C must equal 6*N*D within 0.5%")
         if abs(self.D - self.S * self.B) > self.B:
@@ -396,8 +381,10 @@ class LrLawFit(Record, frozen=True):
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma):
             raise ValidationError(f"gamma must be finite, got {self.gamma}")
-        _check_positive_finite(self, ("lr_ceiling", "plateau_onset_B", *_LR_ANCHOR_KEYS))
-        _check_non_negative(self, ("n_fit",))
+        for name in ("lr_ceiling", "plateau_onset_B", *_LR_ANCHOR_KEYS):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
+        check_non_negative("n_fit", self.n_fit)
 
     def to_dict(self) -> dict:
         """Every field, except anchor fields that are unset."""
@@ -418,10 +405,10 @@ class PresetRow(Record, frozen=True):
     decay_steps: int
 
     def __post_init__(self) -> None:
-        if min(self.n_params, self.batch_size, self.max_lr) <= 0:
-            raise ValidationError("preset sizes and rates must be positive")
-        _check_positive_finite(self, ("n_params", "batch_size", "max_lr"))
-        _check_non_negative(self, ("warmup_steps", "decay_steps"))
+        for name in ("n_params", "batch_size", "max_lr"):
+            check_positive(name, getattr(self, name))
+        for name in ("warmup_steps", "decay_steps"):
+            check_non_negative(name, getattr(self, name))
 
     from_dict = classmethod(read_record)
 

@@ -22,8 +22,9 @@ from .errors import (
     InsufficientGridError,
     NoMinimumError,
     ValidationError,
+    check_positive,
 )
-from .frontier import fit_power_law, interp_in_range, longest_stretch, parabola_vertex
+from .frontier import fit_power_law, interp_in_range, linspace, longest_stretch, parabola_vertex
 from .laws import LrLawFit
 from .runlog import RunSet, has_divergence
 
@@ -32,12 +33,6 @@ DEFAULT_PLATEAU_TOLERANCE = 0.05
 # batch axis to be distinguishable from a shallow slope.
 PLATEAU_MIN_SPAN = 1.5
 DEFAULT_REFINEMENT = 4
-
-
-def _check_positive(name: str, value: float) -> None:
-    # "not 0 < v < inf" also rejects NaN, which fails every comparison
-    if not 0 < value < math.inf:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_refinement(refinement: int) -> None:
@@ -73,7 +68,7 @@ class LossSurface(Record, frozen=True, eq=False):
         )
         self.__dict__["buffers"] = buffers
         for name in ("d_checkpoint", "base_lr"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         for grid in (grid_b, grid_lr):
             if grid.ndim != 1 or len(grid) < 2:
                 raise ValidationError("grids must be 1-D with at least 2 values")
@@ -101,6 +96,10 @@ class LossSurface(Record, frozen=True, eq=False):
             self.__dict__[name] = view
             return view
         raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        # memoryviews do not pickle; a surface pickles as its arrays
+        return LossSurface, (self.d_checkpoint, self.grid_B, self.grid_LR, self.losses, self.base_lr)
 
     def column_at(self, b: float) -> list[float]:
         """Losses at every LR grid node for batch b.
@@ -220,8 +219,8 @@ def extract_lr_opt(surface: LossSurface, refinement: int = DEFAULT_REFINEMENT) -
     for i, b in enumerate(grid_b):
         batches.append(b)
         if i + 1 < len(grid_b):
-            step = (log_b[i + 1] - log_b[i]) / refinement
-            batches.extend(math.exp(k * step + log_b[i]) for k in range(1, refinement))
+            interior = linspace(log_b[i], log_b[i + 1], refinement + 1)[1:-1]
+            batches.extend(math.exp(value) for value in interior)
     samples = []
     for b in batches:
         column = surface.column_at(b)
@@ -274,7 +273,7 @@ def fit_gamma(
         InsufficientDataError: fewer than 4 non-boundary samples.
         GammaUndefinedError: everything is plateau; carries the ceiling.
     """
-    _check_positive("plateau_tolerance", plateau_tolerance)
+    check_positive("plateau_tolerance", plateau_tolerance)
     usable = sorted(
         (s for s in samples if not s.boundary), key=lambda s: s.B
     )

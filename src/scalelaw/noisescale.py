@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from ._record import Record
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 
 # the classic seven-column trade-off grid; 1/9 prints as the familiar
 # (e = 1.1, s = 10) column
@@ -32,8 +32,8 @@ class NoiseParams(Record, frozen=True):
     gamma_tradeoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.eta_max, self.B_noise, self.dL_max, self.gamma_tradeoff) <= 0:
-            raise ValidationError("all NoiseParams fields must be positive")
+        for name in ("eta_max", "B_noise", "dL_max", "gamma_tradeoff"):
+            check_positive(name, getattr(self, name))
 
 
 class TradeoffRow(Record, frozen=True):
@@ -46,8 +46,7 @@ class TradeoffRow(Record, frozen=True):
 
 def eta_opt_sgd(B: float, params: NoiseParams) -> float:
     """Optimal SGD-style learning rate at batch size B: eta_max/(1 + B_noise/B)."""
-    if B <= 0:
-        raise ValidationError("B must be positive")
+    check_positive("B", B)
     return params.eta_max / (1.0 + params.B_noise / B)
 
 
@@ -57,8 +56,7 @@ def eta_opt_adam(B: float, params: NoiseParams) -> float:
     eta_max / (0.5*(sqrt(B_noise/B) + sqrt(B/B_noise))); peaks at exactly
     B = B_noise and falls off with +-1/2 log-log slope far from it.
     """
-    if B <= 0:
-        raise ValidationError("B must be positive")
+    check_positive("B", B)
     r = params.B_noise / B
     return params.eta_max / (0.5 * (math.sqrt(r) + 1.0 / math.sqrt(r)))
 

@@ -32,6 +32,7 @@ from .errors import (
     ScaleLawError,
     UnreachableLossError,
     ValidationError,
+    check_positive,
 )
 from .laws import LrScheme, decode_json, read_field
 
@@ -69,8 +70,7 @@ class ModelSpec(Record, frozen=True):
     seq_len: int | None = None
 
     def __post_init__(self) -> None:
-        if not (self.n_params > 0 and math.isfinite(self.n_params)):
-            raise ValidationError(f"n_params must be positive and finite, got {self.n_params}")
+        check_positive("n_params", self.n_params)
 
 
 class Curve(Record, frozen=True, eq=False):
@@ -792,8 +792,7 @@ def smooth_curve(
         InsufficientDataError: fewer than two points survive the discard.
         ValidationError: non-finite losses or a non-positive half-life.
     """
-    if half_life_tokens <= 0:
-        raise ValidationError("half_life_tokens must be positive")
+    check_positive("half_life_tokens", half_life_tokens)
     if not 0 <= discard_fraction < 1:
         raise ValidationError("discard_fraction must be in [0, 1)")
     step, tokens, loss = curve.columns
@@ -874,8 +873,7 @@ def loss_inverse(curve: Curve) -> Callable[[float], float]:
     first, last = -rising[0], -rising[-1]
 
     def tokens_at(target_loss: float) -> float:
-        if not (target_loss > 0 and math.isfinite(target_loss)):
-            raise ValidationError(f"target_loss must be positive and finite, got {target_loss}")
+        check_positive("target_loss", target_loss)
         if target_loss > first:
             raise PreRangeLossError(f"target {target_loss} above the first recorded loss {first}")
         if target_loss < last:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from ._lazy import np
 from ._record import Record, fields, replace
-from .errors import ValidationError
+from .errors import ValidationError, check_non_negative, check_positive
 from .laws import (
     REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
 )
@@ -51,10 +51,9 @@ class GroundTruth(Record, frozen=True):
     def __post_init__(self) -> None:
         if self.bcrit_mode not in ("constant", "loss_linked"):
             raise ValidationError(f"unknown bcrit_mode {self.bcrit_mode!r}")
-        if self.bcrit_b0 <= 0 or self.bcrit_loss_ref <= 0:
-            raise ValidationError("bcrit parameters must be positive")
-        if self.observation_noise < 0:
-            raise ValidationError("observation_noise must be non-negative")
+        check_positive("bcrit_b0", self.bcrit_b0)
+        check_positive("bcrit_loss_ref", self.bcrit_loss_ref)
+        check_non_negative("observation_noise", self.observation_noise)
 
     def bcrit_at(self, loss: float) -> float:
         """Critical batch size at a given loss level."""
@@ -155,8 +154,7 @@ def d_required(gt: GroundTruth, n_params: float, target_loss: float, B: float) -
     e solving (e*B_crit/B - 1)(e - 1) = gamma, the fixed-batch closure of
     the steps/data trade-off.
     """
-    if B <= 0:
-        raise ValidationError("B must be positive")
+    check_positive("B", B)
     d_min = gt.law.d_for_loss(target_loss, n_params)
     b_ratio = B / gt.bcrit_at(target_loss)
     e = solve_tradeoff(b_ratio, gt.noise.gamma_tradeoff).e_ratio
@@ -253,8 +251,10 @@ def simulate_curve(
     ``math`` so the bytes match the per-checkpoint definition (see
     _noise_factors).
     """
-    if min(n_params, B, lr_peak, total_tokens) <= 0:
-        raise ValidationError("n_params, B, lr_peak, total_tokens must be positive")
+    for name, value in (
+        ("n_params", n_params), ("B", B), ("lr_peak", lr_peak), ("total_tokens", total_tokens)
+    ):
+        check_positive(name, value)
     n_batches = total_tokens // B
     if n_batches < 1:
         raise ValidationError("total_tokens must cover at least one batch")

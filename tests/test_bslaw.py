@@ -27,6 +27,7 @@ from scalelaw import (
     solve_tradeoff,
 )
 import scalelaw.bslaw
+import scalelaw.frontier
 import scalelaw.runlog
 from scalelaw.cli import main
 from scalelaw.runlog import smooth_run
@@ -224,6 +225,15 @@ def test_contour_best_of_schemes_dominates_fixed():
                     assert pt.D_required <= fixed_by_b[pt.B] * (1 + 1e-12)
 
 
+def test_contour_refuses_a_scheme_under_best_of_schemes():
+    # best_of_schemes reads every run, so a scheme given with it would be dropped
+    runset = optimal_lr_runs((1e6, 4e6, 1.6e7))
+    with pytest.raises(ValidationError, match="^a scheme needs the fixed_scheme policy"):
+        iso_loss_contour(runset, [2.8], scheme=LrScheme.LINEAR)
+    with pytest.raises(ValidationError, match="^a scheme needs the fixed_scheme policy"):
+        scalelaw.bslaw.bopt_law_from_runs(runset, [2.8], scheme=LrScheme.ORIGIN)
+
+
 def test_contour_input_validation():
     runset = optimal_lr_runs((1e6, 4e6, 1.6e7))
     with pytest.raises(ValidationError, match="scheme"):
@@ -291,7 +301,7 @@ _floats = st.floats(min_value=-1e300, max_value=1e300)
 @example(lo=-0.0, hi=-5e-324, n=1)
 @example(lo=1.0, hi=math.nextafter(1.0, 2.0), n=5)
 def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
-    got = scalelaw.bslaw._linspace(lo, hi, n)
+    got = scalelaw.frontier.linspace(lo, hi, n)
     assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
     assert all(type(v) is float for v in got)
 

@@ -920,6 +920,26 @@ def test_simulate_wrong_typed_config_is_parse_error(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, field, value", [
+    ("noise", "B_noise", math.inf),
+    ("noise", "eta_max", math.inf),
+    ("noise", "dL_max", math.nan),
+    (None, "observation_noise", math.inf),
+])
+def test_simulate_refuses_a_non_finite_ground_truth_number(tmp_path, capsys, block, field, value):
+    """The config's Infinity or NaN is one ValidationError naming its field,
+    not a traceback, a log of planted divergences or a run's invalid loss."""
+    truth = default_ground_truth().to_dict()
+    (truth[block] if block else truth)[field] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ground_truth": truth}))
+    out = tmp_path / "runs.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"scalelaw: error: ValidationError: {field} must be ")
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SCALELAW_SEED", "not-a-number")
     out = tmp_path / "runs.jsonl"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -194,6 +196,17 @@ def test_surface_fields_are_read_only_views_of_float_buffers():
     assert surface.losses.base is not None and not surface.losses.flags.writeable
     assert surface.losses.tolist() == losses.tolist()
     assert surface.grid_B is surface.grid_B  # built once, on first read
+
+
+def test_surface_pickles_and_deep_copies_as_its_arrays():
+    # memoryviews do not pickle; a surface goes through its arrays, as a Curve does
+    surface = build_surface(separable_sweep(lambda i, j: 2.0 + 0.3 * i + 0.1 * j), 1.5e7)
+    for other in (pickle.loads(pickle.dumps(surface)), copy.deepcopy(surface)):
+        assert (other.d_checkpoint, other.base_lr) == (surface.d_checkpoint, surface.base_lr)
+        assert other.losses.tobytes() == surface.losses.tobytes()
+        assert other.buffers[2].readonly
+        for b in (*surface.grid_B.tolist(), 1.5e6, 5e5):
+            assert np.array(other.column_at(b)).tobytes() == np.array(surface.column_at(b)).tobytes()
 
 
 @pytest.mark.parametrize("n_b, n_lr", [(2, 3), (3, 2)])
