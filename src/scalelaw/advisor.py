@@ -14,7 +14,7 @@ import math
 import sys
 
 from ._record import Record, field
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 from .laws import (
     FLOPS_PER_PARAM_TOKEN,
     BoptLaw,
@@ -84,8 +84,7 @@ def advise_compute(
     exactly self-consistent.  The loss forecast uses the frontier loss law,
     cross-checked against the parametric law when one is supplied.
     """
-    if not (math.isfinite(C) and C > 0):
-        raise ValidationError(f"C must be finite and positive, got {C}")
+    check_positive("C", C)
     presets = presets or Presets()
     n = frontier.N_opt(C)
     d = C / (FLOPS_PER_PARAM_TOKEN * n)
@@ -149,10 +148,9 @@ def advise_data(
     The model size is whatever the caller brings (the data budget does not
     pin it); LR guidance needs one to anchor a preset.
     """
-    if not (math.isfinite(D) and D > 0):
-        raise ValidationError(f"D must be finite and positive, got {D}")
-    if n_params is not None and not (math.isfinite(n_params) and n_params > 0):
-        raise ValidationError(f"n_params must be finite and positive, got {n_params}")
+    check_positive("D", D)
+    if n_params is not None:
+        check_positive("n_params", n_params)
     C = None if n_params is None else FLOPS_PER_PARAM_TOKEN * n_params * D
     if C is not None and not sys.float_info.min <= C < math.inf:
         how = "overflows" if C > 1 else "underflows"

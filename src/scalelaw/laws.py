@@ -433,8 +433,7 @@ class Presets(Record, frozen=True):
 
     def lookup(self, n_params: float) -> PresetRow:
         """Nearest row by log model size; ties go to the larger model."""
-        if not (math.isfinite(n_params) and n_params > 0):
-            raise ValidationError(f"n_params must be finite and positive, got {n_params}")
+        check_positive("n_params", n_params)
         return min(
             self.rows,
             key=lambda r: (abs(math.log(n_params) - math.log(r.n_params)), -r.n_params),

@@ -666,9 +666,11 @@ def _touch(entry: Path) -> None:
         os.utime(entry, ns=(now, now))
 
 
-# Point rows serialized by one json.dumps call: a run's line is written a
-# block of rows at a time, so its writer never holds the whole line.
-_ROWS_PER_CHUNK = 4096
+# Checkpoints per block: a run's line is written a block of point rows at a
+# time (one json.dumps call each), so its writer never holds the whole line,
+# and the generator draws a run's losses a block at a time.  json.dumps of a
+# block holds about 500 bytes of encoder chunks a row.
+_ROWS_PER_CHUNK = 512
 
 
 def _line_chunks(run: RunRecord) -> Iterator[str]:

@@ -22,7 +22,9 @@ from .laws import (
     REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
 )
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
-from .runlog import Curve, ModelSpec, RunRecord, RunSet, blake2b, check_new_run_id
+from .runlog import (
+    _ROWS_PER_CHUNK, Curve, ModelSpec, RunRecord, RunSet, blake2b, check_new_run_id,
+)
 
 # Divergence shaping: per-checkpoint loss growth and the blow-up ratio after
 # which the curve is truncated with a single non-finite point.
@@ -154,7 +156,8 @@ def d_required(gt: GroundTruth, n_params: float, target_loss: float, B: float) -
     e solving (e*B_crit/B - 1)(e - 1) = gamma, the fixed-batch closure of
     the steps/data trade-off.
     """
-    check_positive("B", B)
+    for name, value in (("n_params", n_params), ("target_loss", target_loss), ("B", B)):
+        check_positive(name, value)
     d_min = gt.law.d_for_loss(target_loss, n_params)
     b_ratio = B / gt.bcrit_at(target_loss)
     e = solve_tradeoff(b_ratio, gt.noise.gamma_tradeoff).e_ratio
@@ -192,26 +195,33 @@ def _noise_factors(seed: int, run_id: str, steps: np.ndarray, sigma: float) -> n
 
     Each step's key f"{seed}|{run_id}|{step}" is hashed with blake2b; the two
     big-endian halves of its digest become uniforms that a Box-Muller draw
-    turns into a standard normal z, and the factor is exp(sigma * z).
-    Hashing, sqrt and products are exact either way, but numpy's log, cos
-    and exp may differ from the C library's in the last bit (they do on
-    AVX-512 builds), so those three go through ``math``: the emitted
-    curves are pinned by digest.
+    turns into a standard normal z, and the factor is exp(sigma * z).  The
+    factors are made a block of _ROWS_PER_CHUNK steps at a time into one
+    array, so the draw holds one block of temporaries, not the run's; each
+    key is a copy of the run's hash of f"{seed}|{run_id}|" fed the step,
+    which gives the digest of the whole key.  Hashing, sqrt and products
+    are exact either way, but numpy's log, cos and exp may differ from the
+    C library's in the last bit (they do on AVX-512 builds), so those three
+    go through ``math``: the emitted curves are pinned by digest.
     """
-    n = len(steps)
+    out = np.ones(len(steps))
     if sigma == 0.0:
-        return np.ones(n)
-    # the key with its "%" escaped, as a bytes format taking the step
-    key_format = f"{seed}|{run_id}|".encode().replace(b"%", b"%%") + b"%d"
-    digests = b"".join(
-        [blake2b(key_format % step, digest_size=16).digest() for step in steps.tolist()]
-    )
-    # uint64 -> float64 rounds to nearest, as Python's int -> float does
-    u = (np.frombuffer(digests, ">u8").reshape(-1, 2).astype(np.float64) + 0.5) / 2.0**64
-    log_u1 = np.fromiter(map(math.log, u[:, 0].tolist()), np.float64, n)
-    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[:, 1]).tolist()), np.float64, n)
-    z = np.sqrt(-2.0 * log_u1) * cos_u2
-    return np.fromiter(map(math.exp, (sigma * z).tolist()), np.float64, n)
+        return out
+    prefix = blake2b(f"{seed}|{run_id}|".encode(), digest_size=16)
+    for start in range(0, len(steps), _ROWS_PER_CHUNK):
+        block = steps[start : start + _ROWS_PER_CHUNK].tolist()
+        digests = []
+        for step in block:
+            h = prefix.copy()
+            h.update(b"%d" % step)
+            digests.append(h.digest())
+        # uint64 -> float64 rounds to nearest, as Python's int -> float does
+        u = (np.frombuffer(b"".join(digests), ">u8").astype(np.float64) + 0.5) / 2.0**64
+        log_u1 = np.array(list(map(math.log, u[0::2].tolist())))
+        cos_u2 = np.array(list(map(math.cos, (2.0 * math.pi * u[1::2]).tolist())))
+        z = np.sqrt(-2.0 * log_u1) * cos_u2
+        out[start : start + len(block)] = list(map(math.exp, (sigma * z).tolist()))
+    return out
 
 
 def _checkpoint_steps(total_steps: int, points: int) -> np.ndarray:
@@ -247,9 +257,9 @@ def simulate_curve(
     divergence: losses grow geometrically and the curve is truncated after
     one non-finite point.  Observation noise is multiplicative log-normal,
     keyed by (seed, run_id, step) so generation order cannot matter; it is
-    drawn for the whole run at once, with log, cos and exp taken from
-    ``math`` so the bytes match the per-checkpoint definition (see
-    _noise_factors).
+    drawn, and the clean losses made, a block of checkpoints at a time, with
+    log, cos and exp taken from ``math`` so the bytes match the
+    per-checkpoint definition (see _noise_factors).
     """
     for name, value in (
         ("n_params", n_params), ("B", B), ("lr_peak", lr_peak), ("total_tokens", total_tokens)
@@ -285,12 +295,23 @@ def simulate_curve(
             # a fixed B_crit makes d_required one rescaling of the law's own
             # token requirement, so one trade-off solve covers the whole run
             e = solve_tradeoff(B / gt.bcrit_b0, gt.noise.gamma_tradeoff).e_ratio
-            clean = gt.law.eval(n_params, steps * B * efficiency / e)
+
+            def clean(block: np.ndarray) -> np.ndarray:
+                return gt.law.eval(n_params, block * B * efficiency / e)
         else:
-            clean = np.array(
-                [_loss_at_tokens(gt, n_params, step * B * efficiency, B) for step in steps.tolist()]
-            )
-        losses = clean * _noise_factors(gt.seed, run_id, steps, sigma)
+
+            def clean(block: np.ndarray) -> np.ndarray:
+                return np.array([
+                    _loss_at_tokens(gt, n_params, step * B * efficiency, B)
+                    for step in block.tolist()
+                ])
+
+        # a block of clean losses at a time scales the noise factors in place:
+        # a product commutes, so these are the bytes of clean * noise
+        losses = _noise_factors(gt.seed, run_id, steps, sigma)
+        for start in range(0, len(steps), _ROWS_PER_CHUNK):
+            block = slice(start, start + _ROWS_PER_CHUNK)
+            losses[block] *= clean(steps[block])
 
     return RunRecord(
         run_id=run_id,

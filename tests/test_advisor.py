@@ -147,7 +147,7 @@ def test_data_validation(reference):
 
 @pytest.mark.parametrize("n_params", [math.nan, math.inf, -math.inf, 0.0])
 def test_data_rejects_bad_model_size(reference, ref_law, n_params):
-    with pytest.raises(ValidationError, match="n_params must be finite and positive"):
+    with pytest.raises(ValidationError, match="n_params must be positive and finite"):
         advise_data(reference.bopt, 1e12, n_params=n_params, loss_law=ref_law)
 
 
@@ -225,9 +225,9 @@ def test_advise_identities_hold_for_every_budget(law_sets, laws, budget, n_param
 @given(laws=st.sampled_from(["reference", "fitted"]), budget=BAD_BUDGETS)
 def test_advise_rejects_non_finite_and_non_positive_budgets(law_sets, laws, budget):
     artifact = law_sets[laws]
-    with pytest.raises(ValidationError, match="must be finite and positive"):
+    with pytest.raises(ValidationError, match="^C must be positive and finite, got "):
         advise_compute(artifact.frontier, budget)
-    with pytest.raises(ValidationError, match="must be finite and positive"):
+    with pytest.raises(ValidationError, match="^D must be positive and finite, got "):
         advise_data(artifact.bopt, budget)
 
 

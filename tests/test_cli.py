@@ -221,7 +221,7 @@ def test_advise_rejects_non_finite_budget(capsys, budget):
     assert main(["advise", *budget]) == 1
     captured = capsys.readouterr()
     assert "scalelaw: error: ValidationError" in captured.err
-    assert "finite and positive" in captured.err
+    assert "must be positive and finite, got" in captured.err
     assert captured.out == ""
 
 
@@ -239,7 +239,7 @@ def test_advise_rejects_budget_whose_batch_underflows(capsys, extra):
 def test_advise_rejects_bad_model_size(capsys, size):
     assert main(["advise", "--data", "1e12", "--model-size", size]) == 1
     captured = capsys.readouterr()
-    assert "scalelaw: error: ValidationError: n_params must be finite and positive" in captured.err
+    assert "scalelaw: error: ValidationError: n_params must be positive and finite" in captured.err
     assert captured.out == ""
 
 

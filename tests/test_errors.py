@@ -18,8 +18,11 @@ from scalelaw import (
     ModelSpec,
     NoiseParams,
     PresetRow,
+    Presets,
     SynthConfig,
     ValidationError,
+    advise_compute,
+    advise_data,
     bopt_law_from_runs,
     d_required,
     default_ground_truth,
@@ -30,6 +33,7 @@ from scalelaw import (
     fit_loss_law,
     huber,
     iso_loss_contour,
+    reference_artifact,
     scale_lr,
     simulate_curve,
     simulate_grid,
@@ -51,6 +55,7 @@ CURVE = Curve([1, 2, 3], [1e6, 2e6, 3e6], [3.0, 2.9, 2.8])
 SIMULATE = dict(n_params=1.25e8, B=5e5, lr_peak=4e-4, total_tokens=1e9)
 LR_SAMPLES = [LrSample(B=2.0**k * 1e6, lr_opt=1e-4 * 2.0**k, loss_at_opt=3.0) for k in range(4)]
 LAW_SAMPLES = [(n, d, 3.0) for n in (1e8, 1e9) for d in (1e9, 2e9, 4e9, 8e9)]
+REFERENCE = reference_artifact()
 
 
 @functools.cache
@@ -71,6 +76,8 @@ def _positive_cases():
     for name in ("bcrit_b0", "bcrit_loss_ref"):
         yield f"GroundTruth.{name}", name, lambda v, name=name: replace(GT, **{name: v})
     yield "d_required", "B", lambda v: d_required(GT, 1.25e8, 3.0, v)
+    yield "d_required.n_params", "n_params", lambda v: d_required(GT, v, 3.0, 1e6)
+    yield "d_required.target_loss", "target_loss", lambda v: d_required(GT, 1.25e8, v, 1e6)
     for name in SIMULATE:
         yield f"simulate_curve.{name}", name, lambda v, name=name: simulate_curve(
             GT, **{**SIMULATE, name: v}, points=10, run_id="r"
@@ -91,6 +98,12 @@ def _positive_cases():
         )
     for name in ("n_params", "batch_size", "max_lr"):
         yield f"PresetRow.{name}", name, lambda v, name=name: PresetRow(**{**PRESET, name: v})
+    yield "Presets.lookup", "n_params", lambda v: Presets().lookup(v)
+    yield "advise_compute", "C", lambda v: advise_compute(REFERENCE.frontier, v)
+    yield "advise_data.D", "D", lambda v: advise_data(REFERENCE.bopt, v)
+    yield "advise_data.n_params", "n_params", lambda v: advise_data(
+        REFERENCE.bopt, 1e12, n_params=v
+    )
     for name in ("lr_ceiling", "plateau_onset_B", "base_lr", "base_B", "d_checkpoint"):
         yield f"LrLawFit.{name}", name, lambda v, name=name: LrLawFit(
             **{"gamma": 0.5, "lr_ceiling": None, "plateau_onset_B": None, name: v}
@@ -146,6 +159,10 @@ def test_the_valid_values_of_the_cases_pass():
     PresetRow(**PRESET)
     LossSurface(**SURFACE)
     simulate_curve(GT, **SIMULATE, points=10, run_id="r")
+    assert d_required(GT, 1.25e8, 3.0, 1e6) > 0
+    assert Presets().lookup(1.25e8).n_params == 1.25e8
+    advise_compute(REFERENCE.frontier, 1e21)
+    advise_data(REFERENCE.bopt, 1e12, n_params=1e9)
     assert ContourPoint(loss_level=3.0, B=1e6, D_required=1e7).B == 1e6
     assert 3.0 in iso_loss_contour(contour_runs(), [3.0])
     assert loss_inverse(CURVE)(2.9) == pytest.approx(2e6, rel=1e-12)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scalelaw import (
     samples_from_runs,
     serialize_runs,
 )
-from scalelaw import synth
+from scalelaw import runlog, synth
 from scalelaw._record import replace
 from scalelaw.synth import (
     GroundTruth,
@@ -506,9 +507,43 @@ def test_noise_factors_match_scalar_definition_bit_for_bit(seed, run_id, sigma):
     assert _noise_factors(seed, run_id, steps, sigma).tolist() == expect
 
 
+def test_noise_factors_over_blocks_match_scalar_definition_bit_for_bit():
+    """Two blocks and 7 irregular steps: each key is hashed as a
+    copy of the run's prefix hash fed the step, with the "%" of the run id
+    taken as itself, and each block lands in its own slice."""
+    n = 2 * runlog._ROWS_PER_CHUNK + 7
+    steps = np.cumsum(np.arange(1, n + 1))
+    run_id = "1.3B-50%-x%d%%s"
+    expect = [_reference_noise_factor(11, run_id, step, 0.02) for step in steps.tolist()]
+    assert _noise_factors(11, run_id, steps, 0.02).tolist() == expect
+
+
 def test_noise_factors_without_noise_are_one():
     assert _noise_factors(7, "run", np.arange(1, 10_001), 0.0).tolist() == [1.0] * 10_000
     assert _noise_factors(7, "run", np.arange(0), 0.005).tolist() == []
+
+
+def test_simulating_a_run_holds_a_block_of_temporaries():
+    """One 40,000-checkpoint run keeps its traced peak below 72 bytes a
+    checkpoint: its three 8-byte columns, RunRecord.validate's whole-run
+    temporaries and one block of the draw.  Drawing the run at once took
+    about 170."""
+    config = SynthConfig(
+        models=(ModelSpec(n_params=1.25e8, label="125M"),),
+        batch_sizes=(5e5,),
+        tokens_per_run=3e11,
+        points_per_run=40_000,
+    )
+    truth = default_ground_truth(seed=7)
+    simulate_grid(replace(config, points_per_run=100), truth)  # imports and caches
+    tracemalloc.start()
+    try:
+        (run,) = simulate_grid(config, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.points) == 40_000
+    assert peak < 72 * 40_000
 
 
 @pytest.mark.parametrize("total_steps", [1, 2, 7, 100, 399, 400, 401, 9375, 12_000, 600_000])
