@@ -144,9 +144,12 @@ def reference_artifact() -> LawArtifact:
         d_max=1e12,
         power_fitted=True,
     )
-    # LR exponent band midpoint; ceiling and its onset from the 350M sweep
+    presets = Presets()
+    # LR exponent band midpoint, anchored at the 350M preset; ceiling and
+    # its onset from the 350M sweep
     gamma = 0.875
-    base_lr, base_b = 3.0e-4, 5e5
+    anchor = presets.lookup(3.5e8)
+    base_lr, base_b = anchor.max_lr, anchor.batch_size
     lr_ceiling = 2.4e-3
     lr_law = LrLawFit(
         gamma=gamma,
@@ -161,12 +164,15 @@ def reference_artifact() -> LawArtifact:
         loss_fit={
             "r_squared": 0.962,
             "delta": 1e-3,
-            "constraint": {"a": 0.464, "b": 0.536, "p": 0.297, "q": 0.561},
+            "constraint": {
+                "a": frontier.N_opt.p, "b": frontier.D_opt.p,
+                "p": frontier.N_opt.k, "q": frontier.D_opt.k,
+            },
         },
         frontier=frontier,
         bopt=bopt,
         lr_law=lr_law,
-        presets=Presets(),
+        presets=presets,
         comparisons=(
             {
                 "label": "chinchilla-published",

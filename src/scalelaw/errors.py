@@ -50,7 +50,7 @@ def check_positive(name: str, value: float) -> None:
 def check_non_negative(name: str, value: float) -> None:
     """Refuse a value that is negative, NaN or infinite."""
     if not 0 <= value < math.inf:
-        raise ValidationError(f"{name} must be non-negative, got {value}")
+        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
 
 
 class InsufficientDataError(InputError):

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import FLOPS_PER_PARAM_TOKEN, FrontierPoint, FrontierReport, PowerLaw
-from .runlog import RunSet, _finite_count
+from .runlog import RunSet, finite_prefix
 
 GRID_POINTS_PER_DECADE = 64
 # heavier smoothing than the per-run default: envelope winners are decided
@@ -41,20 +41,20 @@ class EnvelopeSample(Record, frozen=True):
 
 
 def _run_curve(runset: RunSet, run, smooth: bool = False) -> tuple[float, Sequence, Sequence]:
-    """(scale, tokens, loss) of a run's finite points, where scale * tokens
-    is the compute, optionally smoothed by the set (RunSet.smoothed).
+    """(scale, tokens, loss) of a run's points before its first non-finite
+    loss (runlog.finite_prefix), where scale * tokens is the compute,
+    optionally smoothed by the set (RunSet.smoothed).
 
-    An all-finite loss gives the curve's own buffers; a curve of fewer than
-    2 finite points gives empty ones.
+    A curve of fewer than 2 such points gives empty buffers.
     """
     try:
-        curve = runset.smoothed(run.run_id, ENVELOPE_HALF_LIFE_FRACTION) if smooth else run.points
+        curve = (
+            runset.smoothed(run.run_id, ENVELOPE_HALF_LIFE_FRACTION)
+            if smooth else finite_prefix(run.points)
+        )
     except InsufficientDataError:
         return 0.0, (), ()
     _, tokens, loss = curve.columns
-    if _finite_count(loss) < len(loss):
-        kept = [i for i, value in enumerate(loss) if math.isfinite(value)]
-        tokens, loss = [tokens[i] for i in kept], [loss[i] for i in kept]
     if len(loss) < 2:
         return 0.0, (), ()
     return FLOPS_PER_PARAM_TOKEN * run.model.n_params, tokens, loss
@@ -107,21 +107,18 @@ def interp_in_range(
 def default_grid(runset: RunSet) -> list[float]:
     """Log-spaced compute grid covering the union of the runs' C ranges.
 
-    A run's range spans its first to its last finite raw point.  The grid
-    is numpy's geomspace of the union, computed in Python floats.
+    A run's range spans its raw points before its first non-finite loss
+    (runlog.finite_prefix).  The grid is numpy's geomspace of the union,
+    computed in Python floats.
     """
     c_lo = math.inf
     c_hi = 0.0
     for run in runset:
-        _, tokens, loss = run.points.columns
-        first = next((i for i, value in enumerate(loss) if math.isfinite(value)), len(loss))
-        last = next(
-            (i for i in reversed(range(first, len(loss))) if math.isfinite(loss[i])), first
-        )
-        if first < last:
+        tokens = finite_prefix(run.points).columns[1]
+        if len(tokens) >= 2:
             scale = FLOPS_PER_PARAM_TOKEN * run.model.n_params
-            c_lo = min(c_lo, scale * tokens[first])
-            c_hi = max(c_hi, scale * tokens[last])
+            c_lo = min(c_lo, scale * tokens[0])
+            c_hi = max(c_hi, scale * tokens[-1])
     if not c_hi > 0 or not math.isfinite(c_lo):
         raise InsufficientDataError("no run has two finite curve points")
     n = max(2, int(math.ceil(math.log10(c_hi / c_lo) * GRID_POINTS_PER_DECADE)) + 1)

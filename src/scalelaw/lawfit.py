@@ -99,12 +99,8 @@ class FrontierConstraint(Record, frozen=True):
     q: float
 
     def __post_init__(self) -> None:
-        # "not 0 < v < inf" also rejects NaN, which fails every comparison
-        if not all(0 < v < math.inf for v in (self.a, self.b, self.p, self.q)):
-            raise ValidationError(
-                "all frontier constraint fields must be positive and finite, got "
-                f"({self.a}, {self.b}, {self.p}, {self.q})"
-            )
+        for name in ("a", "b", "p", "q"):
+            check_positive(name, getattr(self, name))
         if abs(self.a + self.b - 1.0) > 1e-9:
             raise ValidationError(f"exponents must sum to 1, got {self.a + self.b}")
         if abs(FLOPS_PER_PARAM_TOKEN * self.p * self.q - 1.0) > 0.01:
@@ -121,8 +117,8 @@ def apply_constraint(
     Balancing the two loss terms along the frontier gives alpha/beta = b/a
     and A*alpha*q^beta = Bcoef*beta*p^alpha.
     """
-    if not all(0 < v < math.inf for v in (a, b, p, q, Bcoef, beta)):
-        raise ValidationError("all arguments must be positive and finite")
+    for name, value in zip(("a", "b", "p", "q", "Bcoef", "beta"), (a, b, p, q, Bcoef, beta)):
+        check_positive(name, value)
     if abs(a + b - 1.0) > 1e-9:
         raise ValidationError(f"exponents must sum to 1, got {a + b}")
     alpha = beta * (b / a)

@@ -152,8 +152,7 @@ class PowerLaw(Record, frozen=True):
     x_max: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.k < math.inf:
-            raise ValidationError(f"coefficient must be positive and finite, got {self.k}")
+        check_positive("k", self.k)
         if not math.isfinite(self.p):
             raise ValidationError(f"exponent must be finite, got {self.p}")
         if not 0 < self.x_min <= self.x_max:
@@ -257,13 +256,9 @@ class ChinchillaLaw(Record, frozen=True):
     beta: float
 
     def __post_init__(self) -> None:
-        # "not 0 < v < inf" also rejects NaN, which fails every comparison
-        if not 0 <= self.E < math.inf:
-            raise ValidationError(f"E must be non-negative and finite, got {self.E}")
-        if not (0 < self.A < math.inf and 0 < self.Bcoef < math.inf):
-            raise ValidationError(
-                f"A and Bcoef must be positive and finite, got ({self.A}, {self.Bcoef})"
-            )
+        check_non_negative("E", self.E)
+        check_positive("A", self.A)
+        check_positive("Bcoef", self.Bcoef)
         if not (0 < self.alpha < 1 and 0 < self.beta < 1):
             raise ValidationError(
                 f"alpha and beta must lie in (0, 1), got ({self.alpha}, {self.beta})"
@@ -328,16 +323,16 @@ class BoptLaw(Record, frozen=True):
     power_fitted: bool = True
 
     def __post_init__(self) -> None:
-        # written so that NaN, which fails every comparison, is rejected;
-        # crossover_D is inf when the power branch never undercuts the linear one
-        positive = (self.k, self.s_floor, self.d_min, self.d_max)
-        if not (
-            all(0 < v < math.inf for v in positive)
-            and self.d_min <= self.d_max
-            and math.isfinite(self.p)
-            and 0 <= self.crossover_D <= math.inf
-        ):
-            raise ValidationError("invalid BoptLaw fields")
+        for name in ("k", "s_floor", "d_min", "d_max"):
+            check_positive(name, getattr(self, name))
+        if self.d_min > self.d_max:
+            raise ValidationError(f"need d_min <= d_max, got ({self.d_min}, {self.d_max})")
+        if not math.isfinite(self.p):
+            raise ValidationError(f"p must be finite, got {self.p}")
+        # inf when the power branch never undercuts the linear one; NaN
+        # fails the comparison
+        if not self.crossover_D >= 0:
+            raise ValidationError(f"crossover_D must be non-negative, got {self.crossover_D}")
 
     def eval(self, d):
         """Optimal batch size in tokens at data budget d."""

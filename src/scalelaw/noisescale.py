@@ -68,10 +68,8 @@ def solve_tradeoff(b_ratio: float, gamma: float = 1.0) -> TradeoffRow:
     s = e/b, giving the quadratic e^2 - (1+b)e + b(1-gamma) = 0; the larger
     root is the physical branch (e > 1 and e > b for any gamma > 0).
     """
-    if not (0 < b_ratio < math.inf and 0 < gamma < math.inf):
-        raise ValidationError(
-            f"b_ratio and gamma must be positive and finite, got ({b_ratio}, {gamma})"
-        )
+    check_positive("b_ratio", b_ratio)
+    check_positive("gamma", gamma)
     b = b_ratio
     # the discriminant equals (1-b)^2 + 4*b*gamma > 0, so only overflow or
     # rounding (e = 1 + b*gamma to first order as b -> 0) breaks the bounds
@@ -80,7 +78,7 @@ def solve_tradeoff(b_ratio: float, gamma: float = 1.0) -> TradeoffRow:
         e = 0.5 * ((1.0 + b) + math.sqrt(disc))
     except OverflowError:
         e = math.inf
-    if not (1.0 < e < math.inf and e > b):
+    if not max(1.0, b) < e < math.inf:
         raise ValidationError(f"trade-off root out of float range at b_ratio={b}, gamma={gamma}")
     return TradeoffRow(e_ratio=e, s_ratio=e / b, b_ratio=b)
 

@@ -32,6 +32,7 @@ from .errors import (
     ScaleLawError,
     UnreachableLossError,
     ValidationError,
+    check_non_negative,
     check_positive,
 )
 from .laws import LrScheme, decode_json, read_field
@@ -50,8 +51,8 @@ DEFAULT_DISCARD_FRACTION = 0.01
 
 # The run-log cache keeps the decoded points of each log content, by the
 # blake2b digest of its bytes.  A hit serves the runs whose digests it
-# verifies without validating them again, since they were validated when
-# the entry was written: bump CACHE_FORMAT whenever point decoding or the
+# verifies without validating their curves again, since they were validated
+# when the entry was written: bump CACHE_FORMAT whenever point decoding or the
 # rules of RunRecord.validate change.  Entries of another format are never
 # read, and age out.
 CACHE_FORMAT = 2
@@ -149,19 +150,16 @@ class RunRecord(Record):
     points: Curve
     lr_scale: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.run_id:
             raise ValidationError("run_id must be a non-empty string")
-        if not (self.batch_size_tokens > 0 and math.isfinite(self.batch_size_tokens)):
-            raise ValidationError(f"run {self.run_id}: batch_size_tokens must be positive")
-        if not (self.lr_peak > 0 and math.isfinite(self.lr_peak)):
-            raise ValidationError(f"run {self.run_id}: lr_peak must be positive")
-        if not (self.lr_scale > 0 and math.isfinite(self.lr_scale)):
-            raise ValidationError(
-                f"run {self.run_id}: lr_scale must be positive and finite, got {self.lr_scale}"
-            )
-        if self.warmup_steps < 0 or self.decay_steps < 0:
-            raise ValidationError(f"run {self.run_id}: step counts must be non-negative")
+        for name in ("batch_size_tokens", "lr_peak", "lr_scale"):
+            check_positive(f"run {self.run_id}: {name}", getattr(self, name))
+        for name in ("warmup_steps", "decay_steps"):
+            check_non_negative(f"run {self.run_id}: {name}", getattr(self, name))
+
+    def validate(self) -> None:
+        """Check the curve; the scalar fields were checked when the run was made."""
         if not len(self.points):
             raise ValidationError(f"run {self.run_id}: empty loss curve")
         step, tokens, loss = self.points.step, self.points.tokens, self.points.loss
@@ -461,8 +459,8 @@ def read_runs(
     run's fields and points.  A later read of the same bytes rebuilds the
     runs from that entry: it reads the entry's header of run fields and
     then only the curve points of the runs ``keep`` takes, and it checks
-    each of those runs against its digest.  A verified run was validated
-    when the entry was written, so it is not validated again.  An entry
+    each of those runs against its digest.  A verified run's curve was
+    validated when the entry was written, so it is not validated again.  An entry
     that is missing, damaged or fails a digest is a miss, and so is a cache
     directory that cannot be located or written: the log is parsed, so the
     cache never changes the result.  The CACHE_ENTRIES most recently used

@@ -19,7 +19,8 @@ from ._lazy import np
 from ._record import Record, fields, replace
 from .errors import ValidationError, check_non_negative, check_positive
 from .laws import (
-    REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items, reading, scale_lr,
+    DEFAULT_PRESETS, REFERENCE_LOSS_LAW, ChinchillaLaw, LrScheme, read_field, read_items,
+    reading, scale_lr,
 )
 from .noisescale import NoiseParams, eta_opt_adam, solve_tradeoff
 from .runlog import (
@@ -100,11 +101,11 @@ class SynthConfig(Record, frozen=True):
     def __post_init__(self) -> None:
         if not self.models or not self.batch_sizes:
             raise ValidationError("models and batch_sizes must be non-empty")
-        # "not 0 < v < inf" also rejects NaN, which fails every comparison
-        if not all(0 < v < math.inf for v in (*self.batch_sizes, *self.lr_factors)):
-            raise ValidationError("sweep values must be positive and finite")
-        if not all(0 < v < math.inf for v in (self.base_batch, self.base_lr, self.tokens_per_run)):
-            raise ValidationError("base and budget values must be positive and finite")
+        for name in ("batch_sizes", "lr_factors"):
+            for value in getattr(self, name):
+                check_positive(f"{name} entry", value)
+        for name in ("base_batch", "base_lr", "tokens_per_run"):
+            check_positive(name, getattr(self, name))
         if self.points_per_run < 1:
             raise ValidationError("points_per_run must be at least 1")
 
@@ -379,9 +380,6 @@ def default_ground_truth(seed: int = 1, observation_noise: float = 0.005) -> Gro
     return GroundTruth(
         law=REFERENCE_LOSS_LAW,
         noise=NoiseParams(eta_max=1e-3, B_noise=4e6, dL_max=1.0, gamma_tradeoff=1.0),
-        bcrit_mode="constant",
-        bcrit_b0=4e6,
-        lr_efficiency=True,
         observation_noise=observation_noise,
         seed=seed,
     )
@@ -391,20 +389,14 @@ def default_sweep_config(
     tokens_per_run: float = SynthConfig.tokens_per_run,
     points_per_run: int = SynthConfig.points_per_run,
 ) -> SynthConfig:
-    """Five model sizes, seven batch sizes, three LR scaling schemes, and
-    SynthConfig's defaults for the rest.
+    """The five preset model sizes, seven batch sizes, three LR scaling
+    schemes, and SynthConfig's defaults for the rest.
 
     The default base LR is anchored below eta_opt at the base batch so that
     linear-rule runs stay convergent over several doublings.
     """
     return SynthConfig(
-        models=(
-            ModelSpec(n_params=1.25e8, label="125M"),
-            ModelSpec(n_params=3.5e8, label="350M"),
-            ModelSpec(n_params=7.6e8, label="760M"),
-            ModelSpec(n_params=1.3e9, label="1.3B"),
-            ModelSpec(n_params=2.6e9, label="2.6B"),
-        ),
+        models=tuple(ModelSpec(n_params=row.n_params, label=row.label) for row in DEFAULT_PRESETS),
         batch_sizes=(5e5, 1e6, 2e6, 4e6, 8e6, 1.6e7, 3.2e7),
         schemes=(LrScheme.ORIGIN, LrScheme.SQRT, LrScheme.LINEAR),
         tokens_per_run=tokens_per_run,

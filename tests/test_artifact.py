@@ -211,8 +211,8 @@ _NAMED_OUT_OF_RANGE = [
     (_preset(max_lr=math.nan), "max_lr must be positive and finite, got nan"),
     (_preset(batch_size=math.inf), "batch_size must be positive and finite, got inf"),
     (_preset(n_params=math.nan), "n_params must be positive and finite, got nan"),
-    (_preset(warmup_steps=-1), "warmup_steps must be non-negative, got -1"),
-    (_preset(decay_steps=-5), "decay_steps must be non-negative, got -5"),
+    (_preset(warmup_steps=-1), "warmup_steps must be non-negative and finite, got -1"),
+    (_preset(decay_steps=-5), "decay_steps must be non-negative and finite, got -5"),
     (
         {"lr_law": dict(_LR_LAW, lr_ceiling=-1.0)},
         "lr_ceiling must be positive and finite, got -1.0",
@@ -229,12 +229,30 @@ _NAMED_OUT_OF_RANGE = [
         {"lr_law": dict(_LR_LAW, d_checkpoint=-2e10)},
         "d_checkpoint must be positive and finite, got -20000000000.0",
     ),
-    ({"lr_law": dict(_LR_LAW, n_fit=-1)}, "n_fit must be non-negative, got -1"),
+    ({"lr_law": dict(_LR_LAW, n_fit=-1)}, "n_fit must be non-negative and finite, got -1"),
     (_frontier_point(C=math.nan), "C must be positive and finite, got nan"),
     (_frontier_point(loss=math.inf), "loss must be positive and finite, got inf"),
     (
         _frontier_point(C=math.inf, N=math.inf, D=math.inf, S=math.inf),
         "C must be positive and finite, got inf",
+    ),
+    ({"bopt": dict(_BOPT, k=math.nan)}, "k must be positive and finite, got nan"),
+    ({"bopt": dict(_BOPT, s_floor=0.0)}, "s_floor must be positive and finite, got 0.0"),
+    (
+        {"bopt": dict(_BOPT, d_min=2e12)},
+        r"need d_min <= d_max, got \(2000000000000.0, 1000000000000.0\)",
+    ),
+    ({"bopt": dict(_BOPT, p=math.inf)}, "p must be finite, got inf"),
+    ({"bopt": dict(_BOPT, crossover_D=-1.0)}, "crossover_D must be non-negative, got -1.0"),
+    (
+        {"frontier": dict(_FRONTIER, N_opt=dict(_FRONTIER["N_opt"], k=0.0))},
+        "k must be positive and finite, got 0.0",
+    ),
+    (
+        {"loss_law": {"form": "chinchilla", "params": {
+            "E": 1.5, "A": math.nan, "alpha": 0.3, "Bcoef": 400.0, "beta": 0.3,
+        }}},
+        "A must be positive and finite, got nan",
     ),
 ]
 

@@ -247,7 +247,9 @@ def test_advise_rejects_bad_model_size(capsys, size):
 def test_tradeoff_rejects_bad_gamma(capsys, gamma):
     assert main(["tradeoff", "--gamma", gamma]) == 1
     captured = capsys.readouterr()
-    assert "scalelaw: error: ValidationError: b_ratio and gamma must be positive" in captured.err
+    assert captured.err == (
+        f"scalelaw: error: ValidationError: gamma must be positive and finite, got {float(gamma)}\n"
+    )
     assert captured.out == ""
 
 
@@ -883,7 +885,7 @@ def test_simulate_duplicate_run_ids_write_nothing(tmp_path, capsys):
 def test_simulate_rejects_non_finite_budget(tmp_path, capsys, value):
     out = tmp_path / "runs.jsonl"
     assert main(["simulate", "--out", str(out), "--tokens-per-run", value]) == 1
-    assert "ValidationError: base and budget values must be positive and finite" in (
+    assert "ValidationError: tokens_per_run must be positive and finite" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -1266,6 +1268,18 @@ def test_fit_law_failure_payload_has_start_diagnostics(
     assert (fit["n_starts"], fit["n_converged"], fit["objective_spread"]) == (8, 0, None)
 
 
+def test_fit_bopt_unreachable_level_payload_names_it(batch_sweep_runs, tmp_path, capsys):
+    laws = tmp_path / "laws.json"
+    code, payload = run_json(
+        capsys, "fit-bopt", "--runs", str(batch_sweep_runs), "--laws", str(laws),
+        "--levels", "0.5", "--s-floor", "1500",
+    )
+    assert code == 2
+    assert payload["error"] == "EmptyContourError"
+    assert payload["level"] == 0.5
+    assert not laws.exists()
+
+
 def test_fit_law_bad_constraint_spec(five_model_runs, tmp_path, capsys, monkeypatch):
     """Refused before the run log is read."""
     monkeypatch.setattr(runlog, "read_runs", _refuse_read)
@@ -1283,15 +1297,14 @@ def test_fit_law_non_finite_constraint_is_validation_error(five_model_runs, tmp_
     fit = ["fit-law", "--runs", str(five_model_runs), "--laws", str(laws), "--constrain"]
     assert main([*fit, "0.5,0.5,nan,1"]) == 1
     err = capsys.readouterr().err
-    assert "scalelaw: error: ValidationError: all frontier constraint fields" in err
-    assert "must be positive and finite" in err
+    assert "scalelaw: error: ValidationError: p must be positive and finite, got nan" in err
     doc = LawArtifact().to_json_dict()
     doc["frontier"] = scalelaw.reference_artifact().frontier.to_dict()
     doc["frontier"]["N_opt"]["k"] = math.nan
     laws.write_text(json.dumps(doc))
     assert main([*fit, "frontier"]) == 1
     err = capsys.readouterr().err
-    assert "scalelaw: error: ValidationError: coefficient must be positive and finite" in err
+    assert "scalelaw: error: ValidationError: k must be positive and finite, got nan" in err
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "0"])

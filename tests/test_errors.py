@@ -9,20 +9,27 @@ import math
 import pytest
 
 from scalelaw import (
+    BoptLaw,
+    ChinchillaLaw,
     ContourPoint,
     Curve,
+    FrontierConstraint,
     FrontierPoint,
     LossSurface,
     LrLawFit,
     LrSample,
+    LrScheme,
     ModelSpec,
     NoiseParams,
+    PowerLaw,
     PresetRow,
     Presets,
+    RunRecord,
     SynthConfig,
     ValidationError,
     advise_compute,
     advise_data,
+    apply_constraint,
     bopt_law_from_runs,
     d_required,
     default_ground_truth,
@@ -38,6 +45,7 @@ from scalelaw import (
     simulate_curve,
     simulate_grid,
     smooth_curve,
+    solve_tradeoff,
 )
 from scalelaw._record import replace
 from scalelaw.errors import check_non_negative, check_positive
@@ -55,6 +63,15 @@ CURVE = Curve([1, 2, 3], [1e6, 2e6, 3e6], [3.0, 2.9, 2.8])
 SIMULATE = dict(n_params=1.25e8, B=5e5, lr_peak=4e-4, total_tokens=1e9)
 LR_SAMPLES = [LrSample(B=2.0**k * 1e6, lr_opt=1e-4 * 2.0**k, loss_at_opt=3.0) for k in range(4)]
 LAW_SAMPLES = [(n, d, 3.0) for n in (1e8, 1e9) for d in (1e9, 2e9, 4e9, 8e9)]
+# tokens = step * batch_size_tokens, as a run's curve needs
+RUN = dict(run_id="r", model=ModelSpec(n_params=1.25e8), batch_size_tokens=1e6, lr_peak=3e-4,
+           lr_scheme=LrScheme.ORIGIN, warmup_steps=10, decay_steps=100, points=CURVE,
+           lr_scale=1.0)
+LOSS_LAW = dict(E=1.5, A=400.0, alpha=0.3, Bcoef=400.0, beta=0.3)
+BOPT = dict(k=3240.0, p=0.264, s_floor=4000.0, crossover_D=4.6e9, d_min=1e9, d_max=1e12)
+# a + b = 1 and 6 * p * q = 1 within 1%, as a frontier constraint needs
+CONSTRAINT = dict(a=0.464, b=0.536, p=0.297, q=0.561)
+SWEEP = dict(models=(ModelSpec(n_params=1.25e8),), batch_sizes=(5e5,))
 REFERENCE = reference_artifact()
 
 
@@ -121,6 +138,34 @@ def _positive_cases():
     yield "bopt_law_from_runs", "s_floor_hint", lambda v: bopt_law_from_runs(
         contour_runs(), s_floor_hint=v
     )
+    # a run's fields are checked when it is made; validate() checks its curve
+    for name in ("batch_size_tokens", "lr_peak", "lr_scale"):
+        yield f"RunRecord.{name}", f"run r: {name}", lambda v, name=name: RunRecord(
+            **{**RUN, name: v}
+        ).validate()
+    yield "PowerLaw.k", "k", lambda v: PowerLaw(k=v, p=0.5, x_min=1.0, x_max=2.0)
+    for name in ("A", "Bcoef"):
+        yield f"ChinchillaLaw.{name}", name, lambda v, name=name: ChinchillaLaw(
+            **{**LOSS_LAW, name: v}
+        )
+    for name in ("k", "s_floor", "d_min", "d_max"):
+        yield f"BoptLaw.{name}", name, lambda v, name=name: BoptLaw(**{**BOPT, name: v})
+    for name in CONSTRAINT:
+        yield f"FrontierConstraint.{name}", name, lambda v, name=name: FrontierConstraint(
+            **{**CONSTRAINT, name: v}
+        )
+    for i, name in enumerate(("a", "b", "p", "q", "Bcoef", "beta")):
+        yield f"apply_constraint.{name}", name, lambda v, i=i: apply_constraint(
+            *[v if j == i else value for j, value in enumerate((0.5, 0.5, 1.0, 1.0, 400.0, 0.3))]
+        )
+    for name in ("batch_sizes", "lr_factors"):
+        yield f"SynthConfig.{name}", f"{name} entry", lambda v, name=name: SynthConfig(
+            **{**SWEEP, name: (1.0, v)}
+        )
+    for name in ("base_batch", "base_lr", "tokens_per_run"):
+        yield f"SynthConfig.{name}", name, lambda v, name=name: SynthConfig(**{**SWEEP, name: v})
+    yield "solve_tradeoff.b_ratio", "b_ratio", lambda v: solve_tradeoff(v, 1.0)
+    yield "solve_tradeoff.gamma", "gamma", lambda v: solve_tradeoff(1.0, v)
 
 
 def _non_negative_cases():
@@ -132,6 +177,11 @@ def _non_negative_cases():
     yield "LrLawFit.n_fit", "n_fit", lambda v: LrLawFit(
         gamma=0.5, lr_ceiling=None, plateau_onset_B=None, n_fit=v
     )
+    for name in ("warmup_steps", "decay_steps"):
+        yield f"RunRecord.{name}", f"run r: {name}", lambda v, name=name: RunRecord(
+            **{**RUN, name: v}
+        ).validate()
+    yield "ChinchillaLaw.E", "E", lambda v: ChinchillaLaw(**{**LOSS_LAW, "E": v})
 
 
 def _params(cases):
@@ -148,7 +198,7 @@ def test_positive_fields_refuse_non_finite_and_non_positive_values(name, call, v
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("name, call", _params(_non_negative_cases()))
 def test_non_negative_fields_refuse_non_finite_and_negative_values(name, call, value):
-    with pytest.raises(ValidationError, match=f"^{name} must be non-negative, got "):
+    with pytest.raises(ValidationError, match=f"^{name} must be non-negative and finite, got "):
         call(value)
 
 
@@ -167,6 +217,36 @@ def test_the_valid_values_of_the_cases_pass():
     assert 3.0 in iso_loss_contour(contour_runs(), [3.0])
     assert loss_inverse(CURVE)(2.9) == pytest.approx(2e6, rel=1e-12)
     assert replace(GT, observation_noise=0.0).observation_noise == 0.0
+    RunRecord(**RUN).validate()
+    RunRecord(**{**RUN, "warmup_steps": 0, "decay_steps": 0}).validate()
+    PowerLaw(k=1.0, p=0.5, x_min=1.0, x_max=2.0)
+    ChinchillaLaw(**{**LOSS_LAW, "E": 0.0})
+    BoptLaw(**BOPT)
+    FrontierConstraint(**CONSTRAINT)
+    apply_constraint(0.5, 0.5, 1.0, 1.0, 400.0, 0.3)
+    SynthConfig(**SWEEP)
+    solve_tradeoff(1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [0.0, 4.6e9, math.inf])
+def test_bopt_crossover_may_be_zero_or_inf(value):
+    # inf: the power branch never undercuts the linear one
+    assert BoptLaw(**{**BOPT, "crossover_D": value}).crossover_D == value
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"crossover_D": math.nan}, "crossover_D must be non-negative, got nan"),
+        ({"crossover_D": -math.inf}, "crossover_D must be non-negative, got -inf"),
+        ({"p": math.nan}, "p must be finite, got nan"),
+        ({"p": -math.inf}, "p must be finite, got -inf"),
+        ({"d_min": 2e12}, r"need d_min <= d_max, got \(2000000000000.0, 1000000000000.0\)"),
+    ],
+)
+def test_bopt_law_names_each_refusal(changes, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        BoptLaw(**{**BOPT, **changes})
 
 
 def test_helpers_name_the_value_and_take_the_edges():
@@ -176,5 +256,5 @@ def test_helpers_name_the_value_and_take_the_edges():
     check_non_negative("x", -0.0)
     with pytest.raises(ValidationError, match=r"^rate must be positive and finite, got nan$"):
         check_positive("rate", math.nan)
-    with pytest.raises(ValidationError, match=r"^count must be non-negative, got inf$"):
+    with pytest.raises(ValidationError, match=r"^count must be non-negative and finite, got inf$"):
         check_non_negative("count", math.inf)

@@ -32,6 +32,7 @@ from scalelaw import (
 )
 import scalelaw.runlog
 from scalelaw import frontier
+from scalelaw._record import replace
 from scalelaw.frontier import parabola_vertex
 from scalelaw.runlog import smooth_run
 from scalelaw.synth import SynthConfig, default_ground_truth, simulate_curve, simulate_grid
@@ -112,7 +113,7 @@ def test_power_law_validation():
     with pytest.raises(ValidationError):
         PowerLaw(k=1.0, p=0.5, x_min=5.0, x_max=2.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="coefficient"):
+        with pytest.raises(ValidationError, match="^k must be positive and finite"):
             PowerLaw(k=bad, p=0.5, x_min=1.0, x_max=2.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="exponent"):
@@ -160,7 +161,7 @@ def test_fit_rejects_degenerate_input():
     with pytest.raises(ValidationError):
         fit_power_law([1.0, 2.0], [0.0, 2.0])
     # a coefficient beyond the float range is refused, as numpy's inf was
-    with pytest.raises(ValidationError, match="coefficient"):
+    with pytest.raises(ValidationError, match="^k must be positive and finite, got inf$"):
         fit_power_law([1e10, 2e10], [1.0, 1e-300])
 
 
@@ -318,6 +319,24 @@ def test_default_grid_covers_all_runs():
     assert len(grid) == max(2, int(math.ceil(decades * 64)) + 1)
     # numpy's geomspace, whose vectorised pow may round the other way
     np.testing.assert_allclose(grid, np.geomspace(c_lo, c_hi, len(grid)), rtol=4e-16)
+
+
+def test_raw_envelope_and_grid_stop_at_the_first_non_finite_loss():
+    # a diverged run that logs a finite loss after its inf: the points past
+    # the inf count no more than they do once smoothed (finite_prefix)
+    run = loglinear_run("r", 1e8, 4.0, 0.2, 1e18, 1e21)
+    cut = 30
+    loss = run.points.loss.copy()
+    loss[cut] = math.inf
+    run = replace(run, points=Curve(run.points.step, run.points.tokens, loss))
+    runset = RunSet(runs={run.run_id: run})
+    cs = [6.0 * 1e8 * t for t in run.points.tokens.tolist()]
+    assert len(cs) > cut + 5
+    grid = default_grid(runset)
+    assert (grid[0], grid[-1]) == (cs[0], cs[cut - 1])
+    assert compute_envelope(runset, smooth=False)[-1].C == cs[cut - 1]
+    env = compute_envelope(runset, grid=cs, smooth=False)
+    assert [sample.C for sample in env] == cs[:cut]
 
 
 def test_interp_in_range_matches_numpy_interp():

@@ -247,6 +247,12 @@ def test_surface_input_validation():
     with pytest.raises(ValidationError, match="base learning rate"):
         build_surface(RunSet(runs=runs), d_checkpoint=1.5e7)
 
+    # a second run at the (B, LR-factor) cell of r00, under another id
+    runs = dict(mixed.runs)
+    runs["again"] = constant_run("again", 1e6, 0.5, 2.4)
+    with pytest.raises(ValidationError, match=r"^duplicate sweep cell B=1e\+06, scale=0.5$"):
+        build_surface(RunSet(runs=runs), d_checkpoint=1.5e7)
+
 
 def test_surface_type_validation():
     good = dict(
