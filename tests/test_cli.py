@@ -35,6 +35,8 @@ from scalelaw._record import replace
 from scalelaw._verbs import tradeoff as tradeoff_verb
 from scalelaw.cli import main
 
+from conftest import assert_a_hit_loads_no_numpy, fresh_env, run_fresh, run_verb, strict_json
+
 BASE_LR = 4.4e-4
 
 
@@ -180,10 +182,6 @@ def test_advise_data_human_output(capsys):
     assert "LR anchor" in out
 
 
-def _refuse_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 @pytest.mark.parametrize(
     "budget",
     [
@@ -194,7 +192,7 @@ def _refuse_constant(name):
 )
 def test_advise_json_is_strict(capsys, budget):
     assert main(["advise", *budget, "--json"]) == 0
-    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    rec = strict_json(capsys.readouterr().out)
     assert all(rec[key] is not None for key in ("D", "S", "B"))
     if budget[0] == "--data" and "--model-size" not in budget:
         assert (rec["N"], rec["C"], rec["LR"]) == (None, None, None)
@@ -251,24 +249,6 @@ def test_tradeoff_rejects_bad_gamma(capsys, gamma):
         f"scalelaw: error: ValidationError: gamma must be positive and finite, got {float(gamma)}\n"
     )
     assert captured.out == ""
-
-
-def fresh_env() -> dict:
-    """The environment of a new interpreter that imports this checkout."""
-    src = str(Path(scalelaw.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-
-
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run a Python script in a new interpreter on this checkout; it must exit 0."""
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc
 
 
 def test_closed_stdout_exits_1_silently():
@@ -341,21 +321,6 @@ def test_advise_and_tradeoff_start_without_numpy(tmp_path, reference):
     assert "B/B_crit" in proc.stdout
 
 
-def test_ingest_of_a_cached_log_never_loads_numpy(five_model_runs):
-    """A hit takes ingest's summary from the entry's header and checks the
-    entry's digests without numpy; a miss parses the log with it."""
-    script = (
-        "import sys\n"
-        "from scalelaw.cli import main\n"
-        f"assert main(['ingest', '--runs', {str(five_model_runs)!r}, '--json']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
-    )
-    miss = run_fresh(script).stdout.splitlines()
-    hit = run_fresh(script).stdout.splitlines()
-    assert miss[0] == hit[0] and '"runs": 5' in hit[0]
-    assert miss[1] != "[]" and hit[1] == "[]"
-
-
 def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_runs, run_log_cache):
     """A hit hands fit-bopt and export-plot --kind contour the entry's
     buffers, and both fit in Python floats without numpy; ingest --out and
@@ -378,31 +343,8 @@ def test_contour_verbs_of_a_cached_log_never_load_numpy(tmp_path, batch_sweep_ru
         ([*export_curves, "--raw"], 0, curves),
     ]
     for argv, code, written in verbs:
-        hit = assert_a_hit_loads_no_numpy(argv, code, written, run_log_cache)
-        assert code == 0 or "vertices must span at least one decade of D" in hit[1]
-
-
-def assert_a_hit_loads_no_numpy(argv, code, written, cache):
-    """Run the verb argv in a new interpreter on a miss in the emptied cache,
-    then on a hit: both exit code, print and write the same, the miss loads
-    numpy and the hit does not.  The hit's (stdout lines, stderr)."""
-    script = (
-        "import sys\n"
-        "from scalelaw.cli import main\n"
-        f"code = main({argv!r})\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('numpy.'))[:1])\n"
-    )
-    shutil.rmtree(cache, ignore_errors=True)
-    sides = []
-    for _ in ("miss", "hit"):
-        written.unlink(missing_ok=True)
-        proc = run_fresh(script)
-        *printed, loaded = proc.stdout.splitlines()
-        sides.append((printed, proc.stderr, written.read_bytes() if code == 0 else None, loaded))
-    miss, hit = sides
-    assert miss[:3] == hit[:3], argv
-    assert miss[3].startswith(f"{code} ['numpy.") and hit[3] == f"{code} []", argv
-    return hit[:2]
+        _, err = assert_a_hit_loads_no_numpy(argv, code, [written], run_log_cache)
+        assert code == 0 or "vertices must span at least one decade of D" in err
 
 
 def test_readout_verbs_of_a_cached_log_never_load_numpy(tmp_path, five_model_runs, run_log_cache):
@@ -419,9 +361,9 @@ def test_readout_verbs_of_a_cached_log_never_load_numpy(tmp_path, five_model_run
           "--json"], laws),
     ]
     for argv, written in verbs:
-        printed, _ = assert_a_hit_loads_no_numpy(argv, 0, written, run_log_cache)
+        printed, _ = assert_a_hit_loads_no_numpy(argv, 0, [written], run_log_cache)
         assert printed, argv
-    assert json.loads(printed[0])["lr_law"]["gamma"] == pytest.approx(0.3, abs=1e-6)
+    assert json.loads(printed)["lr_law"]["gamma"] == pytest.approx(0.3, abs=1e-6)
 
 
 def test_fit_law_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
@@ -433,18 +375,15 @@ def test_fit_law_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
     assert main(["frontier", "--runs", str(runs), "--laws", str(frontier_laws)]) == 0
     capsys.readouterr()
     laws = tmp_path / "laws.json"
-    argv = [sys.executable, "-m", "scalelaw.cli", "fit-law", "--runs", str(runs),
-            "--laws", str(laws), "--constrain", "frontier", "--json"]
+    argv = ["fit-law", "--runs", str(runs), "--laws", str(laws), "--constrain", "frontier",
+            "--json"]
     sides = []
     for threads in ("1", "2"):
         shutil.copyfile(frontier_laws, laws)
-        proc = subprocess.run(
-            argv, env=dict(fresh_env(), OPENBLAS_NUM_THREADS=threads), capture_output=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        sides.append((proc.stdout, laws.read_bytes()))
-    assert b'"n_points": 29775' in sides[0][0]
+        code, out, err, _ = run_verb(argv, OPENBLAS_NUM_THREADS=threads)
+        assert code == 0, err
+        sides.append((out, laws.read_bytes()))
+    assert '"n_points": 29775' in sides[0][0]
     assert sides[0] == sides[1]
 
 
@@ -603,10 +542,6 @@ def test_advise_refuses_misspelt_laws_file_keys(tmp_path, capsys, reference):
     assert captured.out == ""
 
 
-def _refuse_json_constant(name):
-    raise AssertionError(f"non-standard JSON constant {name}")
-
-
 @pytest.mark.parametrize("budget", [
     ["--data", "1.7e308", "--model-size", "1e9"],
     ["--data", "1e300", "--model-size", "1e300"],
@@ -619,7 +554,7 @@ def test_advise_refuses_a_budget_whose_compute_overflows(capsys, budget, as_json
     (line,) = captured.err.splitlines()
     assert line.startswith("scalelaw: error: ValidationError: compute C = 6*N*D overflows")
     if as_json:
-        doc = json.loads(captured.out, parse_constant=_refuse_json_constant)
+        doc = strict_json(captured.out)
         assert doc["error"] == "ValidationError"
     else:
         assert captured.out == ""
@@ -644,7 +579,7 @@ def test_a_non_finite_json_result_exits_2(capsys, monkeypatch):
     (line,) = captured.err.splitlines()
     assert line.startswith("scalelaw: error: NumericalError: the --json payload holds NaN")
     # stdout holds the error document alone, not the payload
-    doc = json.loads(captured.out, parse_constant=_refuse_json_constant)
+    doc = strict_json(captured.out)
     assert doc["error"] == "NumericalError"
 
 
@@ -1136,20 +1071,6 @@ def test_non_utf8_laws_file_and_config_are_input_errors(tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert "scalelaw: error: UnicodeDecodeError: " in capsys.readouterr().err
-
-
-def test_cold_and_warm_reads_give_the_same_output(five_model_runs, tmp_path, capsys, run_log_cache):
-    """The second read of a log comes from the run-log cache; nothing a verb
-    prints or writes changes."""
-    laws = tmp_path / "laws.json"
-    outputs = []
-    for _ in range(2):
-        laws.unlink(missing_ok=True)
-        for verb in ("frontier", "fit-law"):
-            assert main([verb, "--runs", str(five_model_runs), "--laws", str(laws), "--json"]) == 0
-        outputs.append((capsys.readouterr().out, laws.read_bytes()))
-    assert outputs[0] == outputs[1]
-    assert len(list(run_log_cache.iterdir())) == 1
 
 
 def test_missing_runs_file_is_input_error(tmp_path, capsys):
